@@ -61,15 +61,13 @@ from .dioph import (
 from .ergodic import (
     AdmissibilityResult,
     adler_scan,
-    birkhoff_experiment,
     cylinder_interval,
     induced_step_Y,
     is_admissible,
     is_realizable,
     observed_words,
-    uniform_distribution_experiment,
 )
-from .numeric import borel_scan, convergence_scan
+from .numeric import birkhoff_experiment, borel_scan, convergence_scan, uniform_distribution_experiment
 
 __all__ = [
     "__version__",

@@ -16,26 +16,9 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ConsistencyError, DomainError, PrecisionExhausted
-from .field import build_field, get_precision_cap, set_precision_cap
-from .group import (
-    Mobius,
-    b_sequence,
-    generators,
-    power_B,
-    rotation_conjugation_check,
-)
-from .dynamics import (
-    build_orbit_tables,
-    full_cylinder_check,
-    product_relations_check,
-)
-from .planar import (
-    build_gamma,
-    build_heights,
-    build_omega,
-    mu_gamma,
-    verify_bijectivity,
-)
+from .field import build_field, get_precision_cap, random_interval_point, set_precision_cap
+from .dynamics import build_orbit_tables
+from .planar import _log_big_fraction, build_gamma, build_heights, build_omega, mu_gamma
 from .dioph import (
     expand,
     log_q_sequence,
@@ -43,8 +26,14 @@ from .dioph import (
     periodic_point,
     transcendence_indicator,
 )
-from .numeric import borel_scan, convergence_scan
-from .ergodic import adler_scan, birkhoff_experiment, observed_words, uniform_distribution_experiment
+from .numeric import (
+    birkhoff_experiment,
+    borel_scan,
+    convergence_scan,
+    uniform_distribution_experiment,
+)
+from .ergodic import adler_scan, observed_words
+from .verify import verify_one
 
 
 class UsageError(Exception):
@@ -63,17 +52,22 @@ def _envelope(command: str, n, seed, payload: dict) -> dict:
 
 
 def _parse_x(field, spec: str):
-    if spec.startswith("coeffs:"):
-        parts = [p.strip() for p in spec[len("coeffs:"):].split(",")]
-        x = field.element([Fraction(p) for p in parts])
-    else:
-        try:
+    try:
+        if spec.startswith("coeffs:"):
+            parts = [p.strip() for p in spec[len("coeffs:"):].split(",")]
+            x = field.element([Fraction(p) for p in parts])
+        else:
             x = field.from_fraction(Fraction(spec))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"cannot parse x-spec {spec!r}: {exc}") from exc
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"cannot parse x-spec {spec!r}: {exc}") from exc
     if not (-field.tau <= x and x < field.zero):
         raise UsageError("x outside the interval [-tau, 0)")
     return x
+
+
+def _at_least(value: int, flag: str, minimum: int) -> None:
+    if value < minimum:
+        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
 
 
 def _field_for(args) -> object:
@@ -101,72 +95,14 @@ def cmd_field(args):
     return 0, _envelope("field", field.n, args.seed, payload)
 
 
-def _verify_one(n: int, k_fin: int, j_fin: int) -> dict:
-    field = build_field(n)
-    checks = []
-
-    def run(name, fn):
-        try:
-            fn()
-            checks.append({"name": name, "ok": True})
-        except (ConsistencyError, DomainError, AssertionError) as exc:
-            checks.append({"name": name, "ok": False, "detail": str(exc)})
-
-    g = generators(field)
-
-    def check_relations():
-        if not (g.A * g.B) == -g.C:
-            raise ConsistencyError("AB != -C")
-        if not power_B(field, n).proj_eq(Mobius.identity(field)):
-            raise ConsistencyError("B^n not projectively the identity")
-        A1C = g.A.inverse() * g.C
-        A2C = g.A.inverse() ** 2 * g.C
-        word1 = A2C * A1C ** (n - 3) * A2C * A1C ** (n - 2)
-        word2 = g.A.inverse() * g.B.inverse() ** 2 * g.A.inverse() * g.B.inverse()
-        if not (word1.proj_eq(g.W) and word2.proj_eq(g.W)):
-            raise ConsistencyError("parabolic word forms disagree with W")
-        if not (g.W.apply(-field.tau) - (-field.tau)).is_zero():
-            raise ConsistencyError("W does not fix -tau")
-        from .group import INFINITY
-
-        if g.B.apply(field.zero) is not INFINITY:
-            raise ConsistencyError("B does not send 0 to infinity")
-        if not (g.C.apply(INFINITY) - field.one).is_zero():
-            raise ConsistencyError("C does not send infinity to 1")
-        if g.A.apply(INFINITY) is not INFINITY:
-            raise ConsistencyError("A does not fix infinity")
-        if not b_sequence(field, n).is_zero():
-            raise ConsistencyError("recurrence value at index n is not 0")
-
-    run("generator relations and cusps", check_relations)
-    run("orbit tables, digit words, ordering, interleaving",
-        lambda: build_orbit_tables(field))
-    run("pairwise orbit products equal 1", lambda: product_relations_check(field))
-    run("full cylinders map onto the interval", lambda: full_cylinder_check(field))
-    run("heights: recursion, monotonicity, product identity",
-        lambda: build_heights(field))
-    run("region containment and hyperbola corner exclusion",
-        lambda: build_gamma(field))
-    run("natural-extension corner tilings (slow and accelerated)",
-        lambda: verify_bijectivity(field, k_fin=k_fin, j_fin=j_fin))
-    run("rotation-form conjugation (numeric)",
-        lambda: _expect(rotation_conjugation_check(field, 53)["ok"],
-                        "rotation conjugation deviated"))
-    ok = all(c["ok"] for c in checks)
-    return {"checks": checks, "ok": ok}
-
-
-def _expect(flag, message):
-    if not flag:
-        raise ConsistencyError(message)
-
-
 def cmd_verify(args):
     if args.n_range:
         try:
             lo, hi = (int(p) for p in args.n_range.split(":"))
         except ValueError as exc:
             raise UsageError("--n-range wants A:B") from exc
+        if lo > hi:
+            raise UsageError(f"--n-range {args.n_range} is empty")
         ns = list(range(lo, hi + 1))
     else:
         ns = [_field_for(args).n]
@@ -175,7 +111,7 @@ def cmd_verify(args):
     results = {}
     ok = True
     for n in ns:
-        rep = _verify_one(n, args.k_fin, args.j_fin)
+        rep = verify_one(n, args.k_fin, args.j_fin)
         results[str(n)] = rep
         ok = ok and rep["ok"]
     payload = {"results": results, "ok": ok}
@@ -252,14 +188,14 @@ def cmd_expand(args):
         lines = []
         for m in range(len(res.thetas)):
             t = res.ts[m]
-            enc = t.embed(60) if hasattr(t, "embed") else None
+            enc = t.embed(60)
             lines.append(
                 {
                     "step": m,
                     "digit": res.digits[m - 1] if m >= 1 else None,
-                    "x_enclosure_lo": float(enc.lo) if enc else float(t),
-                    "x_enclosure_hi": float(enc.hi) if enc else float(t),
-                    "coeffs": t.to_json() if hasattr(t, "to_json") else None,
+                    "x_enclosure_lo": float(enc.lo),
+                    "x_enclosure_hi": float(enc.hi),
+                    "coeffs": t.to_json(),
                 }
             )
         payload["lines"] = lines
@@ -269,12 +205,13 @@ def cmd_expand(args):
 def _expand_random(field, args):
     import random as _random
 
-    count = int(args.x.split(":", 1)[1])
+    try:
+        count = int(args.x.split(":", 1)[1])
+    except ValueError as exc:
+        raise UsageError("random:<count> wants an integer count") from exc
     if count < 1:
         raise UsageError("random:<count> wants a positive count")
     rng = _random.Random(args.seed)
-    from .field import random_interval_point
-
     rows = []
     for i in range(count):
         x = random_interval_point(field, rng, 256)
@@ -327,7 +264,8 @@ def cmd_scan_borel(args):
 
 def cmd_periodic(args):
     field = _field_for(args)
-    if args.j_max:
+    if args.j_max is not None:
+        _at_least(args.j_max, "--j-max", 1)
         fam = periodic_family_report(field, args.j_max)
         return (0 if fam["ok"] else 1), _envelope("periodic", field.n, args.seed, fam)
     pp = periodic_point(field, args.j)
@@ -354,21 +292,22 @@ def cmd_transcendence(args):
     if args.q_file:
         if args.d is None:
             raise UsageError("--d (field degree) is required with --q-file")
+        try:
+            with open(args.q_file) as fh:
+                lines = [line.strip() for line in fh]
+        except OSError as exc:
+            raise UsageError(f"cannot read --q-file: {exc}") from exc
         logs = []
-        with open(args.q_file) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+        for line in filter(None, lines):
+            try:
                 if line.startswith("log:"):
                     logs.append(float(line[4:]))
                 else:
                     q = Fraction(line)
-                    if q <= 1:
-                        continue
-                    from .dioph import _log_fraction_float
-
-                    logs.append(_log_fraction_float(q))
+                    if q > 1:
+                        logs.append(_log_big_fraction(q))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise UsageError(f"bad --q-file line {line!r}: {exc}") from exc
         rep = transcendence_indicator(logs, args.d, margin=args.margin)
         return 0, _envelope("transcendence", args.n, args.seed,
                             {"source": "q-file", **rep})
@@ -384,6 +323,8 @@ def cmd_transcendence(args):
 
 def cmd_ergodic_test(args):
     field = _field_for(args)
+    _at_least(args.steps, "--steps", 1)
+    _at_least(args.cells, "--cells", 1)
     uni = uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
     adler = adler_scan(field, args.samples, args.seed + 1)
     birk = birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
@@ -538,11 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "precision", None):
-        if args.precision < 64:
-            parser.exit(2, "precision cap must be at least 64 bits\n")
-        set_precision_cap(args.precision)
     try:
+        if args.precision is not None:
+            _at_least(args.precision, "--precision", 64)
+            set_precision_cap(args.precision)
+        _at_least(args.steps, "--steps", 0)
+        _at_least(args.samples, "--samples", 1)
         code, payload = args.func(args)
         _emit(payload, args.format, args.out)
         return code
@@ -551,12 +493,11 @@ def main(argv=None) -> int:
         return 2
     except PrecisionExhausted as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
-        boundary = getattr(exc, "boundary", None)
         report = {
             "version": __version__,
             "error": "precision-exhausted",
             "detail": str(exc),
-            "boundary": str(boundary),
+            "boundary": str(exc.boundary),
             "precision_cap": get_precision_cap(),
         }
         sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")

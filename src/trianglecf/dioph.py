@@ -24,6 +24,7 @@ from .dynamics import (
 from .group import Mobius, digit_matrix, y_matrix
 from .planar import (
     T_inverse,
+    _log_big_fraction,
     build_gamma,
     build_heights,
     gamma_hyperbola_gap,
@@ -80,8 +81,7 @@ class ConvergentState:
 def theta_fn(x, y):
     """theta(x, y) = -x/(1 + xy); DomainError on the hyperbola."""
     den = 1 + x * y
-    is_zero = den.is_zero() if hasattr(den, "is_zero") else den == 0
-    if is_zero:
+    if den.is_zero():
         raise DomainError("theta undefined on 1 + xy = 0")
     return -x / den
 
@@ -133,8 +133,7 @@ def expand(
     gamma = build_gamma(field) if check_natural_extension else None
     tau = field.tau
     for m in range(1, steps + 1):
-        diff = t + tau
-        if (diff.is_zero() if hasattr(diff, "is_zero") else diff == 0):
+        if (t + tau).is_zero():
             res.f_rational = True
             break
         t_new, k, M = f_step(field, t)
@@ -357,24 +356,11 @@ def log_q_sequence(field: NumberField, x, steps: int) -> list:
     res = expand(field, x, steps)
     logs = []
     for st in res.states[1:]:
-        q = st.q
-        enc = q.embed(60) if isinstance(q, FieldElement) else None
-        val = abs(enc.mid()) if enc is not None else abs(Fraction(q))
+        val = abs(st.q.embed(60).mid())
         if val == 0:
             raise ConsistencyError("vanishing q along an expansion")
-        logs.append(_log_fraction_float(val))
+        logs.append(_log_big_fraction(val))
     return logs
-
-
-def _log_fraction_float(q: Fraction) -> float:
-    def lg(m: int) -> float:
-        b = m.bit_length()
-        if b <= 512:
-            return math.log(m)
-        k = b - 53
-        return math.log(m >> k) + k * math.log(2)
-
-    return lg(q.numerator) - lg(q.denominator)
 
 
 def transcendence_indicator(

@@ -15,11 +15,6 @@ from .field import FieldElement, NumberField
 from .group import digit_matrix, generators
 
 
-def interval_bounds(field: NumberField):
-    """The half-open domain [-tau, 0) of both interval maps."""
-    return -field.tau, field.zero
-
-
 def cylinder_right_endpoint(field: NumberField, k: int) -> FieldElement:
     """Right endpoint 1/(1 - k tau) of the slow-map cylinder with digit k."""
     if k < 1:

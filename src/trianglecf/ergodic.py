@@ -24,27 +24,17 @@ from .dynamics import (
     f_step,
 )
 from .group import digit_matrix
-from .numeric import (
-    FloatSystem,
-    birkhoff_experiment,
-    derivative_factor,
-    digit_matrix_batch,
-    step_scalar,
-    uniform_distribution_experiment,
-)
+from .numeric import FloatSystem, derivative_factor, digit_matrix_batch, step_scalar
 
 __all__ = [
     "AdmissibilityResult",
     "is_admissible",
     "is_realizable",
     "cylinder_interval",
-    "enumerate_words",
     "observed_words",
     "InducedOrbitRecord",
     "induced_step_Y",
     "adler_scan",
-    "uniform_distribution_experiment",
-    "birkhoff_experiment",
 ]
 
 
@@ -147,15 +137,6 @@ def cylinder_interval(field: NumberField, word):
             return None
         lo, hi = u2, v2
     return lo, hi
-
-
-def enumerate_words(alphabet, length: int):
-    if length == 0:
-        yield ()
-        return
-    for tail in enumerate_words(alphabet, length - 1):
-        for a in alphabet:
-            yield (a,) + tail
 
 
 def observed_words(field: NumberField, samples: int, length: int, seed: int) -> dict:

@@ -35,6 +35,32 @@ def set_precision_cap(bits) -> None:
     _precision_cap = bits
 
 
+def _refine(decide, start_bits: int, message: str):
+    """The one adaptive-precision loop of the exact lane.
+
+    Calls decide(p) at p = start_bits, 2*start_bits, ...; decide returns
+    (result, boundary) with result None while the enclosures at p bits
+    cannot decide.  Returns the first result that is not None.  Once some
+    p >= get_precision_cap() is still undecided, raises PrecisionExhausted
+    with the message ("{bits}" becomes p) and that try's boundary.
+    """
+    cap = get_precision_cap()
+    p = start_bits
+    while True:
+        result, boundary = decide(p)
+        if result is not None:
+            return result
+        if p >= cap:
+            raise PrecisionExhausted(message.format(bits=p), boundary=boundary)
+        p *= 2
+
+
+def _is_tight(enc, precision: int) -> bool:
+    """Width at most 2^(1-precision) * max(1, |value|)."""
+    scale = max(Fraction(1), abs(enc.lo), abs(enc.hi))
+    return enc.width() <= Fraction(2) ** (1 - precision) * scale
+
+
 # ---------------------------------------------------------------------------
 # integer / rational polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
@@ -490,24 +516,17 @@ class FieldElement:
         return None
 
     def _sign_exact(self):
-        cap = get_precision_cap()
-        precision = 64
-        while True:
-            enc = self.embed_raw(precision)
-            s = enc.sign()
-            if s is not None:
-                return s
-            if precision >= cap:
-                raise PrecisionExhausted(
-                    f"sign undecided at {precision} bits", boundary=enc
-                )
-            precision *= 2
+        def decide(p):
+            enc = self.embed_raw(p)
+            return enc.sign(), enc
+
+        return _refine(decide, 64, "sign undecided at {bits} bits")
 
     def embed_raw(self, precision: int) -> Enclosure:
         """Evaluate at a lambda-enclosure of the given width exponent.
 
-        The result width scales with the coefficients; embed() adds the
-        relative-width loop on top of this primitive.
+        The result width scales with the coefficients; embed(), floor() and
+        the sign test refine this primitive through _refine().
         """
         box = self.field.lambda_enclosure(precision)
         enc = _eval_interval(self.coeffs, box)
@@ -520,18 +539,13 @@ class FieldElement:
         if self.is_rational():
             c = self.coeffs[0]
             return Enclosure(c, c)
-        p = max(precision + 8, 64)
-        cap = max(get_precision_cap(), p)
-        while True:
+
+        def decide(p):
             enc = self.embed_raw(p)
-            scale = max(Fraction(1), abs(enc.lo), abs(enc.hi))
-            if enc.width() <= Fraction(2) ** (1 - precision) * scale:
-                return enc
-            if p >= cap:
-                raise PrecisionExhausted(
-                    f"embedding did not converge at {p} bits", boundary=enc
-                )
-            p *= 2
+            return (enc if _is_tight(enc, precision) else None), enc
+
+        return _refine(decide, max(precision + 8, 64),
+                       "embedding did not converge at {bits} bits")
 
     def __float__(self):
         if self.is_rational():
@@ -541,17 +555,14 @@ class FieldElement:
     def floor(self) -> int:
         if self.is_rational():
             return math.floor(self.coeffs[0])
-        p = 64
-        cap = get_precision_cap()
-        while True:
+
+        # a non-rational element is never an integer, so this terminates
+        def decide(p):
             enc = self.embed_raw(p)
-            f_lo, f_hi = math.floor(enc.lo), math.floor(enc.hi)
-            if f_lo == f_hi:
-                return f_lo
-            # a non-rational element is never an integer, so this terminates
-            if p >= cap:
-                raise PrecisionExhausted("floor undecided", boundary=enc)
-            p *= 2
+            f_lo = math.floor(enc.lo)
+            return (f_lo if f_lo == math.floor(enc.hi) else None), enc
+
+        return _refine(decide, 64, "floor undecided")
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -637,21 +648,11 @@ def _frac_poly_sub(a, b):
 
 def galois_conjugate_values(a: FieldElement, precision: int = 53):
     """Values of an element under all d real embeddings, as enclosures."""
-    field = a.field
-    p = max(precision, 53)
-    cap = max(get_precision_cap(), p)
-    while True:
-        boxes = field.conjugate_enclosures(p)
-        encs = [_eval_interval(a.coeffs, box) for box in boxes]
-        widths_ok = all(
-            e.width() <= Fraction(2) ** (1 - precision) * max(Fraction(1), abs(e.lo), abs(e.hi))
-            for e in encs
-        )
-        if widths_ok:
-            return encs
-        if p >= cap:
-            raise PrecisionExhausted("conjugate embeddings did not converge")
-        p *= 2
+    def decide(p):
+        encs = [_eval_interval(a.coeffs, box) for box in a.field.conjugate_enclosures(p)]
+        return (encs if all(_is_tight(e, precision) for e in encs) else None), None
+
+    return _refine(decide, max(precision, 53), "conjugate embeddings did not converge")
 
 
 def random_interval_point(field: NumberField, rng, bits: int = 256) -> FieldElement:

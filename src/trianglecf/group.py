@@ -133,7 +133,7 @@ class Mobius:
             x = self.field.from_fraction(x)
         num = self.a * x + self.b
         den = self.c * x + self.d
-        if _generic_is_zero(den):
+        if den.is_zero():
             return INFINITY
         return num / den
 
@@ -147,14 +147,6 @@ class Mobius:
             [self.a.to_json(), self.b.to_json()],
             [self.c.to_json(), self.d.to_json()],
         ]
-
-
-def _generic_is_zero(v):
-    if isinstance(v, FieldElement):
-        return v.is_zero()
-    if hasattr(v, "is_zero"):
-        return v.is_zero()
-    return v == 0
 
 
 class Generators(NamedTuple):

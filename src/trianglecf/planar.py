@@ -297,12 +297,7 @@ def mu_rect(rect: Rect) -> float:
         signs = [1 if c > 0 else (-1 if c < 0 else 0) for c in corners]
     if any(s <= 0 for s in signs):
         raise DomainError("rectangle meets the hyperbola 1 + xy = 0")
-    ratio = (corners[0] * corners[1]) / (corners[2] * corners[3])
-    if isinstance(ratio, FieldElement):
-        if ratio.is_rational():
-            return _log_big_fraction(ratio.as_fraction())
-        return _log_big_fraction(ratio.embed(80).mid())
-    return _log_big_fraction(Fraction(ratio))
+    return _log_ratio((corners[0] * corners[1]) / (corners[2] * corners[3]))
 
 
 def mu_region(region: PlanarRegion) -> float:

@@ -9,8 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, PrecisionExhausted
-from .field import Enclosure, FieldElement, NumberField, get_precision_cap
+from .errors import DomainError
+from .field import Enclosure, FieldElement, NumberField, _is_tight, _refine
 
 
 def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
@@ -170,27 +170,22 @@ class QuadExt:
         return hash((self.field.n, self.u.coeffs, self.v.coeffs, self.disc.coeffs))
 
     def embed(self, precision: int = 53) -> Enclosure:
-        p = max(precision + 8, 64)
-        cap = max(get_precision_cap(), p)
-        while True:
+        def decide(p):
             eu = self.u.embed_raw(p)
             ev = self.v.embed_raw(p)
             ed = self.disc.embed_raw(p)
             if ed.lo < 0:
                 if ed.hi < 0:
                     raise DomainError("negative discriminant has no real embedding")
-                p *= 2
-                continue
+                return None, None
             sq = _sqrt_enclosure(ed, p)
             lo = min(ev.lo * sq.lo, ev.lo * sq.hi, ev.hi * sq.lo, ev.hi * sq.hi)
             hi = max(ev.lo * sq.lo, ev.lo * sq.hi, ev.hi * sq.lo, ev.hi * sq.hi)
             enc = Enclosure(eu.lo + lo, eu.hi + hi)
-            scale = max(Fraction(1), abs(enc.lo), abs(enc.hi))
-            if enc.width() <= Fraction(2) ** (1 - precision) * scale:
-                return enc
-            if p >= cap:
-                raise PrecisionExhausted("quadratic embedding did not converge")
-            p *= 2
+            return (enc if _is_tight(enc, precision) else None), None
+
+        return _refine(decide, max(precision + 8, 64),
+                       "quadratic embedding did not converge")
 
     def __float__(self):
         return float(self.embed(53))
@@ -198,19 +193,16 @@ class QuadExt:
     def floor(self) -> int:
         if self.v.is_zero():
             return self.u.floor()
-        p = 64
-        cap = get_precision_cap()
-        while True:
+
+        def decide(p):
             enc = self.embed(p)
             f_lo, f_hi = math.floor(enc.lo), math.floor(enc.hi)
             if f_lo == f_hi:
-                return f_lo
-            m = f_hi  # candidate integer inside the enclosure
-            if (self - m).is_zero():
-                return m
-            if p >= cap:
-                raise PrecisionExhausted("floor undecided", boundary=enc)
-            p *= 2
+                return f_lo, enc
+            # f_hi is the candidate integer inside the enclosure
+            return (f_hi if (self - f_hi).is_zero() else None), enc
+
+        return _refine(decide, 64, "floor undecided")
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -249,18 +241,19 @@ def solve_fixed_points(M) -> tuple:
 def compare_numeric(a, b, start_bits: int = 80):
     """Order two real algebraic values living in different extensions.
 
-    Returns -1/0/+1; refines enclosures and falls back to an exactness check
-    when the values keep overlapping.
+    a and b are FieldElement or QuadExt values.  Returns -1 or +1, refining
+    both enclosures until they separate.  Equal values never separate, so
+    they raise PrecisionExhausted at the precision cap, as does any pair
+    closer than the cap can resolve.
     """
-    p = start_bits
-    cap = get_precision_cap()
-    while True:
-        ea = a.embed(p) if hasattr(a, "embed") else Enclosure(Fraction(a), Fraction(a))
-        eb = b.embed(p) if hasattr(b, "embed") else Enclosure(Fraction(b), Fraction(b))
+    def decide(p):
+        ea, eb = a.embed(p), b.embed(p)
         if ea.hi < eb.lo:
-            return -1
-        if eb.hi < ea.lo:
-            return 1
-        if p >= cap:
-            raise PrecisionExhausted("comparison undecided", boundary=(ea, eb))
-        p *= 2
+            order = -1
+        elif eb.hi < ea.lo:
+            order = 1
+        else:
+            order = None
+        return order, (ea, eb)
+
+    return _refine(decide, start_bits, "comparison undecided")

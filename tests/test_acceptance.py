@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from trianglecf.field import build_field, random_interval_point
-from trianglecf.cli import _verify_one
+from trianglecf.verify import verify_one
 from trianglecf.dynamics import cylinder_right_endpoint, eps0
 from trianglecf.dioph import (
     expand,
@@ -32,8 +32,13 @@ from trianglecf.planar import (
 )
 from trianglecf.group import digit_matrix, y_matrix
 from trianglecf.quadratic import compare_numeric
-from trianglecf.numeric import borel_scan, convergence_scan, uniform_distribution_experiment
-from trianglecf.ergodic import adler_scan, birkhoff_experiment
+from trianglecf.numeric import (
+    birkhoff_experiment,
+    borel_scan,
+    convergence_scan,
+    uniform_distribution_experiment,
+)
+from trianglecf.ergodic import adler_scan
 
 
 def report(num, ok, detail):
@@ -46,7 +51,7 @@ def test_criterion_1_exact_identity_suite():
     worst_time = 0.0
     for n in range(4, 17):
         t0 = time.time()
-        rep = _verify_one(n, k_fin=6, j_fin=6)
+        rep = verify_one(n, k_fin=6, j_fin=6)
         elapsed = time.time() - t0
         worst_time = max(worst_time, elapsed)
         failed = [c["name"] for c in rep["checks"] if not c["ok"]]

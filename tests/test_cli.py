@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = REPO / "schemas" / "cli-output.schema.json"
 
@@ -97,6 +99,13 @@ def test_expand_json_schema():
                    "--steps", "15")
     data = json.loads(proc.stdout)
     assert data["steps_done"] == 15
+    load_schema()(data)
+
+
+def test_expand_random_schema():
+    proc = run_cli("expand", "--n", "5", "--x", "random:2", "--steps", "10")
+    data = json.loads(proc.stdout)
+    assert [row["index"] for row in data["rows"]] == [0, 1]
     load_schema()(data)
 
 
@@ -229,3 +238,34 @@ def test_precision_flag_validation():
         text=True,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--n-range", "6:5"),
+        ("expand", "--n", "5", "--x", "random:abc"),
+        ("transcendence", "--q-file", "{missing}", "--d", "2"),
+        ("scan-borel", "--n", "5", "--samples", "0"),
+        ("convergence", "--n", "5", "--samples", "0"),
+        ("ergodic-test", "--n", "5", "--steps", "0"),
+        ("expand", "--n", "5", "--x=-1/2", "--steps", "-3"),
+        ("expand", "--n", "5", "--x", "coeffs:a,b"),
+        ("transcendence", "--q-file", "{bad}", "--d", "2"),
+        ("periodic", "--n", "5", "--j-max", "-2"),
+        ("ergodic-test", "--n", "5", "--steps", "100", "--cells", "0"),
+        ("field", "--n", "5", "--precision", "0"),
+    ],
+    ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
+         "convergence-zero-samples", "ergodic-zero-steps", "negative-steps",
+         "coeffs-not-rational", "q-file-bad-line", "negative-j-max", "ergodic-zero-cells",
+         "zero-precision-cap"],
+)
+def test_bad_input_is_a_usage_error(tmp_path, args):
+    # exit 1 is reserved for a failed identity; bad input must give 2
+    bad = tmp_path / "bad.txt"
+    bad.write_text("12\nnot-a-number\n")
+    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad) for a in args]
+    proc = run_cli(*argv, expect=2)
+    assert proc.stderr.startswith("usage error: "), proc.stderr
+    assert proc.stdout == ""

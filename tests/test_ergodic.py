@@ -9,7 +9,6 @@ from trianglecf.group import digit_matrix
 from trianglecf.dynamics import build_orbit_tables
 from trianglecf.ergodic import (
     adler_scan,
-    birkhoff_experiment,
     completeness_check,
     cylinder_interval,
     induced_step_Y,
@@ -17,9 +16,14 @@ from trianglecf.ergodic import (
     is_admissible,
     is_realizable,
     observed_words,
+)
+from trianglecf.numeric import (
+    FloatSystem,
+    birkhoff_experiment,
+    borel_scan,
+    convergence_scan,
     uniform_distribution_experiment,
 )
-from trianglecf.numeric import FloatSystem, borel_scan, convergence_scan
 
 
 N = 5

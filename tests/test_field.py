@@ -8,12 +8,14 @@ from trianglecf.errors import DomainError, PrecisionExhausted
 from trianglecf.field import (
     Enclosure,
     FieldElement,
+    NumberField,
     build_field,
     cyclotomic_polynomial,
     galois_conjugate_values,
     set_precision_cap,
     trace_min_poly,
 )
+from trianglecf.quadratic import QuadExt, compare_numeric
 
 
 def test_min_poly_frozen_small_n():
@@ -222,6 +224,46 @@ def test_precision_exhausted_with_tiny_cap():
     finally:
         set_precision_cap(None)
     assert tiny.sign() in (-1, 1)  # default cap decides it
+
+
+def _near_lambda(F):
+    """A rational within 2^-300 below lambda = 2cos(pi/n)."""
+    import mpmath
+
+    with mpmath.workprec(400):
+        lam = 2 * mpmath.cos(mpmath.pi / F.n)
+        return Fraction(int(mpmath.floor(lam * 2 ** 300)), 2 ** 300)
+
+
+# Each refinement entry point on an input it cannot decide with 64 bits:
+# d = lambda - q is positive and below 2^-300, and 2^200 d has large
+# coefficients but a value far below one.
+CAP_CASES = {
+    "FieldElement.sign": (lambda F, d: (d * 2 ** 200).sign(), "sign undecided at 64 bits"),
+    "FieldElement.embed": (lambda F, d: (d * 2 ** 200).embed(), "embedding did not converge at 64"),
+    "FieldElement.floor": (lambda F, d: d.floor(), "floor undecided"),
+    "galois_conjugate_values": (
+        lambda F, d: galois_conjugate_values(d * 2 ** 200), "conjugate embeddings"),
+    "QuadExt.embed": (lambda F, d: QuadExt(F, 0, 1, d).embed(), "quadratic embedding"),
+    "QuadExt.floor": (lambda F, d: QuadExt(F, 0, 1, 1 + d).floor(), "floor undecided"),
+    "compare_numeric": (
+        lambda F, d: compare_numeric(QuadExt(F, 0, 1, 1 + d), F.one), "comparison undecided"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CAP_CASES))
+def test_every_refinement_respects_the_cap(entry):
+    # a fresh field, so no earlier test has already narrowed the lambda
+    # bracket; for the same reason nothing here may decide d before the call
+    F = NumberField(5)
+    d = F.lam - _near_lambda(F)
+    call, message = CAP_CASES[entry]
+    set_precision_cap(64)
+    try:
+        with pytest.raises(PrecisionExhausted, match=message):
+            call(F, d)
+    finally:
+        set_precision_cap(None)
 
 
 def test_trace_domination_of_conjugates():
