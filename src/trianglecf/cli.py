@@ -119,28 +119,27 @@ def cmd_verify(args):
                                        args.seed, payload)
 
 
+def _table_rows(indexed_values) -> list:
+    return [{"index": i, "coeffs": v.to_json(), "value": float(v)}
+            for i, v in indexed_values]
+
+
 def cmd_orbit(args):
     field = _field_for(args)
     tables = build_orbit_tables(field)
     heights = build_heights(field)
     which = args.table
     if which == "phi":
-        data = [{"index": i, "coeffs": v.to_json(), "value": float(v)}
-                for i, v in enumerate(tables.phi)]
+        data = _table_rows(enumerate(tables.phi))
         extra = {"digits": list(tables.phi_digits)}
     elif which == "eps":
-        data = [{"index": i, "coeffs": v.to_json(), "value": float(v)}
-                for i, v in enumerate(tables.eps)]
+        data = _table_rows(enumerate(tables.eps))
         extra = {"digits": list(tables.eps_digits)}
     elif which == "alpha":
-        data = [{"index": i + 1, "coeffs": v.to_json(), "value": float(v)}
-                for i, v in enumerate(tables.alpha)]
+        data = _table_rows(enumerate(tables.alpha, start=1))
         extra = {}
     elif which == "heights":
-        data = [{"index": i + 1, "coeffs": v.to_json(), "value": float(v)}
-                for i, v in enumerate(heights.L)]
-        data.append({"index": "R", "coeffs": heights.R.to_json(),
-                     "value": float(heights.R)})
+        data = _table_rows([*enumerate(heights.L, start=1), ("R", heights.R)])
         extra = {}
     else:
         raise UsageError(f"unknown table {which!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
@@ -25,6 +24,7 @@ from .group import Mobius, digit_matrix, y_matrix
 from .planar import (
     T_inverse,
     _log_big_fraction,
+    branch_step,
     build_gamma,
     build_heights,
     gamma_hyperbola_gap,
@@ -117,12 +117,11 @@ def expand(
 ) -> ExpansionResult:
     """Exact accelerated expansion with the full theta cross-check.
 
-    The three theta computations (direct, via (t, v), and via the successor
+    x is an element of K, or of K(sqrt D) for a quadratic point.  The
+    three theta computations (direct, via (t, v), and via the successor
     step where the branch has the continued-fraction shape) are exact
     identities; any disagreement raises ConsistencyError.
     """
-    if isinstance(x, (int, Fraction)):
-        x = field.from_fraction(Fraction(x))
     state = ConvergentState.initial(field)
     t = x
     v = field.zero
@@ -133,7 +132,7 @@ def expand(
     gamma = build_gamma(field) if check_natural_extension else None
     tau = field.tau
     for m in range(1, steps + 1):
-        if (t + tau).is_zero():
+        if t == -tau:
             res.f_rational = True
             break
         t_new, k, M = f_step(field, t)
@@ -141,24 +140,24 @@ def expand(
         v_new = state_new.v()
         # v must follow the second-coordinate matrix action
         v_matrix = y_matrix(field, k).apply(v)
-        if not (v_new - v_matrix).is_zero():
+        if v_new != v_matrix:
             raise ConsistencyError("v-recurrence disagrees with matrix action")
         # direct Theta_m vs the (t, v) formula: identical by the
         # determinant-one algebra, asserted exactly
         P = state_new.matrix
         theta_direct = abs(P.a * (P.a * x + P.b))
         theta_tv = abs(theta_fn(t_new, v_new))
-        if not (theta_direct - theta_tv).is_zero():
+        if theta_direct != theta_tv:
             raise ConsistencyError("direct and planar theta disagree")
         # successor form of Theta_{m-1} where the new branch is A^-k C
         if k >= 1:
             theta_bis = abs(v_new / (1 + t_new * v_new))
             prev = res.thetas[-1]
-            if not (theta_bis - prev).is_zero():
+            if theta_bis != prev:
                 raise ConsistencyError("successor theta form disagrees")
         # reconstruction: x recovered from t_m through the inverse matrix
         rec = state_new.reconstruct(t_new)
-        if not (rec - x).is_zero():
+        if rec != x:
             raise ConsistencyError("reconstruction identity failed")
         if gamma is not None:
             if not gamma.contains(t_new, v_new):
@@ -263,11 +262,8 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
     for _ in range(n - 1):
         k = cylinder_of_f(field, pt[0])
         digits.append(k)
-        pt = (
-            digit_matrix(field, k).apply(pt[0]),
-            y_matrix(field, k).apply(pt[1]),
-        )
-    if not ((pt[0] - chosen).is_zero() and (pt[1] - y).is_zero()):
+        pt = branch_step(field, k, pt)
+    if pt != (chosen, y):
         raise ConsistencyError("orbit failed to close after n-1 steps")
     if digits != [2, -j] + [1] * (n - 3):
         raise ConsistencyError(f"unexpected periodic digit word {digits}")
@@ -277,10 +273,7 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
     pt = (chosen, y)
     for k in [None] + digits[:-1]:
         if k is not None:
-            pt = (
-                digit_matrix(field, k).apply(pt[0]),
-                y_matrix(field, k).apply(pt[1]),
-            )
+            pt = branch_step(field, k, pt)
         thetas.append(theta_fn(pt[0], pt[1]))
     tau = field.tau
     if not thetas[0] < tau:

@@ -28,7 +28,7 @@ def eps0(field: NumberField) -> FieldElement:
     tau = field.tau
     value = -(tau ** 3) / (tau * tau + 1)
     w_inv_zero = generators(field).W.inverse().apply(field.zero)
-    if not (value - w_inv_zero).is_zero():
+    if value != w_inv_zero:
         raise ConsistencyError("two expressions for eps0 disagree")
     return value
 
@@ -84,7 +84,7 @@ def cylinder_of_f(field: NumberField, x) -> int:
     e0 = eps0(field)
     if x >= e0:
         return cylinder_of_g(field, x)
-    if (x + field.tau).is_zero():
+    if x == -field.tau:
         return 1
     return -j_of(field, x)
 
@@ -129,7 +129,7 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
         x_new, k, _ = g_step(field, phi[-1])
         phi.append(x_new)
         digits.append(k)
-    if not (phi[2 * n - 3] - phi[0]).is_zero():
+    if phi[2 * n - 3] != phi[0]:
         raise ConsistencyError("orbit of -tau did not close up")
     phi = phi[: 2 * n - 3]
 
@@ -153,9 +153,9 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
     else:
         m = (n - 3) // 2
         landmark = phi[3 * m + 2]
-    if not (landmark + 1).is_zero():
+    if landmark != -1:
         raise ConsistencyError("orbit landmark is not exactly -1")
-    if not (phi[n - 1] - (1 - tau)).is_zero():
+    if phi[n - 1] != 1 - tau:
         raise ConsistencyError("phi_{n-1} != 1 - tau")
 
     # forward orbit of eps0 under f
@@ -168,7 +168,7 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
     if eps_digits != [1] * (n - 2) + [2] + [1] * (n - 3):
         raise ConsistencyError(f"unexpected digit word {eps_digits} for the eps orbit")
     delta2_right = (field.one - 2 * tau).inverse()
-    if not (eps[2 * n - 4] - delta2_right).is_zero():
+    if eps[2 * n - 4] != delta2_right:
         raise ConsistencyError("eps_{2n-4} != 1/(1-2 tau)")
 
     # backwards orbit from 1/(1-2 tau); digit pattern reversed
@@ -178,7 +178,7 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
         alpha.append(digit_matrix(field, d).inverse().apply(alpha[-1]))
     alpha = alpha[: 2 * n - 3]
     for j in range(2 * n - 3):
-        if not (alpha[j] - eps[2 * n - 4 - j]).is_zero():
+        if alpha[j] != eps[2 * n - 4 - j]:
             raise ConsistencyError("backwards orbit disagrees with the eps orbit")
 
     # interleaving phi_l < eps_l < eps_{n-2+l} < phi_{n-1+l}
@@ -216,20 +216,20 @@ def product_relations_check(field: NumberField) -> dict:
     relations = []
     if n % 2 == 0:
         c = n // 2 - 1
-        relations.append((f"phi_{c} = -1", (phi[c] + 1).is_zero()))
+        relations.append((f"phi_{c} = -1", phi[c] == -1))
         for j in range(n // 2):
             prod = phi[c - j] * phi[c + j]
-            relations.append((f"phi_{c-j} * phi_{c+j} = 1", (prod - 1).is_zero()))
+            relations.append((f"phi_{c-j} * phi_{c+j} = 1", prod == 1))
     else:
         m = (n - 3) // 2
         c = 3 * m + 2
-        relations.append((f"phi_{c} = -1", (phi[c] + 1).is_zero()))
+        relations.append((f"phi_{c} = -1", phi[c] == -1))
         for j in range(m + 1):
             prod = phi[c - j] * phi[c + j]
-            relations.append((f"phi_{c-j} * phi_{c+j} = 1", (prod - 1).is_zero()))
+            relations.append((f"phi_{c-j} * phi_{c+j} = 1", prod == 1))
         for j in range(m + 1):
             prod = phi[j] * phi[n - 2 - j]
-            relations.append((f"phi_{j} * phi_{n-2-j} = 1", (prod - 1).is_zero()))
+            relations.append((f"phi_{j} * phi_{n-2-j} = 1", prod == 1))
     ok = all(flag for _, flag in relations)
     if not ok:
         raise ConsistencyError(
@@ -248,7 +248,7 @@ def full_cylinder_check(field: NumberField, k_max: int = 10) -> dict:
         left = cylinder_right_endpoint(field, k - 1)
         right = cylinder_right_endpoint(field, k)
         img_left = 1 - tau * k - 1 / left
-        results.append((img_left + tau).is_zero())
+        results.append(img_left == -tau)
         img_right = digit_matrix(field, k).apply(right)
         results.append(img_right.is_zero())
     if not all(results):
@@ -274,7 +274,7 @@ def orbit(field: NumberField, x, steps: int, accelerated: bool = True):
     xs, ds = [x], []
     for _ in range(steps):
         cur = xs[-1]
-        if accelerated and (cur + field.tau).is_zero():
+        if accelerated and cur == -field.tau:
             break
         x_new, k, _ = step(field, cur)
         xs.append(x_new)

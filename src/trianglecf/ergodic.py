@@ -124,15 +124,15 @@ def cylinder_interval(field: NumberField, word):
     lo, hi = _cylinder_x_range(field, word[-1])
     for a in reversed(word[:-1]):
         img_lo, img_hi = _branch_image(field, a)
-        u = lo if img_lo < lo else img_lo
-        v = hi if hi < img_hi else img_hi
+        u = max(img_lo, lo)
+        v = min(img_hi, hi)
         if not u < v:
             return None
         M_inv = digit_matrix(field, a).inverse()
         p_lo, p_hi = M_inv.apply(u), M_inv.apply(v)
         c_lo, c_hi = _cylinder_x_range(field, a)
-        u2 = p_lo if c_lo < p_lo else c_lo
-        v2 = p_hi if p_hi < c_hi else c_hi
+        u2 = max(c_lo, p_lo)
+        v2 = min(c_hi, p_hi)
         if not u2 < v2:
             return None
         lo, hi = u2, v2
@@ -216,7 +216,7 @@ def induced_step_Y_exact(field: NumberField, y, max_steps: int = 2000):
             j = -k
             den = 1 - field.tau * j * (t_prev + field.tau)
             deriv = deriv * (den * den).inverse()
-        if (t + field.tau).is_zero():
+        if t == -field.tau:
             raise DomainError("f-rational point: orbit reached the parabolic fixed point")
         if y_left <= t and t < 0:
             return t, m, tuple(word), deriv
@@ -282,8 +282,8 @@ def completeness_check(field: NumberField, alphabet, max_len: int) -> dict:
             new_image = None
             if image is not None:
                 c_lo, c_hi = _cylinder_x_range(field, a)
-                lo = c_lo if image[0] < c_lo else image[0]
-                hi = c_hi if c_hi < image[1] else image[1]
+                lo = max(image[0], c_lo)
+                hi = min(image[1], c_hi)
                 if lo < hi:
                     nonempty = True
                     M = digit_matrix(field, a)

@@ -310,6 +310,12 @@ class NumberField:
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
 
     def lambda_enclosure(self, precision: int) -> Enclosure:
+        """Enclosure of lambda of width at most 2^-precision.
+
+        The bracket is narrowed in place and never widened again, so the
+        result is the narrowest bracket any earlier call on this field asked
+        for: it depends on the calls made before it in the process.
+        """
         return self._lambda_bracket.refine_to(Fraction(1, 2 ** precision))
 
     def conjugate_enclosures(self, precision: int):
@@ -347,7 +353,60 @@ def build_field(n: int) -> NumberField:
     return NumberField(n)
 
 
-class FieldElement:
+class _ExactReal:
+    """Order and derived operations shared by exact real values.
+
+    A subclass supplies _coerce (the operand as its own type, or None when
+    it does not handle that type), the ring operations, inverse, sign and
+    floor.  The order is the one pulled back from the real embedding,
+    decided by the exact sign of the difference.
+    """
+
+    __slots__ = ()
+
+    def _sign_of_difference(self, other):
+        o = self._coerce(other)
+        return None if o is None else (self - o).sign()
+
+    def __lt__(self, other):
+        s = self._sign_of_difference(other)
+        return NotImplemented if s is None else s < 0
+
+    def __le__(self, other):
+        s = self._sign_of_difference(other)
+        return NotImplemented if s is None else s <= 0
+
+    def __gt__(self, other):
+        s = self._sign_of_difference(other)
+        return NotImplemented if s is None else s > 0
+
+    def __ge__(self, other):
+        s = self._sign_of_difference(other)
+        return NotImplemented if s is None else s >= 0
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def ceil(self) -> int:
+        return -((-self).floor())
+
+
+class FieldElement(_ExactReal):
     """Immutable element of K as a length-d rational coefficient vector."""
 
     __slots__ = ("field", "coeffs", "_sign")
@@ -405,9 +464,6 @@ class FieldElement:
             self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
         )
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return FieldElement(self.field, tuple(-a for a in self.coeffs))
 
@@ -449,18 +505,6 @@ class FieldElement:
         inv_coeffs += [Fraction(0)] * (self.field.degree - len(inv_coeffs))
         return FieldElement(self.field, tuple(inv_coeffs[: self.field.degree]))
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
@@ -474,9 +518,6 @@ class FieldElement:
             base = base * base
             k >>= 1
         return out
-
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
 
     # -- order and embedding --------------------------------------------------
 
@@ -526,7 +567,10 @@ class FieldElement:
         """Evaluate at a lambda-enclosure of the given width exponent.
 
         The result width scales with the coefficients; embed(), floor() and
-        the sign test refine this primitive through _refine().
+        the sign test refine this primitive through _refine().  The lambda
+        enclosure is shared and narrowed in place (see lambda_enclosure),
+        so the result for a given precision depends on earlier calls on
+        this field in the process.
         """
         box = self.field.lambda_enclosure(precision)
         enc = _eval_interval(self.coeffs, box)
@@ -564,45 +608,11 @@ class FieldElement:
 
         return _refine(decide, 64, "floor undecided")
 
-    def ceil(self) -> int:
-        return -((-self).floor())
-
-    # comparisons define the total order pulled back from the real embedding
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return not eq
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
 
     # -- serialization ---------------------------------------------------------
 

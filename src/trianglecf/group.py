@@ -7,7 +7,6 @@ W = A^-1 B^-2 A^-1 B^-1 fixes -tau and drives the accelerated interval map.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -47,7 +46,7 @@ class Mobius:
         self.d = field.coerce(d)
         if check:
             det = self.a * self.d - self.b * self.c
-            if not (det - 1).is_zero():
+            if det != 1:
                 raise ValueError(f"matrix determinant is not 1: {det!r}")
 
     @staticmethod
@@ -110,15 +109,12 @@ class Mobius:
         raise ValueError("zero matrix cannot be normalized")
 
     def proj_eq(self, other: "Mobius") -> bool:
-        p, q = self.canonical(), other.canonical()
-        return all(
-            (x - y).is_zero() for x, y in zip(p.entries(), q.entries())
-        )
+        return self.canonical() == other.canonical()
 
     def __eq__(self, other):
         if not isinstance(other, Mobius):
             return NotImplemented
-        return all((x - y).is_zero() for x, y in zip(self.entries(), other.entries()))
+        return self.entries() == other.entries()
 
     def __hash__(self):
         return hash((self.field.n,) + tuple(e.coeffs for e in self.entries()))
@@ -129,8 +125,6 @@ class Mobius:
             if self.c.is_zero():
                 return INFINITY
             return self.a / self.c
-        if isinstance(x, (int, Fraction)):
-            x = self.field.from_fraction(x)
         num = self.a * x + self.b
         den = self.c * x + self.d
         if den.is_zero():

@@ -67,24 +67,24 @@ def build_heights(field: NumberField) -> Heights:
     prod = heights.R
     for h in heights.L:
         prod = prod * h
-    if not (prod - 1).is_zero():
+    if prod != 1:
         raise ConsistencyError("height product R * prod(L_j) != 1")
     # N_1^{n-2} . (1/tau) = tau and the wrap-around N_2 . L_{2n-4} = L_1
     acc = tau.inverse()
     for _ in range(n - 2):
         acc = N1.apply(acc)
-    if not (acc - tau).is_zero():
+    if acc != tau:
         raise ConsistencyError("N_1^{n-2}(1/tau) != tau")
-    if not (heights.L[-1] - (tau - 1)).is_zero():
+    if heights.L[-1] != tau - 1:
         raise ConsistencyError("L_{2n-4} != tau - 1")
     N2 = y_matrix(field, 2)
-    if not (N2.apply(heights.L[-1]) - heights.L[0]).is_zero():
+    if N2.apply(heights.L[-1]) != heights.L[0]:
         raise ConsistencyError("N_2 L_{2n-4} != L_1")
     # every slab height is the reciprocal of |left endpoint| of its slab
     tables = build_orbit_tables(field)
     starts = _omega_slab_starts(tables)
     for h, start in zip(chain, starts):
-        if not (h * (-start) - 1).is_zero():
+        if h * (-start) != 1:
             raise ConsistencyError("slab corner is not on the curve y = -1/x")
     return heights
 
@@ -291,11 +291,7 @@ def mu_rect(rect: Rect) -> float:
     """
     x1, x2, y1, y2 = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
     corners = [1 + x1 * y1, 1 + x2 * y2, 1 + x1 * y2, 1 + x2 * y1]
-    if isinstance(corners[0], FieldElement):
-        signs = [c.sign() for c in corners]
-    else:
-        signs = [1 if c > 0 else (-1 if c < 0 else 0) for c in corners]
-    if any(s <= 0 for s in signs):
+    if any(c.sign() <= 0 for c in corners):
         raise DomainError("rectangle meets the hyperbola 1 + xy = 0")
     return _log_ratio((corners[0] * corners[1]) / (corners[2] * corners[3]))
 
@@ -336,13 +332,18 @@ def omega_divergence_partial_sums(field: NumberField, bound: float = 1.0e3):
 # the planar maps
 # ---------------------------------------------------------------------------
 
+def branch_step(field: NumberField, k: int, point):
+    """(x, y) -> (M_k x, N_k y): the planar branch of digit k."""
+    x, y = point
+    return digit_matrix(field, k).apply(x), y_matrix(field, k).apply(y)
+
+
 def S_step(field: NumberField, point, validate: bool = True):
     """Slow planar map on Omega: (x, y) -> (M_k x, N_k y) by the g-digit of x."""
     x, y = point
     if validate and not build_omega(field).contains(x, y):
         raise DomainError("point outside Omega")
-    k = cylinder_of_g(field, x)
-    return digit_matrix(field, k).apply(x), y_matrix(field, k).apply(y)
+    return branch_step(field, cylinder_of_g(field, x), point)
 
 
 def T_step(field: NumberField, point, validate: bool = True):
@@ -350,8 +351,7 @@ def T_step(field: NumberField, point, validate: bool = True):
     x, y = point
     if validate and not build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
-    k = cylinder_of_f(field, x)
-    return digit_matrix(field, k).apply(x), y_matrix(field, k).apply(y)
+    return branch_step(field, cylinder_of_f(field, x), point)
 
 
 def T_digit_of_y(field: NumberField, y) -> int:
@@ -405,10 +405,6 @@ def T_inverse(field: NumberField, point, validate: bool = True):
 # exact bijectivity verification
 # ---------------------------------------------------------------------------
 
-def _eq(a, b) -> bool:
-    return (a - b).is_zero()
-
-
 def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi):
     """Image of one piece under (M_k, N_k); both coordinates map increasingly."""
     M = digit_matrix(field, digit)
@@ -446,8 +442,8 @@ def _cylinder_pieces(field, region: PlanarRegion, accelerated: bool,
     pieces = []
     for digit, c_lo, c_hi in cylinders:
         for slab in region.slabs:
-            lo = slab.x_lo if c_lo < slab.x_lo else c_lo
-            hi = slab.x_hi if slab.x_hi < c_hi else c_hi
+            lo = max(c_lo, slab.x_lo)
+            hi = min(c_hi, slab.x_hi)
             if not lo < hi:
                 continue
             for (y_lo, y_hi) in slab.fibers:
@@ -465,19 +461,19 @@ def _check_band_tiling(region: PlanarRegion, bands_by_slab) -> None:
         fibers = slab.fibers
         fb = 0
         cursor = fibers[0][0]
-        if not _eq(cursor, bands[0][0]):
+        if cursor != bands[0][0]:
             raise ConsistencyError("lowest band does not start at the fiber bottom")
         for lo, hi in bands:
-            if _eq(lo, cursor):
+            if lo == cursor:
                 cursor = hi
                 continue
             # the only legal jump is across a designated fiber gap
-            if fb + 1 < len(fibers) and _eq(cursor, fibers[fb][1]) and _eq(lo, fibers[fb + 1][0]):
+            if fb + 1 < len(fibers) and cursor == fibers[fb][1] and lo == fibers[fb + 1][0]:
                 fb += 1
                 cursor = hi
                 continue
             raise ConsistencyError("gap or overlap between image bands")
-        if not (_eq(cursor, fibers[fb][1]) and fb == len(fibers) - 1):
+        if not (cursor == fibers[fb][1] and fb == len(fibers) - 1):
             raise ConsistencyError("image bands do not reach the fiber top")
 
 
@@ -487,8 +483,8 @@ def _distribute_bands(region: PlanarRegion, images) -> dict:
     for (x_lo, x_hi, y_lo, y_hi) in images:
         matched_any = False
         for slab in region.slabs:
-            lo = slab.x_lo if x_lo < slab.x_lo else x_lo
-            hi = slab.x_hi if slab.x_hi < x_hi else x_hi
+            lo = max(x_lo, slab.x_lo)
+            hi = min(x_hi, slab.x_hi)
             if not lo < hi:
                 continue
             matched_any = True
@@ -547,7 +543,7 @@ def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> di
     # wrap-around identity used by the stacking argument
     heights = build_heights(field)
     N2 = y_matrix(field, 2)
-    if not _eq(N2.apply(heights.L[-1]), heights.level(1)):
+    if N2.apply(heights.L[-1]) != heights.level(1):
         raise ConsistencyError("wrap-around band identity failed")
     report["ok"] = True
     return report
@@ -559,14 +555,14 @@ def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> di
 
 def nu_band_mass(field: NumberField, a, b) -> float:
     """Unnormalized mu-mass of Gamma over the x-interval [a, b)."""
-    a = field.coerce(a) if not isinstance(a, FieldElement) else a
-    b = field.coerce(b) if not isinstance(b, FieldElement) else b
+    a = field.coerce(a)
+    b = field.coerce(b)
     if not a <= b:
         raise DomainError("empty band")
     total = 0.0
     for slab in build_gamma(field).slabs:
-        lo = slab.x_lo if a < slab.x_lo else a
-        hi = slab.x_hi if slab.x_hi < b else b
+        lo = max(a, slab.x_lo)
+        hi = min(b, slab.x_hi)
         if not lo < hi:
             continue
         for (y_lo, y_hi) in slab.fibers:
@@ -581,10 +577,10 @@ def nu_cdf(field: NumberField, a, b) -> float:
 
 def nu_density(field: NumberField, x) -> float:
     """Normalized marginal density: fiber integral of (1+xy)^-2 over Gamma."""
-    if not isinstance(x, FieldElement):
-        x = field.coerce(Fraction(x)) if isinstance(x, (int, Fraction)) else None
-        if x is None:
-            raise DomainError("density wants an exact abscissa")
+    try:
+        x = field.coerce(x)
+    except TypeError as exc:
+        raise DomainError("density wants an exact abscissa") from exc
     fibers = build_gamma(field).fiber_at(x)
     if not fibers:
         raise DomainError("abscissa outside the interval")
@@ -629,7 +625,7 @@ def _nu_interval_via_branches(field: NumberField, a, b, k_fin: int = 8, j_fin: i
     total = 0.0
 
     # digit-1 branch maps [eps0, 1/(1-tau)) onto [eps1, 0)
-    a1 = a if eps1 < a else eps1
+    a1 = max(eps1, a)
     if a1 < b:
         M1_inv = digit_matrix(field, 1).inverse()
         total += nu_band_mass(field, M1_inv.apply(a1), M1_inv.apply(b))
@@ -645,7 +641,7 @@ def _nu_interval_via_branches(field: NumberField, a, b, k_fin: int = 8, j_fin: i
     total += _log_ratio(ratio)
 
     # acceleration branches: the W^j branch maps its cylinder onto [eps0, 0)
-    aj = a if e0 < a else e0
+    aj = max(e0, a)
     if aj < b:
         c = acceleration_fiber_top(field)
         u_a, u_b = aj + tau, b + tau
@@ -663,14 +659,12 @@ def _nu_interval_via_branches(field: NumberField, a, b, k_fin: int = 8, j_fin: i
     return total
 
 
-def _log_ratio(ratio) -> float:
-    if isinstance(ratio, FieldElement):
-        if ratio.sign() <= 0:
-            raise DomainError("non-positive ratio in log")
-        if ratio.is_rational():
-            return _log_big_fraction(ratio.as_fraction())
-        return _log_big_fraction(ratio.embed(80).mid())
-    return _log_big_fraction(Fraction(ratio))
+def _log_ratio(ratio: FieldElement) -> float:
+    if ratio.sign() <= 0:
+        raise DomainError("non-positive ratio in log")
+    if ratio.is_rational():
+        return _log_big_fraction(ratio.as_fraction())
+    return _log_big_fraction(ratio.embed(80).mid())
 
 
 def nu_invariance_check(field: NumberField, parts: int = 200) -> dict:

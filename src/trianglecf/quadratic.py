@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .field import Enclosure, FieldElement, NumberField, _is_tight, _refine
+from .field import Enclosure, FieldElement, NumberField, _ExactReal, _is_tight, _refine
 
 
 def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
@@ -33,7 +33,7 @@ def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
     return Enclosure(lower(x.lo), upper(x.hi))
 
 
-class QuadExt:
+class QuadExt(_ExactReal):
     """Element u + v*sqrt(D) with u, v, D in K and D > 0 not a square."""
 
     __slots__ = ("field", "u", "v", "disc")
@@ -57,7 +57,7 @@ class QuadExt:
 
     def _coerce(self, other):
         if isinstance(other, QuadExt):
-            if not (other.disc - self.disc).is_zero():
+            if other.disc != self.disc:
                 raise ValueError("mixing different quadratic extensions")
             return other
         if isinstance(other, (int, Fraction, FieldElement)):
@@ -77,9 +77,6 @@ class QuadExt:
         if o is None:
             return NotImplemented
         return QuadExt(self.field, self.u - o.u, self.v - o.v, self.disc)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return QuadExt(self.field, -self.u, -self.v, self.disc)
@@ -104,18 +101,6 @@ class QuadExt:
         ninv = norm.inverse()
         return QuadExt(self.field, self.u * ninv, -self.v * ninv, self.disc)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def sign(self) -> int:
         """Exact sign, with sqrt(D) the positive square root."""
         su, sv = self.u.sign(), self.v.sign()
@@ -133,38 +118,11 @@ class QuadExt:
             return 0  # cannot happen when D is not a square; kept for safety
         return sv if s < 0 else su
 
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).is_zero()
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
+        return self.u == o.u and self.v == o.v
 
     def __hash__(self):
         return hash((self.field.n, self.u.coeffs, self.v.coeffs, self.disc.coeffs))
@@ -200,12 +158,9 @@ class QuadExt:
             if f_lo == f_hi:
                 return f_lo, enc
             # f_hi is the candidate integer inside the enclosure
-            return (f_hi if (self - f_hi).is_zero() else None), enc
+            return (f_hi if self == f_hi else None), enc
 
         return _refine(decide, 64, "floor undecided")
-
-    def ceil(self) -> int:
-        return -((-self).floor())
 
     def __repr__(self):
         return (

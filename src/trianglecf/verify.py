@@ -43,11 +43,11 @@ def verify_one(n: int, k_fin: int = 6, j_fin: int = 6) -> dict:
         word2 = g.A.inverse() * g.B.inverse() ** 2 * g.A.inverse() * g.B.inverse()
         if not (word1.proj_eq(g.W) and word2.proj_eq(g.W)):
             raise ConsistencyError("parabolic word forms disagree with W")
-        if not (g.W.apply(-field.tau) - (-field.tau)).is_zero():
+        if g.W.apply(-field.tau) != -field.tau:
             raise ConsistencyError("W does not fix -tau")
         if g.B.apply(field.zero) is not INFINITY:
             raise ConsistencyError("B does not send 0 to infinity")
-        if not (g.C.apply(INFINITY) - field.one).is_zero():
+        if g.C.apply(INFINITY) != field.one:
             raise ConsistencyError("C does not send infinity to 1")
         if g.A.apply(INFINITY) is not INFINITY:
             raise ConsistencyError("A does not fix infinity")

@@ -1,0 +1,72 @@
+"""Byte-identical CLI output on a fixed command set.
+
+For each command, tests/golden_cli.json holds the SHA-256 digests of
+stdout and stderr and the exit code.  Each command runs in its own
+interpreter: lambda's enclosure is narrowed in place, so output printed
+later in one process could depend on the calls made before it.
+
+After an intended output change, re-record the digests with
+
+    python tests/test_cli_golden.py
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN_PATH = Path(__file__).resolve().parent / "golden_cli.json"
+
+COMMANDS = []
+for _n in ("5", "8"):
+    COMMANDS.append(("field", "--n", _n))
+    COMMANDS += [("orbit", "--n", _n, "--table", t)
+                 for t in ("phi", "eps", "alpha", "heights")]
+    COMMANDS += [("region", "--n", _n, "--which", w) for w in ("omega", "gamma")]
+    COMMANDS += [("expand", "--n", _n, "--x", "-0.7391", "--steps", "40", "--format", f)
+                 for f in ("jsonl", "csv")]
+    COMMANDS.append(("periodic", "--n", _n, "--j", "2"))
+    COMMANDS.append(("transcendence", "--n", _n, "--x", "-0.7391", "--steps", "60"))
+COMMANDS += [
+    ("expand", "--n", "5", "--x", "random:3", "--steps", "40"),
+    ("verify", "--n", "5"),
+    # stops at the cap: exit 3 with the precision-exhausted report
+    ("expand", "--n", "5", "--x", "random:3", "--steps", "40", "--precision", "64"),
+]
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_digests(args) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "TRIANGLECF_PRECISION_CAP"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "trianglecf.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    return {
+        "stdout": _digest(proc.stdout),
+        "stderr": _digest(proc.stderr),
+        "exit": proc.returncode,
+    }
+
+
+@pytest.mark.parametrize("args", COMMANDS, ids=" ".join)
+def test_cli_output_matches_golden(args):
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert run_digests(args) == golden[" ".join(args)]
+
+
+if __name__ == "__main__":
+    digests = {" ".join(args): run_digests(args) for args in COMMANDS}
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=2) + "\n")

@@ -114,6 +114,19 @@ def test_ring_axioms(a, b):
     assert a * (b + F.one) == a * b + a
 
 
+@settings(max_examples=60, deadline=None)
+@given(field_elements(), field_elements())
+def test_equality_and_order_are_the_sign_of_the_difference(a, b):
+    # (a, a + b - b) is an equal pair with distinct coefficient tuples
+    for x, y in ((a, b), (a, (a + b) - b)):
+        s = (x - y).sign()
+        assert (x == y) == (x - y).is_zero()
+        assert (x != y) == (not (x - y).is_zero())
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert abs(a).sign() >= 0
+    assert a.ceil() == -(-a).floor()
+
+
 def test_sign_examples():
     for n in range(4, 17):
         F = build_field(n)

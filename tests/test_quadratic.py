@@ -54,6 +54,15 @@ def test_comparisons_mixed_with_field():
     assert F.tau > half_sqrt5
     assert half_sqrt5 < Fraction(9, 8)
     assert half_sqrt5 >= half_sqrt5
+    assert half_sqrt5 / 2 == QuadExt(F, 0, Fraction(1, 4), D)
+    assert 1 / half_sqrt5 == QuadExt(F, 0, Fraction(2, 5), D)  # 2/sqrt5
+    assert F.tau / half_sqrt5 == QuadExt(F, 0, F.tau * Fraction(2, 5), D)
+    assert abs(-half_sqrt5) == half_sqrt5 == abs(half_sqrt5)
+    assert half_sqrt5.ceil() == 2
+    assert (-half_sqrt5).ceil() == -1
+    assert QuadExt(F, 1, 0, D) == F.one
+    assert F.one == QuadExt(F, 1, 0, D)
+    assert F.zero != half_sqrt5 and half_sqrt5 != 0  # equal u, distinct v
 
 
 def test_solve_fixed_points_digit3():
