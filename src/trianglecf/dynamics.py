@@ -42,8 +42,8 @@ def _require_in_interval(field: NumberField, x) -> None:
 def cylinder_of_g(field: NumberField, x) -> int:
     """Digit k >= 1 with x in the half-open cylinder of the slow map."""
     _require_in_interval(field, x)
-    # x in Delta_k  iff  (1 - 1/x)/tau in [k-1, k)
-    w = (1 - 1 / x) / field.tau
+    # x in Delta_k  iff  (1 - 1/x)/tau = (x - 1)/(x tau) in [k-1, k)
+    w = (x - 1) / (x * field.tau)
     k = w.floor() + 1
     if k < 1:
         raise ConsistencyError("cylinder index below 1")
@@ -68,8 +68,8 @@ def j_of(field: NumberField, x) -> int:
     tau = field.tau
     if not (-tau < x and x < eps0(field)):
         raise DomainError("point outside the accelerated region")
-    t2 = tau * tau
-    expr = -t2.inverse() + 1 / (tau * (tau + x))
+    # -1/tau^2 + 1/(tau (tau + x)) = -x/(tau^2 (tau + x))
+    expr = -x / (tau * tau * (tau + x))
     j = expr.ceil() - 1
     if j < 1:
         raise ConsistencyError("acceleration exponent below 1")

@@ -1,9 +1,14 @@
 """Exact arithmetic in the real cyclotomic field K = Q(lambda), lambda = 2cos(pi/n).
 
-Elements are rational coefficient vectors in the power basis of lambda,
-reduced modulo its minimal polynomial.  Every comparison against the real
-line goes through a certified rational enclosure of lambda that is refined
-by exact bisection, so branch decisions are never silently wrong.
+An element is an integer coefficient vector in the power basis of lambda,
+reduced modulo its minimal polynomial, over one positive denominator, with
+no common factor left between them; ring operations run on Python ints and
+divide out one content gcd per result.  The inverse is the product of the
+d - 1 nontrivial Galois conjugates divided by the norm (Cohen, A Course in
+Computational Algebraic Number Theory, sections 4.2-4.3).  Every comparison
+against the real line goes through a certified rational enclosure of lambda
+that is refined by exact bisection, so branch decisions are never silently
+wrong.
 """
 
 from __future__ import annotations
@@ -62,14 +67,8 @@ def _is_tight(enc, precision: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integer / rational polynomial helpers (ascending coefficient lists)
+# integer polynomial helpers (ascending coefficient lists)
 # ---------------------------------------------------------------------------
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
 
 def _poly_divmod_exact(p, q):
     # exact division of integer polynomials, q monic-leading not required
@@ -99,6 +98,24 @@ def cyclotomic_polynomial(m: int) -> tuple:
     return tuple(p)
 
 
+def _chebyshev_v(count: int) -> list:
+    """V_0, ..., V_{count-1} with x^k + x^-k = V_k(x + 1/x):
+    V_0 = 2, V_1 = y, V_{k+1} = y V_k - V_{k-1}."""
+    vs = [[2], [0, 1]]
+    while len(vs) < count:
+        nxt = [0] + vs[-1]
+        for i, c in enumerate(vs[-2]):
+            nxt[i] -= c
+        vs.append(nxt)
+    return vs[:count]
+
+
+def _embedding_indices(n: int) -> list:
+    """The k with gcd(k, 2n) = 1, 1 <= k < n: lambda -> 2cos(k pi/n) are the
+    real embeddings of K, k = 1 the identity first."""
+    return [k for k in range(1, n) if math.gcd(k, 2 * n) == 1]
+
+
 @lru_cache(maxsize=None)
 def trace_min_poly(n: int) -> tuple:
     """Minimal polynomial of 2cos(pi/n), derived from the 2n-th cyclotomic
@@ -110,20 +127,10 @@ def trace_min_poly(n: int) -> tuple:
     if deg % 2 != 0 or phi != phi[::-1]:
         raise ArithmeticError("cyclotomic polynomial not palindromic of even degree")
     d = deg // 2
-    # x^k + x^-k expressed in y: V_0 = 2, V_1 = y, V_{k+1} = y V_k - V_{k-1}
-    v_prev, v_cur = [2], [0, 1]
-    psi = [phi[d]]
-    for k in range(1, d + 1):
-        coef = phi[d + k]
-        if coef:
-            while len(psi) < len(v_cur):
-                psi.append(0)
-            for i, c in enumerate(v_cur):
-                psi[i] += coef * c
-        nxt = [0] + v_cur
-        for i, c in enumerate(v_prev):
-            nxt[i] -= c
-        v_prev, v_cur = v_cur, nxt
+    psi = [phi[d]] + [0] * d
+    for k, v in enumerate(_chebyshev_v(d + 1)[1:], 1):
+        for i, c in enumerate(v):
+            psi[i] += phi[d + k] * c
     if psi[-1] != 1:
         raise ArithmeticError("trace minimal polynomial is not monic")
     return tuple(psi)
@@ -234,13 +241,25 @@ def _iv_mul(a_lo, a_hi, b_lo, b_hi):
     return min(p1, p2, p3, p4), max(p1, p2, p3, p4)
 
 
-def _eval_interval(coeffs, box: Enclosure):
-    """Interval Horner evaluation of a rational-coefficient polynomial."""
-    lo = hi = Fraction(0)
-    for c in reversed(coeffs):
-        lo, hi = _iv_mul(lo, hi, box.lo, box.hi)
-        lo, hi = lo + c, hi + c
-    return Enclosure(lo, hi)
+def _eval_interval(num, den: int, box: Enclosure) -> Enclosure:
+    """Interval Horner evaluation of (sum_i num[i] x^i) / den over box.
+
+    Runs on integers: with box = [b_lo, b_hi] / q over one denominator q,
+    the accumulator after k steps is q^k times the rational one.  Scaling
+    by q > 0 and den > 0 keeps every min and max, so the result equals, as
+    rationals, Horner evaluation of the coefficients num[i] / den.
+    """
+    q = math.lcm(box.lo.denominator, box.hi.denominator)
+    b_lo = box.lo.numerator * (q // box.lo.denominator)
+    b_hi = box.hi.numerator * (q // box.hi.denominator)
+    lo = hi = 0
+    scale = 1
+    for c in reversed(num):
+        lo, hi = _iv_mul(lo, hi, b_lo, b_hi)
+        scale *= q
+        lo += c * scale
+        hi += c * scale
+    return Enclosure(Fraction(lo, scale * den), Fraction(hi, scale * den))
 
 
 class NumberField:
@@ -252,31 +271,16 @@ class NumberField:
         self.n = n
         self.min_poly = trace_min_poly(n)
         self.degree = len(self.min_poly) - 1
-        # reduction rows: lambda^(degree+i) as integer vectors, i = 0..degree-2
-        rows = []
-        cur = [-c for c in self.min_poly[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(self.degree - 2):
-            shifted = [0] + list(cur)
-            top = shifted.pop()  # coefficient of lambda^degree
-            if top:
-                shifted = [s + top * r for s, r in zip(shifted, rows[0])]
-            cur = shifted
-            rows.append(tuple(cur))
-        self._red_rows = rows
+        # lambda^d = -sum_j min_poly[j] lambda^j, over the nonzero terms
+        self._red_terms = [(j, c) for j, c in enumerate(self.min_poly[:-1]) if c]
         approx = 2.0 * math.cos(math.pi / n)
         self._lambda_bracket = _bracket_root_near(self.min_poly, approx)
-        self._lambda_float = approx
         self._lambda_pows_float = [approx ** i for i in range(self.degree)]
         self._conjugate_brackets = None
-        self.zero = FieldElement(self, (Fraction(0),) * self.degree)
-        self.one = self.from_fraction(Fraction(1))
-        lam_coeffs = [Fraction(0)] * self.degree
-        if self.degree >= 2:
-            lam_coeffs[1] = Fraction(1)
-        else:  # degree-1 field cannot occur for n >= 4, guarded anyway
-            lam_coeffs[0] = Fraction(self._lambda_bracket.lo)
-        self.lam = FieldElement(self, tuple(lam_coeffs))
+        self._conjugation_rows = None
+        self.zero = self.from_fraction(0)
+        self.one = self.from_fraction(1)
+        self.lam = self.element([0, 1])
         self.tau = self.one + self.lam
 
     def __repr__(self):
@@ -289,16 +293,15 @@ class NumberField:
         return isinstance(other, NumberField) and other.n == self.n
 
     def element(self, coeffs) -> FieldElement:
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(coeffs)
         if len(cs) > self.degree:
             raise ValueError("coefficient vector longer than field degree")
-        cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        cs += [0] * (self.degree - len(cs))
+        return FieldElement(self, cs)
 
     def from_fraction(self, q) -> FieldElement:
-        cs = [Fraction(0)] * self.degree
-        cs[0] = Fraction(q)
-        return FieldElement(self, tuple(cs))
+        """The rational q, an int or a Fraction, as an element."""
+        return _new(self, (q.numerator,) + (0,) * (self.degree - 1), q.denominator)
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
@@ -322,7 +325,7 @@ class NumberField:
         """Enclosures of all real embeddings of lambda: 2cos(k pi/n),
         gcd(k, 2n) = 1, 1 <= k < n."""
         if self._conjugate_brackets is None:
-            ks = [k for k in range(1, self.n) if math.gcd(k, 2 * self.n) == 1]
+            ks = _embedding_indices(self.n)
             if len(ks) != self.degree:
                 raise ArithmeticError("embedding count does not match degree")
             self._conjugate_brackets = [
@@ -332,19 +335,45 @@ class NumberField:
         w = Fraction(1, 2 ** precision)
         return [b.refine_to(w) for b in self._conjugate_brackets]
 
-    def _reduce(self, conv):
-        """Reduce a convolution (length <= 2d-1) modulo the minimal polynomial."""
+    def _reduce(self, poly) -> list:
+        """Reduce an integer polynomial in lambda (ascending list, consumed)
+        modulo the minimal polynomial, to d coefficients."""
         d = self.degree
-        out = list(conv[:d])
-        while len(out) < d:
-            out.append(Fraction(0))
-        for i, c in enumerate(conv[d:]):
+        for i in range(len(poly) - 1, d - 1, -1):
+            c = poly[i]
             if c:
-                row = self._red_rows[i]
-                for j, r in enumerate(row):
-                    if r:
-                        out[j] += c * r
-        return tuple(out)
+                base = i - d
+                for j, m in self._red_terms:
+                    poly[base + j] -= c * m
+        del poly[d:]
+        poly += [0] * (d - len(poly))
+        return poly
+
+    def _mul(self, a, b) -> list:
+        """Product of two integer coefficient vectors in K."""
+        conv = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        return self._reduce(conv)
+
+    def _conjugations(self):
+        """The d - 1 embeddings lambda -> 2cos(k pi/n), k > 1, as integer
+        matrices in rows: sigma_k(a)[j] = sum_i rows[j][i] a[i].  Built on
+        the first call, since only inverse() needs them."""
+        if self._conjugation_rows is None:
+            vs = _chebyshev_v(self.n)
+            mats = []
+            for k in _embedding_indices(self.n)[1:]:
+                image = self._reduce(list(vs[k]))  # sigma_k(lambda) = V_k(lambda)
+                cols = [[1] + [0] * (self.degree - 1)]
+                for _ in range(self.degree - 1):
+                    cols.append(self._mul(cols[-1], image))
+                mats.append(tuple(zip(*cols)))
+            self._conjugation_rows = mats
+        return self._conjugation_rows
 
 
 @lru_cache(maxsize=None)
@@ -407,30 +436,46 @@ class _ExactReal:
 
 
 class FieldElement(_ExactReal):
-    """Immutable element of K as a length-d rational coefficient vector."""
+    """Immutable element num / den of K: an integer coefficient vector num
+    in the power basis of lambda over one denominator den, with den > 0
+    and gcd(num..., den) == 1, so (num, den) is unique for each value.
 
-    __slots__ = ("field", "coeffs", "_sign")
+    FieldElement(field, coeffs) builds one from d rationals.
+    """
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    __slots__ = ("field", "num", "den", "_sign")
+
+    def __init__(self, field: NumberField, coeffs):
+        qs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(q.denominator for q in qs))
         self.field = field
-        self.coeffs = coeffs
+        self.num = tuple(q.numerator * (den // q.denominator) for q in qs)
+        self.den = den
         self._sign = None
 
     # -- basic structure ----------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as reduced Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.num)
+
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise DomainError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __hash__(self):
-        return hash((self.field.n, self.coeffs))
+        # a rational element hashes as its Fraction, which it equals
+        if self.is_rational():
+            return hash(self.as_fraction())
+        return hash((self.field.n, self.num, self.den))
 
     def __repr__(self):
         return f"FieldElement(n={self.field.n}, {self.to_json()})"
@@ -446,13 +491,18 @@ class FieldElement(_ExactReal):
             return self.field.from_fraction(other)
         return None
 
+    def _add(self, o, sign: int):
+        """self + sign * o over the common denominator."""
+        g = math.gcd(self.den, o.den)
+        sa, sb = o.den // g, self.den // g * sign
+        return _element(self.field, tuple(a * sa + b * sb for a, b in zip(self.num, o.num)),
+                        self.den * sa)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self._add(o, 1)
 
     __radd__ = __add__
 
@@ -460,50 +510,37 @@ class FieldElement(_ExactReal):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldElement(
-            self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs))
-        )
+        return self._add(o, -1)
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return _new(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        conv = [Fraction(0)] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return FieldElement(self.field, self.field._reduce(conv))
+        return _element(self.field, self.field._mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> FieldElement:
+        """1 / self from the norm: with self = a / den and a an integer
+        vector, a * prod_(sigma != id) sigma(a) = N(a), a nonzero integer, so
+        1 / self = den * prod_(sigma != id) sigma(a) / N(a)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
+        field = self.field
         if self.is_rational():
-            return self.field.from_fraction(1 / self.coeffs[0])
-        # extended Euclid in Q[x] against the minimal polynomial
-        m = [Fraction(c) for c in self.field.min_poly]
-        a = list(self.coeffs)
-        _poly_trim(a)
-        r0, r1 = m, a
-        s0, s1 = [], [Fraction(1)]
-        while True:
-            q, r = _frac_poly_divmod(r0, r1)
-            if not r:
-                break
-            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(q, s1))
-            r0, r1 = r1, r
-        if len(r1) != 1:
-            raise ArithmeticError("minimal polynomial is not irreducible")
-        inv_coeffs = [c / r1[0] for c in s1]
-        inv_coeffs += [Fraction(0)] * (self.field.degree - len(inv_coeffs))
-        return FieldElement(self.field, tuple(inv_coeffs[: self.field.degree]))
+            return _element(field, (self.den,) + (0,) * (field.degree - 1), self.num[0])
+        a = self.num
+        prod = None
+        for rows in field._conjugations():
+            conj = [sum(r * x for r, x in zip(row, a)) for row in rows]
+            prod = conj if prod is None else field._mul(prod, conj)
+        norm = field._mul(a, prod)
+        if any(norm[1:]):
+            raise ArithmeticError("norm is not rational")
+        return _element(field, tuple(c * self.den for c in prod), norm[0])
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -525,12 +562,9 @@ class FieldElement(_ExactReal):
         """Exact sign under lambda -> 2cos(pi/n); 0 iff the element is zero."""
         if self._sign is not None:
             return self._sign
-        if self.is_zero():
-            self._sign = 0
-            return 0
         if self.is_rational():
-            c = self.coeffs[0]
-            self._sign = 1 if c > 0 else -1
+            c = self.num[0]
+            self._sign = (c > 0) - (c < 0)
             return self._sign
         s = self._sign_fast_float()
         if s is None:
@@ -539,12 +573,14 @@ class FieldElement(_ExactReal):
         return s
 
     def _sign_fast_float(self):
+        # c / den is the correctly rounded value of the coefficient
         lam_pows = self.field._lambda_pows_float
+        den = self.den
         try:
             val = 0.0
             mag = 0.0
-            for c, lp in zip(self.coeffs, lam_pows):
-                t = float(c) * lp
+            for c, lp in zip(self.num, lam_pows):
+                t = (c / den) * lp
                 val += t
                 mag += abs(t)
         except OverflowError:
@@ -572,16 +608,14 @@ class FieldElement(_ExactReal):
         so the result for a given precision depends on earlier calls on
         this field in the process.
         """
-        box = self.field.lambda_enclosure(precision)
-        enc = _eval_interval(self.coeffs, box)
-        return enc
+        return _eval_interval(self.num, self.den, self.field.lambda_enclosure(precision))
 
     def embed(self, precision: int = 53) -> Enclosure:
         """Enclosure of width <= 2^(1-precision) * max(1, |value|)."""
         if precision < 16:
             raise DomainError("precision must be at least 16 bits")
         if self.is_rational():
-            c = self.coeffs[0]
+            c = self.as_fraction()
             return Enclosure(c, c)
 
         def decide(p):
@@ -593,12 +627,12 @@ class FieldElement(_ExactReal):
 
     def __float__(self):
         if self.is_rational():
-            return float(self.coeffs[0])
+            return self.num[0] / self.den
         return float(self.embed(53))
 
     def floor(self) -> int:
         if self.is_rational():
-            return math.floor(self.coeffs[0])
+            return self.num[0] // self.den
 
         # a non-rational element is never an integer, so this terminates
         def decide(p):
@@ -609,10 +643,14 @@ class FieldElement(_ExactReal):
         return _refine(decide, 64, "floor undecided")
 
     def __eq__(self, other):
+        if isinstance(other, FieldElement) and other.field.n != self.field.n:
+            # across fields only rationals, which hash as Fractions, are equal
+            return (self.is_rational() and other.is_rational()
+                    and self.as_fraction() == other.as_fraction())
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     # -- serialization ---------------------------------------------------------
 
@@ -624,42 +662,29 @@ class FieldElement(_ExactReal):
         return field.element([Fraction(s) for s in data])
 
 
-def _frac_poly_divmod(a, b):
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    q = [Fraction(0)] * max(len(a) - db, 0)
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] / lb
-        q[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                a[i + j] -= c * bc
-    r = _poly_trim(a[:db])
-    return q, r
+def _element(field: NumberField, num, den: int) -> FieldElement:
+    """The element num / den for d ints num and any nonzero den, divided by
+    its content gcd(num..., den) with the sign that makes den positive."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple(c // g for c in num)
+        den //= g
+    return _new(field, tuple(num), den)
 
 
-def _frac_poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _frac_poly_sub(a, b):
-    out = list(a) + [Fraction(0)] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
+def _new(field: NumberField, num: tuple, den: int) -> FieldElement:
+    """The element num / den, with den > 0 and content gcd 1 already."""
+    e = object.__new__(FieldElement)
+    e.field, e.num, e.den, e._sign = field, num, den, None
+    return e
 
 
 def galois_conjugate_values(a: FieldElement, precision: int = 53):
     """Values of an element under all d real embeddings, as enclosures."""
     def decide(p):
-        encs = [_eval_interval(a.coeffs, box) for box in a.field.conjugate_enclosures(p)]
+        encs = [_eval_interval(a.num, a.den, box) for box in a.field.conjugate_enclosures(p)]
         return (encs if all(_is_tight(e, precision) for e in encs) else None), None
 
     return _refine(decide, max(precision, 53), "conjugate embeddings did not converge")

@@ -117,7 +117,7 @@ class Mobius:
         return self.entries() == other.entries()
 
     def __hash__(self):
-        return hash((self.field.n,) + tuple(e.coeffs for e in self.entries()))
+        return hash(self.entries())
 
     def apply(self, x):
         """Projective action (ax+b)/(cx+d); exact on field-like values."""

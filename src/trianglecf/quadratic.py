@@ -125,7 +125,10 @@ class QuadExt(_ExactReal):
         return self.u == o.u and self.v == o.v
 
     def __hash__(self):
-        return hash((self.field.n, self.u.coeffs, self.v.coeffs, self.disc.coeffs))
+        # a value with v == 0 equals, and so hashes as, its part u
+        if self.v == 0:
+            return hash(self.u)
+        return hash((self.u, self.v, self.disc))
 
     def embed(self, precision: int = 53) -> Enclosure:
         def decide(p):

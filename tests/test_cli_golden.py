@@ -37,6 +37,10 @@ COMMANDS += [
     ("verify", "--n", "5"),
     # stops at the cap: exit 3 with the precision-exhausted report
     ("expand", "--n", "5", "--x", "random:3", "--steps", "40", "--precision", "64"),
+    # high degree: d = 6 at n=13, d = 4 at n=16
+    ("expand", "--n", "13", "--x", "random:1", "--steps", "10", "--seed", "0"),
+    ("verify", "--n", "13"),
+    ("orbit", "--n", "16", "--table", "eps"),
 ]
 
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,112 @@ def test_equality_and_order_are_the_sign_of_the_difference(a, b):
         assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
     assert abs(a).sign() >= 0
     assert a.ceil() == -(-a).floor()
+
+
+def test_hash_agrees_with_equality():
+    F = build_field(5)
+    assert F.one in {1}
+    assert 1 in {F.one}
+    assert hash(F.from_fraction(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert F.lam in {F.element([0, 1])}
+    assert hash(F.tau * F.tau.inverse()) == hash(1)
+    # rationals of two fields are equal values with equal hashes
+    G = build_field(7)
+    assert F.one == G.one and F.lam != G.lam
+    assert len({F.one, G.one, F.lam, G.lam, 1}) == 3
+
+
+# -- the integer kernel: degrees 2 to 8, coefficients up to 260 bits --------
+
+KERNEL_NS = (4, 5, 7, 8, 13, 16)
+_rationals = st.builds(
+    Fraction,
+    st.one_of(st.integers(-50, 50), st.integers(-2 ** 260, 2 ** 260)),
+    st.one_of(st.integers(1, 20), st.integers(1, 2 ** 240)),
+)
+
+
+@st.composite
+def kernel_pairs(draw):
+    F = build_field(draw(st.sampled_from(KERNEL_NS)))
+    vector = st.lists(_rationals, min_size=F.degree, max_size=F.degree)
+    return F.element(draw(vector)), F.element(draw(vector))
+
+
+def _assert_reduced(x):
+    assert len(x.num) == x.field.degree
+    assert x.den > 0
+    assert math.gcd(x.den, *x.num) == 1
+
+
+def _horner(coeffs, box):
+    lo = hi = Fraction(0)
+    for c in reversed(coeffs):
+        ps = (lo * box.lo, lo * box.hi, hi * box.lo, hi * box.hi)
+        lo, hi = min(ps) + c, max(ps) + c
+    return lo, hi
+
+
+def _check_kernel(a, b):
+    F = a.field
+    assert (a - b) + b == a and a + b == b + a and a - a == 0
+    assert a * (b + 1) == a * b + a
+    for x in (a, b, a + b, a - b, -a, a * b, a * 3, a / 7):
+        _assert_reduced(x)
+        assert FieldElement(F, x.coeffs) == x
+        assert x.to_json() == [str(c) for c in x.coeffs]
+        assert all(c == Fraction(n, x.den) for c, n in zip(x.coeffs, x.num))
+    for x in (a, b):
+        if x.is_zero():
+            continue
+        inv = x.inverse()
+        _assert_reduced(inv)
+        assert x * inv == 1
+    if not (a.is_zero() or b.is_zero()):
+        assert (a * b).inverse() == a.inverse() * b.inverse()
+    for p in (64, 128):
+        enc = a.embed_raw(p)
+        assert (enc.lo, enc.hi) == _horner(a.coeffs, F.lambda_enclosure(p))
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_pairs())
+def test_integer_kernel(pair):
+    _check_kernel(*pair)
+
+
+@pytest.mark.parametrize("n", KERNEL_NS)
+def test_integer_kernel_large_coefficients(n):
+    F = build_field(n)
+    rng = random.Random(n)
+
+    def big():
+        return F.element([Fraction(rng.getrandbits(256) - 2 ** 255, rng.getrandbits(224) + 1)
+                          for _ in range(F.degree)])
+
+    a, b = big(), big()
+    assert max(abs(c).bit_length() for c in a.num) > 200
+    _check_kernel(a, b)
+
+
+def test_product_matches_polynomial_remainder():
+    # independent oracle: sympy's remainder of the product by the minimal polynomial
+    import sympy
+
+    y = sympy.Symbol("y")
+    for n in KERNEL_NS:
+        F = build_field(n)
+        rng = random.Random(100 + n)
+        a, b = (F.element([Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 999))
+                           for _ in range(F.degree)]) for _ in range(2))
+
+        def poly(x):
+            return sympy.Poly(list(reversed(x.coeffs)), y, domain="QQ")
+
+        rem = sympy.rem(poly(a) * poly(b), sympy.Poly(list(reversed(F.min_poly)), y))
+        want = [Fraction(int(c.p), int(c.q)) for c in reversed(rem.all_coeffs())]
+        want += [Fraction(0)] * (F.degree - len(want))
+        assert list((a * b).coeffs) == want
 
 
 def test_sign_examples():

@@ -205,6 +205,13 @@ def test_det_preserved_under_products():
     assert (M.det() - 1).is_zero()
 
 
+def test_mobius_hash_agrees_with_equality():
+    F = build_field(5)
+    g = generators(F)
+    assert g.B * g.B.inverse() in {Mobius(F, 1, 0, 0, 1)}
+    assert hash(g.B * g.C) == hash(Mobius(F, *(g.B * g.C).entries()))
+
+
 def test_canonical_projective_equality():
     F = build_field(5)
     g = generators(F)

@@ -65,6 +65,16 @@ def test_comparisons_mixed_with_field():
     assert F.zero != half_sqrt5 and half_sqrt5 != 0  # equal u, distinct v
 
 
+def test_hash_agrees_with_equality():
+    F = build_field(5)
+    D = F.from_fraction(5)
+    assert QuadExt(F, 1, 0, D) in {F.one}
+    assert QuadExt(F, F.lam, 0, D) in {F.lam}
+    assert QuadExt(F, Fraction(1, 2), 0, D) in {Fraction(1, 2)}
+    half_sqrt5 = QuadExt(F, 0, Fraction(1, 2), D)
+    assert half_sqrt5 * 2 in {QuadExt(F, 0, 1, D)}
+
+
 def test_solve_fixed_points_digit3():
     # x = M_3 x gives x^2 + (3 tau - 1) x + 1 = 0; both roots fixed exactly
     F = build_field(5)
