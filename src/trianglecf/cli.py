@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -202,15 +203,13 @@ def cmd_expand(args):
 
 
 def _expand_random(field, args):
-    import random as _random
-
     try:
         count = int(args.x.split(":", 1)[1])
     except ValueError as exc:
         raise UsageError("random:<count> wants an integer count") from exc
     if count < 1:
         raise UsageError("random:<count> wants a positive count")
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     rows = []
     for i in range(count):
         x = random_interval_point(field, rng, 256)

@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
-from .dynamics import (
-    acceleration_cylinder_bounds,
-    cylinder_of_f,
-    cylinder_right_endpoint,
-    f_step,
-)
-from .group import Mobius, digit_matrix, y_matrix
+from .dynamics import branch, cylinder_of_f, f_step
+from .group import Mobius
 from .planar import (
     T_inverse,
     _log_big_fraction,
@@ -139,7 +134,7 @@ def expand(
         state_new = state.advance(M)
         v_new = state_new.v()
         # v must follow the second-coordinate matrix action
-        v_matrix = y_matrix(field, k).apply(v)
+        v_matrix = branch(field, k).N.apply(v)
         if v_new != v_matrix:
             raise ConsistencyError("v-recurrence disagrees with matrix action")
         # direct Theta_m vs the (t, v) formula: identical by the
@@ -231,21 +226,16 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
     if j < 1:
         raise DomainError("periodic family starts at j = 1")
     n = field.n
-    M1 = digit_matrix(field, 1)
-    M2 = digit_matrix(field, 2)
-    Wj = digit_matrix(field, -j)
-    M = (M1 ** (n - 3)) * Wj * M2
+    b2, bj = branch(field, 2), branch(field, -j)
+    M = (branch(field, 1).M ** (n - 3)) * bj.M * b2.M
     r_plus, r_minus, disc = solve_fixed_points(M)
 
-    lo2 = cylinder_right_endpoint(field, 1)
-    hi2 = cylinder_right_endpoint(field, 2)
-    acc_lo, acc_hi = acceleration_cylinder_bounds(field, j)
     chosen = None
     other = None
     for cand, alt in ((r_plus, r_minus), (r_minus, r_plus)):
-        if lo2 <= cand and cand < hi2:
-            img = M2.apply(cand)
-            if acc_lo <= img and img < acc_hi:
+        if b2.lo <= cand and cand < b2.hi:
+            img = b2.M.apply(cand)
+            if bj.lo <= img and img < bj.hi:
                 chosen, other = cand, alt
                 break
     if chosen is None:
@@ -304,7 +294,7 @@ def periodic_family_report(field: NumberField, j_max: int = 10) -> dict:
             raise ConsistencyError("theta(P_j) failed to increase in j")
     tau = field.tau
     gaps = [float(tau.embed(60).mid() - p.theta_min.embed(60).mid()) for p in pts]
-    limit_x = cylinder_right_endpoint(field, 1)
+    limit_x = branch(field, 1).hi
     limit_y = build_heights(field).level(2 * field.n - 5)
     last = pts[-1]
     dist = abs(float(last.x) - float(limit_x)) + abs(float(last.y) - float(limit_y))

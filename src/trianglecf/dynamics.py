@@ -9,10 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
-from .group import digit_matrix, generators
+from .group import Mobius, digit_matrix, generators, y_matrix
+
+# most (field, digit) entries the branch table keeps; an evicted entry is
+# rebuilt on its next use
+BRANCH_CACHE_SIZE = 1024
 
 
 def cylinder_right_endpoint(field: NumberField, k: int) -> FieldElement:
@@ -31,6 +36,36 @@ def eps0(field: NumberField) -> FieldElement:
     if value != w_inv_zero:
         raise ConsistencyError("two expressions for eps0 disagree")
     return value
+
+
+class Branch(NamedTuple):
+    """Digit k of the accelerated map: the cylinder [lo, hi) of [-tau, 0),
+    the matrices M (on x) and N (on y), and the image [image_lo, 0) = M [lo, hi)."""
+
+    digit: int
+    M: Mobius
+    N: Mobius
+    lo: FieldElement
+    hi: FieldElement
+    image_lo: FieldElement
+
+
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
+def branch(field: NumberField, k: int) -> Branch:
+    """The branch table of the accelerated map, one entry per digit.
+
+    The slow map shares every entry except digit 1, whose cylinder starts
+    at -tau instead of eps0."""
+    M = digit_matrix(field, k)
+    if k >= 2:
+        lo, hi = cylinder_right_endpoint(field, k - 1), cylinder_right_endpoint(field, k)
+    elif k == 1:
+        lo, hi = eps0(field), cylinder_right_endpoint(field, 1)
+    else:
+        lo, hi = acceleration_cylinder_bounds(field, -k)
+    if M.apply(hi) != 0:
+        raise ConsistencyError(f"branch {k} does not send its right end to 0")
+    return Branch(k, M, y_matrix(field, k), lo, hi, M.apply(lo))
 
 
 def _require_in_interval(field: NumberField, x) -> None:
@@ -53,7 +88,7 @@ def cylinder_of_g(field: NumberField, x) -> int:
 def g_step(field: NumberField, x):
     """One slow-map step: returns (x', digit, matrix) with x' = -k tau + 1 - 1/x."""
     k = cylinder_of_g(field, x)
-    M = digit_matrix(field, k)
+    M = branch(field, k).M
     x_new = 1 - field.tau * k - 1 / x
     if not (-field.tau <= x_new and x_new < 0):
         raise ConsistencyError("slow map left the interval")
@@ -92,7 +127,7 @@ def cylinder_of_f(field: NumberField, x) -> int:
 def f_step(field: NumberField, x):
     """One accelerated step: (x', digit, matrix); W^j branch lands in [eps0, 0)."""
     k = cylinder_of_f(field, x)
-    M = digit_matrix(field, k)
+    M = branch(field, k).M
     if k >= 1:
         x_new = 1 - field.tau * k - 1 / x
     else:
@@ -117,6 +152,17 @@ class OrbitTables:
     alpha: tuple          # alpha_1 .. alpha_{2n-3}, backwards orbit
 
 
+def orbit_x_order(phi) -> list:
+    """The -tau orbit phi_0 .. phi_{2n-4} in increasing x:
+    phi_0 < phi_{n-1} < phi_1 < phi_n < ... < phi_{2n-4} < phi_{n-2}."""
+    n = (len(phi) + 3) // 2
+    chain = []
+    for i in range(n - 2):
+        chain += (phi[i], phi[n - 1 + i])
+    chain.append(phi[n - 2])
+    return chain
+
+
 @lru_cache(maxsize=None)
 def build_orbit_tables(field: NumberField) -> OrbitTables:
     n = field.n
@@ -137,12 +183,7 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
     if digits != expected:
         raise ConsistencyError(f"unexpected digit word {digits} for the -tau orbit")
 
-    # ordering chain phi_0 < phi_{n-1} < phi_1 < ... < phi_{2n-4} < phi_{n-2}
-    chain = []
-    for i in range(n - 2):
-        chain.append(phi[i])
-        chain.append(phi[n - 1 + i])
-    chain.append(phi[n - 2])
+    chain = orbit_x_order(phi)
     for a, b in zip(chain, chain[1:]):
         if not a < b:
             raise ConsistencyError("ordering chain of the -tau orbit failed")
@@ -175,7 +216,7 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
     alpha = [delta2_right]
     back_digits = [1] * (n - 3) + [2] + [1] * (n - 2)
     for d in back_digits:
-        alpha.append(digit_matrix(field, d).inverse().apply(alpha[-1]))
+        alpha.append(branch(field, d).M.inverse().apply(alpha[-1]))
     alpha = alpha[: 2 * n - 3]
     for j in range(2 * n - 3):
         if alpha[j] != eps[2 * n - 4 - j]:

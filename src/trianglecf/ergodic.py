@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, PrecisionExhausted
 from .field import NumberField
-from .dynamics import (
-    acceleration_cylinder_bounds,
-    build_orbit_tables,
-    cylinder_right_endpoint,
-    eps0,
-    f_step,
-)
-from .group import digit_matrix
+from .dynamics import branch, f_step
 from .numeric import FloatSystem, derivative_factor, digit_matrix_batch, step_scalar
 
 __all__ = [
@@ -97,45 +90,27 @@ def is_realizable(word, n: int) -> AdmissibilityResult:
     return _scan_word(word, n, with_refinement=True)
 
 
-def _cylinder_x_range(field: NumberField, a: int):
-    if a == 1:
-        return eps0(field), cylinder_right_endpoint(field, 1)
-    if a >= 2:
-        return cylinder_right_endpoint(field, a - 1), cylinder_right_endpoint(field, a)
-    return acceleration_cylinder_bounds(field, -a)
-
-
-def _branch_image(field: NumberField, a: int):
-    tables = build_orbit_tables(field)
-    if a == 1:
-        return tables.eps[1], field.zero
-    if a >= 2:
-        return -field.tau, field.zero
-    return tables.eps[0], field.zero
-
-
 def cylinder_interval(field: NumberField, word):
     """Exact half-open x-interval of a digit word, or None if empty.
 
     Built by pulling the final cylinder back through the branch inverses and
-    intersecting with each branch image; all comparisons are exact."""
+    intersecting with each branch image [image_lo, 0); every cylinder ends
+    left of 0, so only the left ends need clipping.  All comparisons are
+    exact."""
     if not word:
         return -field.tau, field.zero
-    lo, hi = _cylinder_x_range(field, word[-1])
+    last = branch(field, word[-1])
+    lo, hi = last.lo, last.hi
     for a in reversed(word[:-1]):
-        img_lo, img_hi = _branch_image(field, a)
-        u = max(img_lo, lo)
-        v = min(img_hi, hi)
-        if not u < v:
+        b = branch(field, a)
+        u = max(b.image_lo, lo)
+        if not u < hi:
             return None
-        M_inv = digit_matrix(field, a).inverse()
-        p_lo, p_hi = M_inv.apply(u), M_inv.apply(v)
-        c_lo, c_hi = _cylinder_x_range(field, a)
-        u2 = max(c_lo, p_lo)
-        v2 = min(c_hi, p_hi)
-        if not u2 < v2:
+        M_inv = b.M.inverse()
+        lo = max(b.lo, M_inv.apply(u))
+        hi = min(b.hi, M_inv.apply(hi))
+        if not lo < hi:
             return None
-        lo, hi = u2, v2
     return lo, hi
 
 
@@ -228,8 +203,6 @@ def adler_scan(field: NumberField, samples: int, seed: int) -> dict:
 
     Boundary collisions of the float lane are skipped and counted; they have
     probability zero for the sampled points."""
-    from .errors import PrecisionExhausted
-
     fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed)
     ys = fs.y_left * rng.random(samples)
@@ -281,13 +254,12 @@ def completeness_check(field: NumberField, alphabet, max_len: int) -> dict:
             nonempty = False
             new_image = None
             if image is not None:
-                c_lo, c_hi = _cylinder_x_range(field, a)
-                lo = max(image[0], c_lo)
-                hi = min(image[1], c_hi)
+                b = branch(field, a)
+                lo = max(image[0], b.lo)
+                hi = min(image[1], b.hi)
                 if lo < hi:
                     nonempty = True
-                    M = digit_matrix(field, a)
-                    new_image = (M.apply(lo), M.apply(hi))
+                    new_image = (b.M.apply(lo), b.M.apply(hi))
             adm = bool(is_admissible(list(w), n))
             real = bool(is_realizable(list(w), n))
             if real != nonempty:

@@ -305,7 +305,7 @@ class NumberField:
 
     def coerce(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field is not self:
+            if value.field is not self and value.field != self:
                 raise ValueError("element from a different field")
             return value
         if isinstance(value, (int, Fraction)):
@@ -484,7 +484,8 @@ class FieldElement(_ExactReal):
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field is not self.field:
+            # fields with the same n are equal; field-keyed caches mix them
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixing elements of different fields")
             return other
         if isinstance(other, (int, Fraction)):

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
+from .errors import PrecisionExhausted
 from .field import NumberField
 from .dynamics import eps0
-from .planar import acceleration_fiber_top, build_gamma, mu_gamma, mu_rect
+from .planar import Rect, acceleration_fiber_top, build_gamma, mu_gamma, mu_rect, nu_cdf
 
 
 @dataclass
@@ -77,8 +79,6 @@ def step_scalar(fs: FloatSystem, t: float, v: float):
     """Scalar float step; raises PrecisionExhausted on a boundary collision
     (landing within 1e-14 of a branch point, where a double cannot decide
     the next digit reliably)."""
-    from .errors import PrecisionExhausted
-
     tau = fs.tau
     if t < fs.eps0:
         u = t + tau
@@ -241,9 +241,8 @@ def orbit_tv_arrays(field: NumberField, steps: int, seed: int, x0: float = None)
     ts = np.empty(steps)
     vs = np.empty(steps)
     t, v = x0, 0.0
-    step = step_scalar
     for i in range(steps):
-        t, v, _ = step(fs, t, v)
+        t, v, _ = step_scalar(fs, t, v)
         ts[i] = t
         vs[i] = v
     return ts, vs
@@ -279,8 +278,6 @@ def build_cells(field: NumberField, target_cells: int = 100):
         for i in range(parts):
             a = x_lo + width * i / parts if i else x_lo
             b = x_lo + width * (i + 1) / parts if i + 1 < parts else x_hi
-            from .planar import Rect
-
             sub = Rect(a, b, r.y_lo, r.y_hi)
             cells.append(
                 {
@@ -352,15 +349,10 @@ def birkhoff_experiment(
     seed: int = 2,
 ) -> dict:
     """Time averages of interval indicators along an f-orbit vs nu-masses."""
-    from .planar import nu_cdf
-
-    fs = FloatSystem.for_field(field)
     ts, _ = orbit_tv_arrays(field, steps, seed)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     rows = []
-    from fractions import Fraction
-
     for _ in range(intervals):
         a, b = sorted(rng.random(2))
         if b - a < 0.05:

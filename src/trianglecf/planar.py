@@ -16,14 +16,14 @@ from functools import lru_cache
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
 from .dynamics import (
-    acceleration_cylinder_bounds,
+    branch,
     build_orbit_tables,
     cylinder_of_f,
     cylinder_of_g,
-    cylinder_right_endpoint,
     eps0,
+    orbit_x_order,
 )
-from .group import digit_matrix, y_matrix
+from .group import INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +47,7 @@ class Heights:
 def build_heights(field: NumberField) -> Heights:
     n = field.n
     tau = field.tau
-    N1 = y_matrix(field, 1)
+    N1 = branch(field, 1).N
     odd = [tau.inverse()]                  # L_1 = 1/tau
     for _ in range(n - 3):                 # L_3, ..., L_{2n-5}
         odd.append(N1.apply(odd[-1]))
@@ -77,28 +77,15 @@ def build_heights(field: NumberField) -> Heights:
         raise ConsistencyError("N_1^{n-2}(1/tau) != tau")
     if heights.L[-1] != tau - 1:
         raise ConsistencyError("L_{2n-4} != tau - 1")
-    N2 = y_matrix(field, 2)
+    N2 = branch(field, 2).N
     if N2.apply(heights.L[-1]) != heights.L[0]:
         raise ConsistencyError("N_2 L_{2n-4} != L_1")
     # every slab height is the reciprocal of |left endpoint| of its slab
-    tables = build_orbit_tables(field)
-    starts = _omega_slab_starts(tables)
+    starts = orbit_x_order(build_orbit_tables(field).phi)
     for h, start in zip(chain, starts):
         if h * (-start) != 1:
             raise ConsistencyError("slab corner is not on the curve y = -1/x")
     return heights
-
-
-def _omega_slab_starts(tables) -> list:
-    """x-order left endpoints of the Omega slabs: phi_0, phi_{n-1}, phi_1, ..."""
-    n = tables.field.n
-    phi = tables.phi
-    starts = []
-    for i in range(n - 2):
-        starts.append(phi[i])
-        starts.append(phi[n - 1 + i])
-    starts.append(phi[n - 2])
-    return starts
 
 
 # ---------------------------------------------------------------------------
@@ -139,16 +126,22 @@ class PlanarRegion:
         return out
 
     def contains(self, x, y) -> bool:
-        for s in self.slabs:
-            if s.x_lo <= x and x < s.x_hi:
-                return any(lo <= y and y <= hi for lo, hi in s.fibers)
-        return False
+        return any(lo <= y and y <= hi for lo, hi in self.fiber_at(x))
 
     def fiber_at(self, x):
         for s in self.slabs:
             if s.x_lo <= x and x < s.x_hi:
                 return s.fibers
         return ()
+
+    def overlay(self, a, b):
+        """(slab, lo, hi) for each slab meeting [a, b), in slab order, where
+        [lo, hi) is the part of [a, b) over that slab."""
+        for s in self.slabs:
+            lo = max(a, s.x_lo)
+            hi = min(b, s.x_hi)
+            if lo < hi:
+                yield s, lo, hi
 
     def to_json(self, shadow_bits: int = 53):
         rect_list = []
@@ -173,9 +166,8 @@ class PlanarRegion:
 @lru_cache(maxsize=None)
 def build_omega(field: NumberField) -> PlanarRegion:
     """Union of rectangles over the -tau orbit; heights L_1..L_{2n-4} then R."""
-    tables = build_orbit_tables(field)
     heights = build_heights(field)
-    starts = _omega_slab_starts(tables)
+    starts = orbit_x_order(build_orbit_tables(field).phi)
     tops = list(heights.L) + [heights.R]
     bounds = starts + [field.zero]
     slabs = []
@@ -232,10 +224,7 @@ def build_gamma(field: NumberField) -> PlanarRegion:
 
 def _check_gamma_in_omega(field: NumberField, gamma: PlanarRegion) -> None:
     omega = build_omega(field)
-    cuts = sorted(
-        {s.x_lo for s in omega.slabs} | {s.x_lo for s in gamma.slabs},
-        key=float,
-    )
+    cuts = sorted({s.x_lo for s in omega.slabs} | {s.x_lo for s in gamma.slabs})
     for g_slab in gamma.slabs:
         inner = [x for x in cuts if g_slab.x_lo < x and x < g_slab.x_hi]
         points = [g_slab.x_lo] + inner
@@ -335,7 +324,8 @@ def omega_divergence_partial_sums(field: NumberField, bound: float = 1.0e3):
 def branch_step(field: NumberField, k: int, point):
     """(x, y) -> (M_k x, N_k y): the planar branch of digit k."""
     x, y = point
-    return digit_matrix(field, k).apply(x), y_matrix(field, k).apply(y)
+    b = branch(field, k)
+    return b.M.apply(x), b.N.apply(y)
 
 
 def S_step(field: NumberField, point, validate: bool = True):
@@ -391,11 +381,8 @@ def T_inverse(field: NumberField, point, validate: bool = True):
     x, y = point
     if validate and not build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
-    k = T_digit_of_y(field, y)
-    pre = (
-        digit_matrix(field, k).inverse().apply(x),
-        y_matrix(field, k).inverse().apply(y),
-    )
+    b = branch(field, T_digit_of_y(field, y))
+    pre = (b.M.inverse().apply(x), b.N.inverse().apply(y))
     if validate and not build_gamma(field).contains(pre[0], pre[1]):
         raise DomainError("decoded preimage not in Gamma")
     return pre
@@ -407,12 +394,9 @@ def T_inverse(field: NumberField, point, validate: bool = True):
 
 def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi):
     """Image of one piece under (M_k, N_k); both coordinates map increasingly."""
-    M = digit_matrix(field, digit)
-    N = y_matrix(field, digit)
-    nx_lo, nx_hi = M.apply(x_lo), M.apply(x_hi)
-    ny_lo, ny_hi = N.apply(y_lo), N.apply(y_hi)
-    from .group import INFINITY
-
+    b = branch(field, digit)
+    nx_lo, nx_hi = b.M.apply(x_lo), b.M.apply(x_hi)
+    ny_lo, ny_hi = b.N.apply(y_lo), b.N.apply(y_hi)
     if nx_hi is INFINITY or nx_lo is INFINITY:
         raise ConsistencyError("piece crosses a pole of its branch")
     if not nx_lo < nx_hi:
@@ -424,28 +408,14 @@ def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi):
 
 def _cylinder_pieces(field, region: PlanarRegion, accelerated: bool,
                      k_fin: int, j_fin: int):
-    """Overlay of region slabs with branch cylinders; finite pieces only."""
-    tau = field.tau
-    e0 = eps0(field)
-    cylinders = []
-    if accelerated:
-        for j in range(j_fin, 0, -1):
-            lo, hi = acceleration_cylinder_bounds(field, j)
-            cylinders.append((-j, lo, hi))
-        cylinders.append((1, e0, cylinder_right_endpoint(field, 1)))
-    else:
-        cylinders.append((1, -tau, cylinder_right_endpoint(field, 1)))
-    for k in range(2, k_fin + 1):
-        cylinders.append(
-            (k, cylinder_right_endpoint(field, k - 1), cylinder_right_endpoint(field, k))
-        )
+    """Overlay of region slabs with branch cylinders; finite pieces only.
+    The slow map's digit-1 cylinder starts at -tau, not at eps0."""
+    digits = list(range(-j_fin, 0)) if accelerated else []
     pieces = []
-    for digit, c_lo, c_hi in cylinders:
-        for slab in region.slabs:
-            lo = max(c_lo, slab.x_lo)
-            hi = min(c_hi, slab.x_hi)
-            if not lo < hi:
-                continue
+    for digit in digits + list(range(1, k_fin + 1)):
+        b = branch(field, digit)
+        c_lo = -field.tau if digit == 1 and not accelerated else b.lo
+        for slab, lo, hi in region.overlay(c_lo, b.hi):
             for (y_lo, y_hi) in slab.fibers:
                 pieces.append((digit, lo, hi, y_lo, y_hi))
     return pieces
@@ -455,7 +425,7 @@ def _check_band_tiling(region: PlanarRegion, bands_by_slab) -> None:
     """Each slab's image bands must exactly cover its fiber union."""
     for slab in region.slabs:
         key = id(slab)
-        bands = sorted(bands_by_slab.get(key, []), key=lambda b: (float(b[0]), float(b[1])))
+        bands = sorted(bands_by_slab.get(key, []))
         if not bands:
             raise ConsistencyError("slab received no image bands")
         fibers = slab.fibers
@@ -482,11 +452,7 @@ def _distribute_bands(region: PlanarRegion, images) -> dict:
     bands_by_slab = {}
     for (x_lo, x_hi, y_lo, y_hi) in images:
         matched_any = False
-        for slab in region.slabs:
-            lo = max(x_lo, slab.x_lo)
-            hi = min(x_hi, slab.x_hi)
-            if not lo < hi:
-                continue
+        for slab, _, _ in region.overlay(x_lo, x_hi):
             matched_any = True
             bands_by_slab.setdefault(id(slab), []).append((y_lo, y_hi))
         if not matched_any:
@@ -542,7 +508,7 @@ def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> di
 
     # wrap-around identity used by the stacking argument
     heights = build_heights(field)
-    N2 = y_matrix(field, 2)
+    N2 = branch(field, 2).N
     if N2.apply(heights.L[-1]) != heights.level(1):
         raise ConsistencyError("wrap-around band identity failed")
     report["ok"] = True
@@ -560,11 +526,7 @@ def nu_band_mass(field: NumberField, a, b) -> float:
     if not a <= b:
         raise DomainError("empty band")
     total = 0.0
-    for slab in build_gamma(field).slabs:
-        lo = max(a, slab.x_lo)
-        hi = min(b, slab.x_hi)
-        if not lo < hi:
-            continue
+    for slab, lo, hi in build_gamma(field).overlay(a, b):
         for (y_lo, y_hi) in slab.fibers:
             total += mu_rect(Rect(lo, hi, y_lo, y_hi))
     return total
@@ -620,19 +582,18 @@ def _nu_interval_via_branches(field: NumberField, a, b, k_fin: int = 8, j_fin: i
     both infinite families are finished in closed form (no truncation error)."""
     tau = field.tau
     e0 = eps0(field)
-    tables = build_orbit_tables(field)
-    eps1 = tables.eps[1]
+    b1 = branch(field, 1)
     total = 0.0
 
     # digit-1 branch maps [eps0, 1/(1-tau)) onto [eps1, 0)
-    a1 = max(eps1, a)
+    a1 = max(b1.image_lo, a)
     if a1 < b:
-        M1_inv = digit_matrix(field, 1).inverse()
+        M1_inv = b1.M.inverse()
         total += nu_band_mass(field, M1_inv.apply(a1), M1_inv.apply(b))
 
     # full positive digits
     for k in range(2, k_fin + 1):
-        Mk_inv = digit_matrix(field, k).inverse()
+        Mk_inv = branch(field, k).M.inverse()
         total += nu_band_mass(field, Mk_inv.apply(a), Mk_inv.apply(b))
 
     # tail k > k_fin: preimages lie in the constant-fiber strip [0, tau];
@@ -646,7 +607,7 @@ def _nu_interval_via_branches(field: NumberField, a, b, k_fin: int = 8, j_fin: i
         c = acceleration_fiber_top(field)
         u_a, u_b = aj + tau, b + tau
         for j in range(1, j_fin + 1):
-            Wj_inv = digit_matrix(field, -j).inverse()
+            Wj_inv = branch(field, -j).M.inverse()
             x1, x2 = Wj_inv.apply(aj), Wj_inv.apply(b)
             num = 1 + c * x2
             den = 1 + c * x1

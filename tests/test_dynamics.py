@@ -5,9 +5,10 @@ import pytest
 
 from trianglecf.errors import DomainError
 from trianglecf.field import build_field, random_interval_point
-from trianglecf.group import digit_matrix, generators
+from trianglecf.group import digit_matrix, generators, y_matrix
 from trianglecf.dynamics import (
     acceleration_cylinder_bounds,
+    branch,
     build_orbit_tables,
     cylinder_of_f,
     cylinder_of_g,
@@ -299,3 +300,31 @@ def test_acceleration_cylinders_partition():
             assert hi == prev_lo
         prev_lo, prev_hi = lo, hi
     assert acceleration_cylinder_bounds(F, 1)[1] == eps0(F)
+
+
+@pytest.mark.parametrize("n", (4, 5, 8))
+def test_branch_table(n):
+    F = build_field(n)
+    e0 = eps0(F)
+    tables = build_orbit_tables(F)
+    # the cylinders tile [-tau, 0) from the acceleration stack rightwards
+    for j in range(1, 6):
+        assert branch(F, -j).lo == branch(F, -(j + 1)).hi
+    assert branch(F, -1).hi == e0 == branch(F, 1).lo
+    for k in range(1, 8):
+        assert branch(F, k).hi == branch(F, k + 1).lo
+    for k in list(range(-6, 0)) + list(range(1, 9)):
+        b = branch(F, k)
+        assert b.digit == k
+        assert b.lo < b.hi
+        if k < 0:
+            assert b.image_lo == e0
+        elif k == 1:
+            assert b.image_lo == tables.eps[1]
+        else:
+            assert b.image_lo == -F.tau
+        assert b.M == digit_matrix(F, k)
+        assert b.N == y_matrix(F, k)
+        assert b.M.apply(b.hi) == 0
+    with pytest.raises(DomainError):
+        branch(F, 0)

@@ -16,6 +16,7 @@ from trianglecf.field import (
     set_precision_cap,
     trace_min_poly,
 )
+from trianglecf.dynamics import eps0
 from trianglecf.quadratic import QuadExt, compare_numeric
 
 
@@ -139,6 +140,26 @@ def test_hash_agrees_with_equality():
     G = build_field(7)
     assert F.one == G.one and F.lam != G.lam
     assert len({F.one, G.one, F.lam, G.lam, 1}) == 3
+
+
+def test_equal_fields_mix():
+    # NumberField(5) is a second object equal to build_field(5); the
+    # field-keyed caches hand out elements of whichever was built first
+    F, G = build_field(5), NumberField(5)
+    assert F is not G and F == G
+    assert F.lam == G.lam and G.lam == F.lam
+    assert F.lam + G.lam == 2 * F.lam
+    assert G.tau * F.tau.inverse() == 1
+    assert G.coerce(F.lam) == G.lam
+    assert len({F.lam, G.lam}) == 1
+    assert eps0(F) < G.zero and eps0(G) < G.zero
+    assert eps0(G) == -(G.tau ** 3) / (G.tau * G.tau + 1)
+    # fields with a different n still refuse to mix
+    H = build_field(7)
+    with pytest.raises(ValueError):
+        F.lam + H.lam
+    with pytest.raises(ValueError):
+        H.coerce(F.lam)
 
 
 # -- the integer kernel: degrees 2 to 8, coefficients up to 260 bits --------

@@ -7,18 +7,16 @@ import pytest
 from trianglecf.errors import DomainError
 from trianglecf.field import build_field
 from trianglecf.group import digit_matrix, y_matrix
-from trianglecf.dynamics import (
-    acceleration_cylinder_bounds,
-    build_orbit_tables,
-    cylinder_right_endpoint,
-    eps0,
-)
+from trianglecf.dynamics import branch, build_orbit_tables, eps0
 from trianglecf.planar import (
+    PlanarRegion,
     Rect,
+    Slab,
     S_step,
     T_digit_of_y,
     T_inverse,
     T_step,
+    _check_band_tiling,
     acceleration_fiber_top,
     build_gamma,
     build_heights,
@@ -175,14 +173,6 @@ def _common_fiber_top(F, k):
     return acceleration_fiber_top(F)
 
 
-def _cylinder_range(F, k):
-    if k >= 2:
-        return cylinder_right_endpoint(F, k - 1), cylinder_right_endpoint(F, k)
-    if k == 1:
-        return eps0(F), cylinder_right_endpoint(F, 1)
-    return acceleration_cylinder_bounds(F, -k)
-
-
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_pushforward_invariance_random_rects(n):
     F = build_field(n)
@@ -191,7 +181,8 @@ def test_pushforward_invariance_random_rects(n):
     trials = 0
     while trials < 120:
         k = rng.choice([1, 2, 3, 4, -1, -2])
-        lo, hi = _cylinder_range(F, k)
+        b = branch(F, k)
+        lo, hi = b.lo, b.hi
         q1, q2 = sorted(Fraction(rng.getrandbits(30), 1 << 30) for _ in range(2))
         if q1 == q2:
             continue
@@ -287,8 +278,8 @@ def test_t_maps_deep_slab_onto_bottom_band():
     F = build_field(5)
     tau = F.tau
     for k in (3, 4, 5, 6):
-        lo, hi = _cylinder_range(F, k)
-        M, N = digit_matrix(F, k), y_matrix(F, k)
+        b = branch(F, k)
+        lo, hi, M, N = b.lo, b.hi, b.M, b.N
         assert M.apply(lo) == -tau
         assert M.apply(hi).is_zero()
         assert N.apply(F.zero) == (tau * k - 1).inverse()
@@ -346,3 +337,27 @@ def test_region_json_dump():
     first = data["rects"][0]
     assert set(first) == {"x_lo", "x_hi", "y_lo", "y_hi", "shadow"}
     assert first["shadow"]["x_lo"] == pytest.approx(-float(F.tau))
+
+
+def test_band_tiling_sorts_exactly():
+    # bands whose ends all round to the float 0.0: a float sort key ties
+    # them and keeps the input order, so the check has to sort exactly
+    F = build_field(5)
+    eps = F.from_fraction(Fraction(1, 2 ** 1100))
+    slab = Slab(-F.tau, F.zero, ((F.zero, F.one),))
+    bands = [(eps, 2 * eps), (F.zero, eps), (2 * eps, F.one)]
+    _check_band_tiling(PlanarRegion("test", [slab]), {id(slab): bands})
+
+
+def test_overlay_clips_to_each_slab_in_order():
+    F = build_field(5)
+    gamma = build_gamma(F)
+    a, b = -F.tau, F.zero
+    parts = list(gamma.overlay(a, b))
+    assert [s for s, _, _ in parts] == gamma.slabs
+    assert all(lo == s.x_lo and hi == s.x_hi for s, lo, hi in parts)
+    e0 = eps0(F)
+    mid = (e0 + gamma.slabs[1].x_hi) / 2
+    (s, lo, hi), = gamma.overlay(e0, mid)
+    assert s is gamma.slabs[1] and lo == e0 and hi == mid
+    assert list(gamma.overlay(mid, mid)) == []
