@@ -14,7 +14,6 @@ wrong.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,12 +25,7 @@ _precision_cap = None
 
 
 def get_precision_cap() -> int:
-    if _precision_cap is not None:
-        return _precision_cap
-    env = os.environ.get("TRIANGLECF_PRECISION_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_PRECISION_CAP
+    return DEFAULT_PRECISION_CAP if _precision_cap is None else _precision_cap
 
 
 def set_precision_cap(bits) -> None:

@@ -7,13 +7,13 @@ W = A^-1 B^-2 A^-1 B^-1 fixes -tau and drives the accelerated interval map.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import mpmath
-
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
+from .quadratic import QuadExt
 
 
 class _Infinity:
@@ -220,51 +220,42 @@ def b_sequence(field: NumberField, k: int) -> FieldElement:
     return _b_sequence_cache(field, k)
 
 
-def unconjugated_generators(n: int, dps: int = 40):
-    """Rotation-form generators (numeric): the translation by
-    cot(pi/2n) + cot(pi/n) and the rotation by pi/n."""
-    with mpmath.workdps(dps):
-        t = mpmath.pi / n
-        sigma = mpmath.matrix([[1, mpmath.cot(t / 2) + mpmath.cot(t)], [0, 1]])
-        beta = mpmath.matrix([[mpmath.cos(t), mpmath.sin(t)], [-mpmath.sin(t), mpmath.cos(t)]])
-        return sigma, beta
+def _mul2(x, y):
+    """Product of 2x2 matrices given as row-major tuples (a, b, c, d)."""
+    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
-def rotation_conjugation_check(field: NumberField, precision: int = 53) -> dict:
-    """Numerically confirm that conjugating the rotation-form generators by
-    [[1, cos(pi/n)], [0, sin(pi/n)]] yields A and B entrywise.
+def rotation_conjugation_check(field: NumberField) -> dict:
+    """Exactly confirm that P = [[1, cos(pi/n)], [0, sin(pi/n)]] conjugates
+    the rotation-form generators to A and B: P A = sigma P and P B = beta P,
+    where sigma translates by cot(pi/2n) + cot(pi/n) and beta rotates by pi/n.
 
-    Returns a report with the maximum entrywise deviation; the tolerance is
-    2^(-precision/2).
+    The entries live in K(sqrt(D)), D = 4 - lambda^2: cos(pi/n) = lambda/2,
+    sin(pi/n) = sqrt(D)/2 and cot(pi/2n) + cot(pi/n) = tau/sin(pi/n).  For
+    even n, D is a square in K, so a QuadExt here is an element of the ring
+    K[X]/(X^2 - D), not of a field.  The check uses only ring operations,
+    the inverse of sin(pi/n) (norm -D/4 != 0) and equality of the parts
+    (u, v); X -> sqrt(D) is a ring map into R, so formal equality implies
+    real equality for any D != 0.  No sign, zero test or order is taken on
+    these values.  Raises ConsistencyError on a mismatch.
     """
-    n = field.n
-    dps = max(20, int(precision * 0.35) + 10)
-    with mpmath.workdps(dps):
-        t = mpmath.pi / n
-        P = mpmath.matrix([[1, mpmath.cos(t)], [0, mpmath.sin(t)]])
-        Pinv = P ** -1
-        sigma, beta = unconjugated_generators(n, dps)
-        conj_sigma = Pinv * sigma * P
-        conj_beta = Pinv * beta * P
-        g = generators(field)
-        max_dev = mpmath.mpf(0)
-        for M_num, M_exact in ((conj_sigma, g.A), (conj_beta, g.B)):
-            for idx, e in zip(
-                ((0, 0), (0, 1), (1, 0), (1, 1)), M_exact.entries()
-            ):
-                enc = e.embed(precision)
-                dev = abs(M_num[idx] - mpmath.mpf(enc.mid().numerator) / enc.mid().denominator)
-                max_dev = max(max_dev, dev)
-        ident = Pinv * mpmath.eye(2) * P
-        ident_dev = max(abs(ident[i, j] - (1 if i == j else 0)) for i in range(2) for j in range(2))
-        tol = mpmath.mpf(2) ** (-precision / 2)
-        return {
-            "n": n,
-            "max_entry_deviation": float(max_dev),
-            "identity_deviation": float(ident_dev),
-            "tolerance": float(tol),
-            "ok": bool(max_dev <= tol and ident_dev <= tol),
-        }
+    disc = 4 - field.lam * field.lam
+
+    def q(u, v=0):
+        return QuadExt(field, u, v, disc)
+
+    c = q(field.lam * Fraction(1, 2))
+    s = q(0, Fraction(1, 2))
+    P = (q(1), c, q(0), s)
+    sigma = (q(1), s.inverse() * field.tau, q(0), q(1))
+    beta = (c, s, -s, c)
+    g = generators(field)
+    if _mul2(P, g.A.entries()) != _mul2(sigma, P):
+        raise ConsistencyError("P A != sigma P: A is not the conjugate translation")
+    if _mul2(P, g.B.entries()) != _mul2(beta, P):
+        raise ConsistencyError("P B != beta P: B is not the conjugate rotation")
+    return {"n": field.n, "ok": True}
 
 
 def random_group_word(field: NumberField, rng, length: int) -> Mobius:

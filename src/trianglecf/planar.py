@@ -406,6 +406,20 @@ def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi):
     return (nx_lo, nx_hi, ny_lo, ny_hi)
 
 
+def _check_measure(src, img) -> None:
+    """mu(src) == mu(img) for rectangles (x1, x2, y1, y2), decided exactly.
+
+    mu([x1, x2] x [y1, y2]) = log[(1+x1y1)(1+x2y2) / ((1+x1y2)(1+x2y1))], so
+    the two measures agree iff the cross-multiplied products do.  A piece
+    with a corner on 1 + xy = 0 (Omega's infinite-mass corner) gives 0 == 0.
+    """
+    x1, x2, y1, y2 = src
+    X1, X2, Y1, Y2 = img
+    if ((1 + x1 * y1) * (1 + x2 * y2) * (1 + X1 * Y2) * (1 + X2 * Y1)
+            != (1 + X1 * Y1) * (1 + X2 * Y2) * (1 + x1 * y2) * (1 + x2 * y1)):
+        raise ConsistencyError("a branch does not preserve the measure of a piece")
+
+
 def _cylinder_pieces(field, region: PlanarRegion, accelerated: bool,
                      k_fin: int, j_fin: int):
     """Overlay of region slabs with branch cylinders; finite pieces only.
@@ -462,7 +476,8 @@ def _distribute_bands(region: PlanarRegion, images) -> dict:
 
 def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> dict:
     """Exact corner-tiling proof that S permutes Omega and T permutes Gamma
-    up to measure zero.  The two infinite branch families are truncated and
+    up to measure zero, and that every finite piece keeps its measure
+    dx dy/(1+xy)^2.  The two infinite branch families are truncated and
     their tails checked against closed-form stack limits."""
     tau = field.tau
     report = {"n": field.n}
@@ -473,18 +488,10 @@ def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> di
     ):
         pieces = _cylinder_pieces(field, region, accelerated, k_fin, j_fin)
         images = []
-        mu_dev = 0.0
-        for (digit, x_lo, x_hi, y_lo, y_hi) in pieces:
-            img = _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi)
+        for (digit, *src) in pieces:
+            img = _map_piece(field, digit, *src)
+            _check_measure(src, img)
             images.append(img)
-            try:
-                src_mu = mu_rect(Rect(x_lo, x_hi, y_lo, y_hi))
-                img_mu = mu_rect(Rect(*img))
-            except DomainError:
-                # Omega's corner piece sits on the hyperbola: infinite mass,
-                # so only the tiling is checked for it
-                continue
-            mu_dev = max(mu_dev, abs(src_mu - img_mu))
 
         # tail of the full cylinders k > k_fin: images stack onto
         # [-tau, 0) x (0, 1/(k_fin tau - 1)]
@@ -500,17 +507,7 @@ def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> di
 
         bands = _distribute_bands(region, images)
         _check_band_tiling(region, bands)
-        report[name] = {
-            "pieces": len(pieces),
-            "max_piece_measure_deviation": mu_dev,
-            "ok": True,
-        }
-
-    # wrap-around identity used by the stacking argument
-    heights = build_heights(field)
-    N2 = branch(field, 2).N
-    if N2.apply(heights.L[-1]) != heights.level(1):
-        raise ConsistencyError("wrap-around band identity failed")
+        report[name] = {"pieces": len(pieces), "ok": True}
     report["ok"] = True
     return report
 

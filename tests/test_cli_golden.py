@@ -49,7 +49,7 @@ def _digest(text: str) -> str:
 
 
 def run_digests(args) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "TRIANGLECF_PRECISION_CAP"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from trianglecf import group
+from trianglecf.errors import ConsistencyError
 from trianglecf.field import build_field
 from trianglecf.group import (
     INFINITY,
@@ -171,12 +173,20 @@ def test_inverses_action_lemma():
             assert (lhs - rhs.inverse()).is_zero()
 
 
-@pytest.mark.parametrize("n", (4, 5, 8))
+@pytest.mark.parametrize("n", (4, 5, 7, 8))
 def test_rotation_conjugation(n):
+    # even n: 4 - lambda^2 is a square in K, and the check still holds
     F = build_field(n)
-    rep = rotation_conjugation_check(F, precision=53)
-    assert rep["ok"], rep
-    assert rep["identity_deviation"] <= rep["tolerance"]
+    assert rotation_conjugation_check(F) == {"n": n, "ok": True}
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_rotation_conjugation_rejects_wrong_rotation(n, monkeypatch):
+    F = build_field(n)
+    g = generators(F)
+    monkeypatch.setattr(group, "generators", lambda field: g._replace(B=g.B.inverse()))
+    with pytest.raises(ConsistencyError, match="P B != beta P"):
+        rotation_conjugation_check(F)
 
 
 def test_rotation_conjugation_n4_entry():

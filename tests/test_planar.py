@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from trianglecf.errors import DomainError
+from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import build_field
-from trianglecf.group import digit_matrix, y_matrix
+from trianglecf.group import INFINITY, digit_matrix, y_matrix
 from trianglecf.dynamics import branch, build_orbit_tables, eps0
 from trianglecf.planar import (
     PlanarRegion,
@@ -17,6 +17,8 @@ from trianglecf.planar import (
     T_inverse,
     T_step,
     _check_band_tiling,
+    _check_measure,
+    _cylinder_pieces,
     acceleration_fiber_top,
     build_gamma,
     build_heights,
@@ -131,10 +133,29 @@ def test_hyperbola_corner_excluded():
 
 @pytest.mark.parametrize("n", (4, 5, 6, 7, 8))
 def test_bijectivity(n):
+    # the tiling and every piece's measure are checked exactly inside
     rep = verify_bijectivity(build_field(n))
     assert rep["ok"]
-    assert rep["omega"]["max_piece_measure_deviation"] < 1e-12
-    assert rep["gamma"]["max_piece_measure_deviation"] < 1e-12
+    assert rep["omega"]["ok"] and rep["gamma"]["ok"]
+
+
+@pytest.mark.parametrize("n, finite_pieces", ((5, 9), (16, 20)))
+def test_measure_identity_rejects_y_mapped_by_M(n, finite_pieces):
+    F = build_field(n)
+    checked = 0
+    for region, accelerated in ((build_omega(F), False), (build_gamma(F), True)):
+        for (digit, x1, x2, y1, y2) in _cylinder_pieces(F, region, accelerated, 6, 6):
+            b = branch(F, digit)
+            wrong_y = (b.M.apply(y1), b.M.apply(y2))
+            if INFINITY in wrong_y:
+                continue  # M_k, k >= 1, has its pole at y = 0
+            src = (x1, x2, y1, y2)
+            X = (b.M.apply(x1), b.M.apply(x2))
+            _check_measure(src, X + (b.N.apply(y1), b.N.apply(y2)))
+            with pytest.raises(ConsistencyError, match="measure"):
+                _check_measure(src, X + wrong_y)
+            checked += 1
+    assert checked == finite_pieces
 
 
 def test_mu_rect_degenerate_and_domain():
