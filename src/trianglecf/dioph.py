@@ -90,7 +90,6 @@ class ExpansionResult:
     thetas: list      # Theta_0 .. Theta_M  (exact absolute values)
     states: list      # ConvergentState per index
     f_rational: bool = False
-    in_gamma_checked: bool = False
 
     def theta_floats(self):
         return [float(t) for t in self.thetas]
@@ -121,9 +120,7 @@ def expand(
     t = x
     v = field.zero
     res = ExpansionResult(
-        x0=x, digits=[], ts=[t], vs=[v], thetas=[abs(x)], states=[state],
-        in_gamma_checked=check_natural_extension,
-    )
+        x0=x, digits=[], ts=[t], vs=[v], thetas=[abs(x)], states=[state])
     gamma = build_gamma(field) if check_natural_extension else None
     tau = field.tau
     for m in range(1, steps + 1):

@@ -86,10 +86,11 @@ def cylinder_of_g(field: NumberField, x) -> int:
 
 
 def g_step(field: NumberField, x):
-    """One slow-map step: returns (x', digit, matrix) with x' = -k tau + 1 - 1/x."""
+    """One slow-map step: returns (x', digit, matrix) with x' = M x =
+    -k tau + 1 - 1/x."""
     k = cylinder_of_g(field, x)
     M = branch(field, k).M
-    x_new = 1 - field.tau * k - 1 / x
+    x_new = M.apply(x)
     if not (-field.tau <= x_new and x_new < 0):
         raise ConsistencyError("slow map left the interval")
     return x_new, k, M
@@ -128,12 +129,9 @@ def f_step(field: NumberField, x):
     """One accelerated step: (x', digit, matrix); W^j branch lands in [eps0, 0)."""
     k = cylinder_of_f(field, x)
     M = branch(field, k).M
-    if k >= 1:
-        x_new = 1 - field.tau * k - 1 / x
-    else:
-        x_new = M.apply(x)
-        if not (eps0(field) <= x_new and x_new < 0):
-            raise ConsistencyError("accelerated branch missed [eps0, 0)")
+    x_new = M.apply(x)
+    if k < 0 and not (eps0(field) <= x_new and x_new < 0):
+        raise ConsistencyError("accelerated branch missed [eps0, 0)")
     if not (-field.tau <= x_new and x_new < 0):
         raise ConsistencyError("accelerated map left the interval")
     return x_new, k, M

@@ -185,12 +185,9 @@ def induced_step_Y_exact(field: NumberField, y, max_steps: int = 2000):
         t_prev = t
         t, k, M = f_step(field, t)
         word.append(k)
-        if k >= 1:
-            deriv = deriv * (t_prev * t_prev).inverse()
-        else:
-            j = -k
-            den = 1 - field.tau * j * (t_prev + field.tau)
-            deriv = deriv * (den * den).inverse()
+        # M has determinant 1, so M'(t) = 1 / (c t + d)^2
+        den = M.c * t_prev + M.d
+        deriv = deriv * (den * den).inverse()
         if t == -field.tau:
             raise DomainError("f-rational point: orbit reached the parabolic fixed point")
         if y_left <= t and t < 0:

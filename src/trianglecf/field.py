@@ -210,9 +210,6 @@ class _RootBracket:
                 self.hi = mid
         return Enclosure(self.lo, self.hi)
 
-    def enclosure(self) -> Enclosure:
-        return Enclosure(self.lo, self.hi)
-
 
 def _bracket_root_near(poly, approx: float, slack: float = 3e-9) -> _RootBracket:
     lo = Fraction(approx - slack)
@@ -377,12 +374,14 @@ def build_field(n: int) -> NumberField:
 
 
 class _ExactReal:
-    """Order and derived operations shared by exact real values.
+    """Order, real embedding and derived operations shared by exact reals.
 
     A subclass supplies _coerce (the operand as its own type, or None when
     it does not handle that type), the ring operations, inverse, sign and
-    floor.  The order is the one pulled back from the real embedding,
-    decided by the exact sign of the difference.
+    embed_raw(p), a certified enclosure whose width shrinks as p grows.
+    The order is the one pulled back from the real embedding, decided by
+    the exact sign of the difference.  embed, floor and float refine
+    embed_raw in one _refine run each.
     """
 
     __slots__ = ()
@@ -424,6 +423,31 @@ class _ExactReal:
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
+
+    def embed(self, precision: int = 53) -> Enclosure:
+        """Enclosure of width <= 2^(1-precision) * max(1, |value|)."""
+        if precision < 16:
+            raise DomainError("precision must be at least 16 bits")
+
+        def decide(p):
+            enc = self.embed_raw(p)
+            return (enc if _is_tight(enc, precision) else None), enc
+
+        return _refine(decide, max(precision + 8, 64),
+                       "embedding did not converge at {bits} bits")
+
+    def __float__(self):
+        return float(self.embed(53))
+
+    def floor(self) -> int:
+        # the value is an integer only if it is rational, and then
+        # embed_raw is a point, so this terminates
+        def decide(p):
+            enc = self.embed_raw(p)
+            f_lo = math.floor(enc.lo)
+            return (f_lo if f_lo == math.floor(enc.hi) else None), enc
+
+        return _refine(decide, 64, "floor undecided")
 
     def ceil(self) -> int:
         return -((-self).floor())
@@ -595,47 +619,18 @@ class FieldElement(_ExactReal):
         return _refine(decide, 64, "sign undecided at {bits} bits")
 
     def embed_raw(self, precision: int) -> Enclosure:
-        """Evaluate at a lambda-enclosure of the given width exponent.
+        """Evaluate at a lambda-enclosure of the given width exponent; a
+        rational is its own point enclosure and leaves lambda untouched.
 
-        The result width scales with the coefficients; embed(), floor() and
-        the sign test refine this primitive through _refine().  The lambda
+        The result width scales with the coefficients.  The lambda
         enclosure is shared and narrowed in place (see lambda_enclosure),
         so the result for a given precision depends on earlier calls on
         this field in the process.
         """
-        return _eval_interval(self.num, self.den, self.field.lambda_enclosure(precision))
-
-    def embed(self, precision: int = 53) -> Enclosure:
-        """Enclosure of width <= 2^(1-precision) * max(1, |value|)."""
-        if precision < 16:
-            raise DomainError("precision must be at least 16 bits")
         if self.is_rational():
-            c = self.as_fraction()
+            c = Fraction(self.num[0], self.den)
             return Enclosure(c, c)
-
-        def decide(p):
-            enc = self.embed_raw(p)
-            return (enc if _is_tight(enc, precision) else None), enc
-
-        return _refine(decide, max(precision + 8, 64),
-                       "embedding did not converge at {bits} bits")
-
-    def __float__(self):
-        if self.is_rational():
-            return self.num[0] / self.den
-        return float(self.embed(53))
-
-    def floor(self) -> int:
-        if self.is_rational():
-            return self.num[0] // self.den
-
-        # a non-rational element is never an integer, so this terminates
-        def decide(p):
-            enc = self.embed_raw(p)
-            f_lo = math.floor(enc.lo)
-            return (f_lo if f_lo == math.floor(enc.hi) else None), enc
-
-        return _refine(decide, 64, "floor undecided")
+        return _eval_interval(self.num, self.den, self.field.lambda_enclosure(precision))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement) and other.field.n != self.field.n:

@@ -143,7 +143,7 @@ class PlanarRegion:
             if lo < hi:
                 yield s, lo, hi
 
-    def to_json(self, shadow_bits: int = 53):
+    def to_json(self):
         rect_list = []
         for r in self.rects():
             rect_list.append(

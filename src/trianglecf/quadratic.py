@@ -10,17 +10,18 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .field import Enclosure, FieldElement, NumberField, _ExactReal, _is_tight, _refine
+from .field import Enclosure, FieldElement, NumberField, _ExactReal, _iv_mul, _refine
 
 
 def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
-    """Certified rational enclosure of sqrt of a nonnegative enclosure."""
-    if x.lo < 0:
-        raise DomainError("square root of a possibly-negative value")
+    """Certified rational enclosure of sqrt over [max(x.lo, 0), x.hi], so
+    of sqrt(D) for any D >= 0 in x."""
+    if x.hi < 0:
+        raise DomainError("negative discriminant has no real embedding")
     scale = 1 << (2 * precision)
 
     def lower(q: Fraction) -> Fraction:
-        m = (q.numerator * scale) // q.denominator
+        m = max(q.numerator * scale // q.denominator, 0)
         return Fraction(math.isqrt(m), 1 << precision)
 
     def upper(q: Fraction) -> Fraction:
@@ -126,40 +127,14 @@ class QuadExt(_ExactReal):
             return hash(self.u)
         return hash((self.u, self.v, self.disc))
 
-    def embed(self, precision: int = 53) -> Enclosure:
-        def decide(p):
-            eu = self.u.embed_raw(p)
-            ev = self.v.embed_raw(p)
-            ed = self.disc.embed_raw(p)
-            if ed.lo < 0:
-                if ed.hi < 0:
-                    raise DomainError("negative discriminant has no real embedding")
-                return None, None
-            sq = _sqrt_enclosure(ed, p)
-            lo = min(ev.lo * sq.lo, ev.lo * sq.hi, ev.hi * sq.lo, ev.hi * sq.hi)
-            hi = max(ev.lo * sq.lo, ev.lo * sq.hi, ev.hi * sq.lo, ev.hi * sq.hi)
-            enc = Enclosure(eu.lo + lo, eu.hi + hi)
-            return (enc if _is_tight(enc, precision) else None), None
-
-        return _refine(decide, max(precision + 8, 64),
-                       "quadratic embedding did not converge")
-
-    def __float__(self):
-        return float(self.embed(53))
-
-    def floor(self) -> int:
-        if self.v.is_zero():
-            return self.u.floor()
-
-        def decide(p):
-            enc = self.embed(p)
-            f_lo, f_hi = math.floor(enc.lo), math.floor(enc.hi)
-            if f_lo == f_hi:
-                return f_lo, enc
-            # f_hi is the candidate integer inside the enclosure
-            return (f_hi if self == f_hi else None), enc
-
-        return _refine(decide, 64, "floor undecided")
+    def embed_raw(self, precision: int) -> Enclosure:
+        """u + v sqrt(D) over p-bit enclosures of u, v and D.  While D's
+        enclosure straddles zero, sqrt(D) is enclosed in [0, sqrt(D_hi)]."""
+        eu = self.u.embed_raw(precision)
+        ev = self.v.embed_raw(precision)
+        sq = _sqrt_enclosure(self.disc.embed_raw(precision), precision)
+        lo, hi = _iv_mul(ev.lo, ev.hi, sq.lo, sq.hi)
+        return Enclosure(eu.lo + lo, eu.hi + hi)
 
     def __repr__(self):
         return (
@@ -192,16 +167,16 @@ def solve_fixed_points(M) -> tuple:
     )
 
 
-def compare_numeric(a, b, start_bits: int = 80):
+def compare_numeric(a, b):
     """Order two real algebraic values living in different extensions.
 
     a and b are FieldElement or QuadExt values.  Returns -1 or +1, refining
-    both enclosures until they separate.  Equal values never separate, so
-    they raise PrecisionExhausted at the precision cap, as does any pair
-    closer than the cap can resolve.
+    both enclosures from 80 bits until they separate.  Equal values never
+    separate, so they raise PrecisionExhausted at the precision cap, as
+    does any pair closer than the cap can resolve.
     """
     def decide(p):
-        ea, eb = a.embed(p), b.embed(p)
+        ea, eb = a.embed_raw(p), b.embed_raw(p)
         if ea.hi < eb.lo:
             order = -1
         elif eb.hi < ea.lo:
@@ -210,4 +185,4 @@ def compare_numeric(a, b, start_bits: int = 80):
             order = None
         return order, (ea, eb)
 
-    return _refine(decide, start_bits, "comparison undecided")
+    return _refine(decide, 80, "comparison undecided")

@@ -41,6 +41,9 @@ COMMANDS += [
     ("expand", "--n", "13", "--x", "random:1", "--steps", "10", "--seed", "0"),
     ("verify", "--n", "13"),
     ("orbit", "--n", "16", "--table", "eps"),
+    # the CLI commands that order quadratic points through compare_numeric
+    ("periodic", "--n", "5", "--j-max", "10"),
+    ("periodic", "--n", "8", "--j-max", "4"),
 ]
 
 

@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from trianglecf import field as field_module, quadratic as quadratic_module
 from trianglecf.errors import DomainError
 from trianglecf.field import build_field
 from trianglecf.group import digit_matrix
@@ -44,6 +46,10 @@ def test_embedding_and_floor():
     y = QuadExt(F, 3, F.zero, D)
     assert y.floor() == 3
     assert y.ceil() == 3
+    with pytest.raises(DomainError):
+        x.embed(8)
+    with pytest.raises(DomainError):
+        float(QuadExt(F, 1, 1, -2))  # no real embedding
 
 
 def test_comparisons_mixed_with_field():
@@ -127,3 +133,62 @@ def test_mobius_apply_preserves_extension():
     assert isinstance(y, QuadExt)
     back = M.inverse().apply(y)
     assert (back - x).is_zero()
+
+
+def test_every_exact_decision_is_one_refinement_run(monkeypatch):
+    # count how deep _refine runs nest, in both modules that call it
+    depth = peak = 0
+    refine = field_module._refine
+
+    def counted(*args):
+        nonlocal depth, peak
+        depth += 1
+        peak = max(peak, depth)
+        try:
+            return refine(*args)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(field_module, "_refine", counted)
+    monkeypatch.setattr(quadratic_module, "_refine", counted)
+    F = build_field(5)
+    r_plus, r_minus, _ = solve_fixed_points(digit_matrix(F, 3))
+    decisions = {
+        "QuadExt.floor": r_plus.floor,
+        "QuadExt.embed": r_plus.embed,
+        "float(QuadExt)": lambda: float(r_minus),
+        "compare_numeric": lambda: compare_numeric(r_minus, F.lam),
+        "FieldElement.floor": (F.tau * 3).floor,
+    }
+    for name, decide in decisions.items():
+        peak = 0
+        decide()
+        assert peak == 1, name
+
+
+@st.composite
+def exact_reals(draw):
+    """A FieldElement with small rational coefficients, or a fixed point
+    of a product of one or two slow-map digit matrices shifted by an
+    integer, over a field of degree 2 to 6."""
+    F = build_field(draw(st.sampled_from((4, 5, 7, 13))))
+    if draw(st.booleans()):
+        coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=20),
+                          min_size=F.degree, max_size=F.degree)
+        return F.element(draw(coeffs))
+    M = digit_matrix(F, draw(st.integers(2, 6)))
+    if draw(st.booleans()):
+        M = M * digit_matrix(F, draw(st.integers(2, 6)))
+    root = solve_fixed_points(M)[draw(st.integers(0, 1))]
+    return root + draw(st.integers(-3, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(exact_reals())
+def test_floor_and_float_agree_with_the_exact_value(x):
+    k = x.floor()
+    assert k <= x and x < k + 1
+    # float(x) rounds a point of x.embed(53), and rounding is monotone
+    f = float(x)
+    enc = x.embed(53)
+    assert float(enc.lo) <= f <= float(enc.hi)
