@@ -4,9 +4,18 @@ Exact arithmetic over the trace field Q(2cos(pi/n)), the slow and
 accelerated interval maps with their planar natural extensions and
 invariant measure, approximant/Diophantine machinery, and experiment
 runners for the measure-theoretic and transcendence properties.
+
+The package has two lanes.  The exact lane (`errors`, `field`, `group`,
+`quadratic`, `dynamics`, `planar`, `dioph`, `verify`) never loads numpy,
+and its public names are imported here.  The float lane (`numeric`,
+`ergodic`) is numpy's only user.  Its public names are in `__all__` too,
+but the module `__getattr__` below imports the lane the first time one of
+them is asked for, once per process.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .errors import ConsistencyError, DomainError, PrecisionExhausted, TriangleCFError
 from .field import (
@@ -58,16 +67,22 @@ from .dioph import (
     theta_fn,
     transcendence_indicator,
 )
-from .ergodic import (
-    AdmissibilityResult,
-    adler_scan,
-    cylinder_interval,
-    induced_step_Y,
-    is_admissible,
-    is_realizable,
-    observed_words,
-)
-from .numeric import birkhoff_experiment, borel_scan, convergence_scan, uniform_distribution_experiment
+
+# public name -> the float-lane module that defines it
+_FLOAT_LANE = {
+    "borel_scan": "numeric",
+    "convergence_scan": "numeric",
+    "birkhoff_experiment": "numeric",
+    "uniform_distribution_experiment": "numeric",
+    "adler_scan": "ergodic",
+    "observed_words": "ergodic",
+    "induced_step_Y": "ergodic",
+    "is_admissible": "ergodic",
+    "is_realizable": "ergodic",
+    "cylinder_interval": "ergodic",
+    "AdmissibilityResult": "ergodic",
+}
+_FLOAT_MODULES = ("numeric", "ergodic")
 
 __all__ = [
     "__version__",
@@ -90,3 +105,20 @@ __all__ = [
     "uniform_distribution_experiment", "birkhoff_experiment",
     "borel_scan", "convergence_scan",
 ]
+
+
+def __getattr__(name):
+    """Load the float lane on the first use of one of its names.
+
+    Binds every float-lane name (and the `numeric` and `ergodic` submodules,
+    which the import binds) into the package, so Python never calls this
+    again for them."""
+    if name not in _FLOAT_LANE and name not in _FLOAT_MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    for attr, module in _FLOAT_LANE.items():
+        globals()[attr] = getattr(importlib.import_module(f".{module}", __name__), attr)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,9 @@ import random
 import sys
 from fractions import Fraction
 
+# the float-lane commands reach numeric and ergodic through the package,
+# which imports them (and numpy) on first use
+import trianglecf
 from . import __version__
 from .errors import ConsistencyError, DomainError, PrecisionExhausted
 from .field import build_field, get_precision_cap, random_interval_point, set_precision_cap
@@ -27,13 +30,6 @@ from .dioph import (
     periodic_point,
     transcendence_indicator,
 )
-from .numeric import (
-    birkhoff_experiment,
-    borel_scan,
-    convergence_scan,
-    uniform_distribution_experiment,
-)
-from .ergodic import adler_scan, observed_words
 from .verify import verify_one
 
 
@@ -254,7 +250,7 @@ def cmd_scan_borel(args):
         payload = {"mode": "single", "x": args.x, "rows": rows,
                    "f_rational": res.f_rational}
         return 0, _envelope("scan-borel", n, args.seed, payload)
-    rep = borel_scan(field, args.samples, args.steps, args.seed, args.tol)
+    rep = trianglecf.borel_scan(field, args.samples, args.steps, args.seed, args.tol)
     ok = rep["violations"] == 0
     return (0 if ok else 1), _envelope("scan-borel", n, args.seed,
                                        {"mode": "batch", **rep, "ok": ok})
@@ -323,11 +319,11 @@ def cmd_ergodic_test(args):
     field = _field_for(args)
     _at_least(args.steps, "--steps", 1)
     _at_least(args.cells, "--cells", 1)
-    uni = uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
-    adler = adler_scan(field, args.samples, args.seed + 1)
-    birk = birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
-    words = observed_words(field, samples=min(args.samples, 2000), length=50,
-                           seed=args.seed + 3)
+    uni = trianglecf.uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
+    adler = trianglecf.adler_scan(field, args.samples, args.seed + 1)
+    birk = trianglecf.birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
+    words = trianglecf.observed_words(field, samples=min(args.samples, 2000), length=50,
+                                      seed=args.seed + 3)
     payload = {
         "N": args.steps,
         "cells": uni["cells"],
@@ -350,7 +346,7 @@ def cmd_ergodic_test(args):
 
 def cmd_convergence(args):
     field = _field_for(args)
-    rep = convergence_scan(field, args.samples, args.steps, args.seed)
+    rep = trianglecf.convergence_scan(field, args.samples, args.steps, args.seed)
     ok = rep["all_converged"] and rep["max_v"] <= rep["tau"] + 1e-12 and rep["delta"] > 0
     return (0 if ok else 1), _envelope("convergence", field.n, args.seed,
                                        {**rep, "ok": ok})

@@ -9,9 +9,11 @@ both maps is checked by exact corner-tiling, not numerically.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
@@ -112,11 +114,20 @@ class Rect:
 
 
 class PlanarRegion:
-    """Finite union of slabs; membership is decided by exact sign tests."""
+    """Finite union of slabs; membership is decided by exact sign tests.
+
+    The slabs are nonempty and tile one x-interval from left to right: each
+    slab's x_hi is the next slab's x_lo."""
 
     def __init__(self, name: str, slabs):
         self.name = name
         self.slabs = list(slabs)
+        for s in self.slabs:
+            if not s.x_lo < s.x_hi:
+                raise ConsistencyError(f"{name}: a slab is empty")
+        for s, t in zip(self.slabs, self.slabs[1:]):
+            if s.x_hi != t.x_lo:
+                raise ConsistencyError(f"{name}: slabs are not contiguous in x")
 
     def rects(self):
         out = []
@@ -136,8 +147,12 @@ class PlanarRegion:
 
     def overlay(self, a, b):
         """(slab, lo, hi) for each slab meeting [a, b), in slab order, where
-        [lo, hi) is the part of [a, b) over that slab."""
-        for s in self.slabs:
+        [lo, hi) is the part of [a, b) over that slab.  The slabs left of
+        the one holding a, and those from b on, are not visited."""
+        first = max(bisect_right(self.slabs, a, key=attrgetter("x_lo")) - 1, 0)
+        for s in self.slabs[first:]:
+            if not s.x_lo < b:
+                return
             lo = max(a, s.x_lo)
             hi = min(b, s.x_hi)
             if lo < hi:

@@ -44,6 +44,10 @@ COMMANDS += [
     # the CLI commands that order quadratic points through compare_numeric
     ("periodic", "--n", "5", "--j-max", "10"),
     ("periodic", "--n", "8", "--j-max", "4"),
+    # the float lane, reached through the package's deferred load
+    ("scan-borel", "--n", "5", "--samples", "200", "--steps", "100"),
+    ("ergodic-test", "--n", "5", "--steps", "20000", "--samples", "200", "--cells", "20"),
+    ("convergence", "--n", "5", "--samples", "50", "--steps", "100"),
 ]
 
 

@@ -1,5 +1,6 @@
-"""Every import in the library sits at the top of its module, and the
-library loads no test-only package.
+"""Every import in the library sits at the top of its module, the library
+loads no test-only package, and the exact lane imports nothing of the
+float lane.
 
 An import inside a function runs its lookup on every call, which costs
 more than the rest of a small hot function such as the float lane's step.
@@ -15,6 +16,9 @@ import trianglecf
 
 SOURCES = sorted(Path(trianglecf.__file__).parent.glob("*.py"))
 SRC = Path(trianglecf.__file__).resolve().parent.parent
+EXACT_LANE = ("errors", "field", "group", "quadratic", "dynamics", "planar",
+              "dioph", "verify")
+FLOAT_LANE = ("numeric", "ergodic")
 
 
 def _imports_in_functions(path):
@@ -41,3 +45,38 @@ def test_cli_does_not_load_mpmath():
         [sys.executable, "-c",
          "import trianglecf.cli, sys; assert 'mpmath' not in sys.modules"],
         env=env, check=True)
+
+
+def _float_lane_imports(path):
+    """Import statements in `path` that would load numpy or a float-lane
+    module."""
+    def float_lane(module):
+        top = module.split(".")[0]
+        return top == "numpy" or module in {f"trianglecf.{m}" for m in FLOAT_LANE}
+
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = "trianglecf" if node.level else ""
+            module = ".".join(filter(None, [base, node.module]))
+            names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+        else:
+            continue
+        if any(float_lane(name) for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_exact_lane_imports_nothing_of_the_float_lane():
+    # numpy loads on the first use of a float-lane name, through the
+    # package's __getattr__; an eager import here would load it always
+    package = Path(trianglecf.__file__).parent
+    paths = [package / f"{m}.py" for m in (*EXACT_LANE, "__init__", "cli")]
+    assert all(path.is_file() for path in paths)
+    found = [hit for path in paths for hit in _float_lane_imports(path)]
+    assert found == []
+    # the check itself sees the imports the float lane does make
+    assert _float_lane_imports(package / "ergodic.py")

@@ -382,3 +382,44 @@ def test_overlay_clips_to_each_slab_in_order():
     (s, lo, hi), = gamma.overlay(e0, mid)
     assert s is gamma.slabs[1] and lo == e0 and hi == mid
     assert list(gamma.overlay(mid, mid)) == []
+
+
+def test_region_rejects_unsorted_gapped_or_empty_slabs():
+    F = build_field(5)
+    fib = ((F.zero, F.one),)
+    half = F.from_fraction(Fraction(-1, 2))
+    left, right = Slab(-F.tau, half, fib), Slab(half, F.zero, fib)
+    PlanarRegion("ok", [left, right])
+    with pytest.raises(ConsistencyError):
+        PlanarRegion("unsorted", [right, left])
+    with pytest.raises(ConsistencyError):
+        PlanarRegion("gapped", [left, Slab(half / 2, F.zero, fib)])
+    with pytest.raises(ConsistencyError):
+        PlanarRegion("empty", [Slab(half, half, fib), right])
+
+
+def _linear_overlay(region, a, b):
+    # every slab compared against [a, b)
+    for s in region.slabs:
+        lo = max(a, s.x_lo)
+        hi = min(b, s.x_hi)
+        if lo < hi:
+            yield s, lo, hi
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_overlay_matches_a_linear_scan(n):
+    F = build_field(n)
+    for region in (build_omega(F), build_gamma(F)):
+        cuts = [s.x_lo for s in region.slabs] + [F.zero]
+        mids = [(lo + hi) / 2 for lo, hi in zip(cuts, cuts[1:])]
+        cylinders = [(branch(F, k).lo, branch(F, k).hi)
+                     for k in (*range(-3, 0), *range(1, 4))]
+        outside = [-F.tau - 1, F.one]
+        points = cuts + mids + outside
+        queries = cylinders + [(a, b) for a in points[::3] for b in points[1::3]]
+        for a, b in queries:
+            fast = list(region.overlay(a, b))
+            slow = list(_linear_overlay(region, a, b))
+            assert len(fast) == len(slow)
+            assert all(x is y for f, s in zip(fast, slow) for x, y in zip(f, s))
