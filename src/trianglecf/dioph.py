@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
-from .dynamics import branch, cylinder_of_f, f_step
+from .dynamics import branch, cylinder_of_f, digit_of
 from .group import Mobius
 from .planar import (
     T_inverse,
@@ -85,11 +86,21 @@ def theta_fn(x, y):
 class ExpansionResult:
     x0: object
     digits: list
-    ts: list          # t_0 .. t_M
-    vs: list          # v_0 .. v_M
     thetas: list      # Theta_0 .. Theta_M  (exact absolute values)
     states: list      # ConvergentState per index
     f_rational: bool = False
+
+    @cached_property
+    def ts(self) -> list:
+        """t_0 .. t_M, t_m = P_m x0, built on the first read with one
+        inversion per step."""
+        return [st.matrix.apply(self.x0) for st in self.states]
+
+    @cached_property
+    def vs(self) -> list:
+        """v_0 .. v_M, v_m = q_{m-1}/q_m, built on the first read with one
+        inversion of q_m per step."""
+        return [st.v() for st in self.states]
 
     def theta_floats(self):
         return [float(t) for t in self.thetas]
@@ -103,6 +114,10 @@ class ExpansionResult:
         return out
 
 
+def _equal_up_to_sign(a, b) -> bool:
+    return a == b or a == -b
+
+
 def expand(
     field: NumberField,
     x,
@@ -111,54 +126,56 @@ def expand(
 ) -> ExpansionResult:
     """Exact accelerated expansion with the full theta cross-check.
 
-    x is an element of K, or of K(sqrt D) for a quadratic point.  The
-    three theta computations (direct, via (t, v), and via the successor
-    step where the branch has the continued-fraction shape) are exact
-    identities; any disagreement raises ConsistencyError.
+    x is an element of K, or of K(sqrt D) for a quadratic point.  With
+    P_m = [[q, -p], [-q_prev, p_prev]] the running product, t_m = P_m x =
+    A/B for A = q x - p and B = p_prev - q_prev x.  The loop carries the
+    q-scaled forms qA and qB, of size about 1: |qA| is Theta_m, and the
+    next digit is decided from the signs of linear combinations of qA and
+    qB (dynamics.digit_of), so no step divides.  The v-recurrence, the
+    (t, v) and successor forms of Theta and the reconstruction of x are
+    asserted as cross-multiplied identities; any disagreement raises
+    ConsistencyError.  t_m and v_m are built only when read
+    (ExpansionResult.ts, .vs).
     """
     state = ConvergentState.initial(field)
-    t = x
-    v = field.zero
-    res = ExpansionResult(
-        x0=x, digits=[], ts=[t], vs=[v], thetas=[abs(x)], states=[state])
+    res = ExpansionResult(x0=x, digits=[], thetas=[abs(x)], states=[state])
     gamma = build_gamma(field) if check_natural_extension else None
-    tau = field.tau
+    qA, qB = x, field.one
     for m in range(1, steps + 1):
-        if t == -tau:
+        k = digit_of(field, qA, qB)
+        if k is None:
             res.f_rational = True
             break
-        t_new, k, M = f_step(field, t)
-        state_new = state.advance(M)
-        v_new = state_new.v()
-        # v must follow the second-coordinate matrix action
-        v_matrix = branch(field, k).N.apply(v)
-        if v_new != v_matrix:
-            raise ConsistencyError("v-recurrence disagrees with matrix action")
-        # direct Theta_m vs the (t, v) formula: identical by the
-        # determinant-one algebra, asserted exactly
+        b = branch(field, k)
+        state_new = state.advance(b.M)
         P = state_new.matrix
-        theta_direct = abs(P.a * (P.a * x + P.b))
-        theta_tv = abs(theta_fn(t_new, v_new))
-        if theta_direct != theta_tv:
+        q, q_prev, p, p_prev = P.a, -P.c, -P.b, P.d
+        qA, qB = q * (P.a * x + P.b), q * (P.c * x + P.d)
+        theta = abs(qA)
+        # v = q_prev/q must follow the second-coordinate action N v
+        N, q0, q0_prev = b.N, state.q, state.q_prev
+        if (N.a * q0_prev + N.b * q0) * q != q_prev * (N.c * q0_prev + N.d * q0):
+            raise ConsistencyError("v-recurrence disagrees with matrix action")
+        # with t = A/B and v = q_prev/q, 1 + t v = D / (q qB) for
+        # D = q qB + q_prev qA, which the determinant makes equal to q
+        D = q * qB + q_prev * qA
+        # Theta_m = |t/(1 + t v)| = |q qA / D|
+        if not _equal_up_to_sign(theta * D, q * qA):
             raise ConsistencyError("direct and planar theta disagree")
-        # successor form of Theta_{m-1} where the new branch is A^-k C
-        if k >= 1:
-            theta_bis = abs(v_new / (1 + t_new * v_new))
-            prev = res.thetas[-1]
-            if theta_bis != prev:
-                raise ConsistencyError("successor theta form disagrees")
-        # reconstruction: x recovered from t_m through the inverse matrix
-        rec = state_new.reconstruct(t_new)
-        if rec != x:
+        # successor form of Theta_{m-1} where the new branch is A^-k C:
+        # |v/(1 + t v)| = |q_prev qB / D|
+        if k >= 1 and not _equal_up_to_sign(res.thetas[-1] * D, q_prev * qB):
+            raise ConsistencyError("successor theta form disagrees")
+        # reconstruction: x = (p_prev t + p)/(q_prev t + q) = (p_prev qA + p qB) / D
+        if x * D != p_prev * qA + p * qB:
             raise ConsistencyError("reconstruction identity failed")
         if gamma is not None:
+            t_new, v_new = P.apply(x), state_new.v()
             if not gamma.contains(t_new, v_new):
                 raise ConsistencyError("(t, v) left the natural-extension domain")
-        state, t, v = state_new, t_new, v_new
+        state = state_new
         res.digits.append(k)
-        res.ts.append(t)
-        res.vs.append(v)
-        res.thetas.append(theta_tv)
+        res.thetas.append(theta)
         res.states.append(state)
     return res
 

@@ -7,6 +7,7 @@ W^j step, which is what makes the invariant measure finite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -68,21 +69,92 @@ def branch(field: NumberField, k: int) -> Branch:
     return Branch(k, M, y_matrix(field, k), lo, hi, M.apply(lo))
 
 
-def _require_in_interval(field: NumberField, x) -> None:
-    lo = -field.tau
-    if not (lo <= x and x < 0):
-        raise DomainError(f"point {x!r} outside [-tau, 0)")
+def _digit_at(s: int) -> int:
+    """The digit at position s when the accelerated map's cylinders are
+    numbered left to right on [-tau, 0): ..., -2, -1, 1, 2, ... sit at
+    positions ..., -1, 0, 1, 2, ..."""
+    return s if s >= 1 else s - 1
+
+
+def _guess_position(field: NumberField, A, B) -> int:
+    """Position of the cylinder that holds the float estimate of A/B, or
+    that of digit 1 when the estimate cannot be trusted.
+
+    The estimates are the coefficients times the float powers of lambda
+    (_float_estimate), so the guess reads no enclosure of lambda."""
+    ea, eb = A._float_estimate(), B._float_estimate()
+    if ea is None or eb is None or abs(ea[0]) <= ea[1] or abs(eb[0]) <= eb[1]:
+        return 1
+    t = ea[0] / eb[0]
+    tau = field.tau._float_estimate()[0]
+    try:
+        if t >= eps0(field)._float_estimate()[0]:
+            # (1 - 1/t)/tau = (t - 1)/(t tau) lies in [k - 1, k)
+            return math.floor((t - 1.0) / (t * tau)) + 1
+        # j = ceil(-t/(tau^2 (tau + t))) - 1 sits at position 1 - j
+        return 2 - math.ceil(-t / (tau * tau * (tau + t)))
+    except (ArithmeticError, ValueError):
+        return 1
+
+
+def digit_of(field: NumberField, A, B):
+    """Digit k of the accelerated map at t = A/B, decided by signs alone.
+
+    A and B are exact reals (FieldElement or QuadExt) with B != 0, and k
+    is the digit with branch(field, k).lo <= t < branch(field, k).hi.
+    Returns None at the parabolic fixed point t = -tau, which lies in no
+    cylinder; raises DomainError unless -tau <= t < 0.
+
+    t is never formed.  Its float estimate names a first cylinder, and the
+    exact sign of A - e B, for a cylinder end e, tells on which side of e
+    the point t lies.  The search walks to the neighbouring cylinder until
+    both ends of one hold t, doubling its stride while it keeps walking
+    one way and then bisecting, so a poor guess costs a logarithmic
+    number of tests (Gosper, HAKMEM item 101B; Vuillemin, IEEE Trans.
+    Computers 39(8), 1990).
+    """
+    s_b = B.sign()
+    if s_b == 0:
+        raise DomainError("zero denominator")
+    s_left = (A + field.tau * B).sign() * s_b
+    if s_left < 0 or A.sign() * s_b >= 0:
+        raise DomainError(f"point {A!r} / {B!r} outside [-tau, 0)")
+    if s_left == 0:
+        return None
+
+    def at_or_right_of(pos):
+        # lo <= t for the cylinder at this position
+        return (A - branch(field, _digit_at(pos)).lo * B).sign() * s_b >= 0
+
+    # lo_pos holds a cylinder whose lo is <= t, hi_pos one whose lo is > t
+    pos = _guess_position(field, A, B)
+    stride = 1
+    if at_or_right_of(pos):
+        lo_pos = pos
+        while at_or_right_of(lo_pos + stride):
+            lo_pos += stride
+            stride *= 2
+        hi_pos = lo_pos + stride
+    else:
+        hi_pos = pos
+        while not at_or_right_of(hi_pos - stride):
+            hi_pos -= stride
+            stride *= 2
+        lo_pos = hi_pos - stride
+    while hi_pos - lo_pos > 1:
+        mid = (lo_pos + hi_pos) // 2
+        if at_or_right_of(mid):
+            lo_pos = mid
+        else:
+            hi_pos = mid
+    return _digit_at(lo_pos)
 
 
 def cylinder_of_g(field: NumberField, x) -> int:
-    """Digit k >= 1 with x in the half-open cylinder of the slow map."""
-    _require_in_interval(field, x)
-    # x in Delta_k  iff  (1 - 1/x)/tau = (x - 1)/(x tau) in [k-1, k)
-    w = (x - 1) / (x * field.tau)
-    k = w.floor() + 1
-    if k < 1:
-        raise ConsistencyError("cylinder index below 1")
-    return k
+    """Digit k >= 1 with x in the half-open cylinder of the slow map: the
+    accelerated digit, or 1 on [-tau, eps0), the slow map's first cylinder."""
+    k = digit_of(field, x, field.one)
+    return 1 if k is None or k < 1 else k
 
 
 def g_step(field: NumberField, x):
@@ -104,25 +176,18 @@ def j_of(field: NumberField, x) -> int:
     tau = field.tau
     if not (-tau < x and x < eps0(field)):
         raise DomainError("point outside the accelerated region")
-    # -1/tau^2 + 1/(tau (tau + x)) = -x/(tau^2 (tau + x))
-    expr = -x / (tau * tau * (tau + x))
-    j = expr.ceil() - 1
-    if j < 1:
+    k = digit_of(field, x, field.one)
+    if k is None or k >= 0:
         raise ConsistencyError("acceleration exponent below 1")
-    return j
+    return -k
 
 
 def cylinder_of_f(field: NumberField, x) -> int:
     """Digit of the accelerated map: k >= 1 above eps0, -j inside the
     parabolic region.  The fixed point -tau itself is treated as a digit-1
     point (W fixes it, so acceleration would never terminate there)."""
-    _require_in_interval(field, x)
-    e0 = eps0(field)
-    if x >= e0:
-        return cylinder_of_g(field, x)
-    if x == -field.tau:
-        return 1
-    return -j_of(field, x)
+    k = digit_of(field, x, field.one)
+    return 1 if k is None else k
 
 
 def f_step(field: NumberField, x):

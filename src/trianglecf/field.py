@@ -591,7 +591,10 @@ class FieldElement(_ExactReal):
         self._sign = s
         return s
 
-    def _sign_fast_float(self):
+    def _float_estimate(self):
+        """(value, error bound) in floats: the coefficients times the float
+        powers of lambda, or None when a term overflows.  It reads neither
+        lambda's bracket nor any enclosure."""
         # c / den is the correctly rounded value of the coefficient
         lam_pows = self.field._lambda_pows_float
         den = self.den
@@ -604,7 +607,13 @@ class FieldElement(_ExactReal):
                 mag += abs(t)
         except OverflowError:
             return None
-        tol = mag * 2.0 ** -45 * (self.field.degree + 2) + 5e-300
+        return val, mag * 2.0 ** -45 * (self.field.degree + 2) + 5e-300
+
+    def _sign_fast_float(self):
+        est = self._float_estimate()
+        if est is None:
+            return None
+        val, tol = est
         if val > tol:
             return 1
         if val < -tol:

@@ -407,11 +407,24 @@ def T_inverse(field: NumberField, point, validate: bool = True):
 # exact bijectivity verification
 # ---------------------------------------------------------------------------
 
-def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi):
-    """Image of one piece under (M_k, N_k); both coordinates map increasingly."""
+def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi, ends: dict):
+    """Image of one piece under (M_k, N_k); both coordinates map increasingly.
+
+    ends memoises the image of each end per (digit, coordinate, end):
+    the pieces of one cylinder share their x ends, and pieces meeting the
+    same heights share their y ends, so each distinct end costs one apply.
+    """
     b = branch(field, digit)
-    nx_lo, nx_hi = b.M.apply(x_lo), b.M.apply(x_hi)
-    ny_lo, ny_hi = b.N.apply(y_lo), b.N.apply(y_hi)
+
+    def image(axis, matrix, end):
+        key = (digit, axis, end)
+        img = ends.get(key)
+        if img is None:
+            img = ends[key] = matrix.apply(end)
+        return img
+
+    nx_lo, nx_hi = image("x", b.M, x_lo), image("x", b.M, x_hi)
+    ny_lo, ny_hi = image("y", b.N, y_lo), image("y", b.N, y_hi)
     if nx_hi is INFINITY or nx_lo is INFINITY:
         raise ConsistencyError("piece crosses a pole of its branch")
     if not nx_lo < nx_hi:
@@ -503,8 +516,9 @@ def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> di
     ):
         pieces = _cylinder_pieces(field, region, accelerated, k_fin, j_fin)
         images = []
+        ends = {}
         for (digit, *src) in pieces:
-            img = _map_piece(field, digit, *src)
+            img = _map_piece(field, digit, *src, ends)
             _check_measure(src, img)
             images.append(img)
 

@@ -127,6 +127,20 @@ class QuadExt(_ExactReal):
             return hash(self.u)
         return hash((self.u, self.v, self.disc))
 
+    def _float_estimate(self):
+        """(value, error bound) of u + v sqrt(D) in floats, from the float
+        estimates of u, v and D (FieldElement._float_estimate); None when
+        one of them overflows."""
+        parts = [e._float_estimate() for e in (self.u, self.v, self.disc)]
+        if None in parts:
+            return None
+        (u, eu), (v, ev), (d, ed) = parts
+        r = math.sqrt(max(d, 0.0))
+        # |sqrt(d + e) - sqrt(d)| <= sqrt(e)
+        r_err = math.sqrt(ed)
+        val = u + v * r
+        return val, eu + ev * (r + r_err) + abs(v) * r_err + 2.0 ** -50 * (abs(u) + abs(v * r))
+
     def embed_raw(self, precision: int) -> Enclosure:
         """u + v sqrt(D) over p-bit enclosures of u, v and D.  While D's
         enclosure straddles zero, sqrt(D) is enclosed in [0, sqrt(D_hi)]."""

@@ -44,6 +44,9 @@ COMMANDS += [
     # the CLI commands that order quadratic points through compare_numeric
     ("periodic", "--n", "5", "--j-max", "10"),
     ("periodic", "--n", "8", "--j-max", "4"),
+    # orbits that land on exact cylinder endpoints and stop at the cusp
+    ("expand", "--n", "5", "--x", "-1", "--steps", "12", "--format", "jsonl"),
+    ("expand", "--n", "8", "--x", "-0.5", "--steps", "12", "--format", "csv"),
     # the float lane, reached through the package's deferred load
     ("scan-borel", "--n", "5", "--samples", "200", "--steps", "100"),
     ("ergodic-test", "--n", "5", "--steps", "20000", "--samples", "200", "--cells", "20"),
