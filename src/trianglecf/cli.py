@@ -108,7 +108,7 @@ def cmd_verify(args):
     results = {}
     ok = True
     for n in ns:
-        rep = verify_one(n, args.k_fin, args.j_fin)
+        rep = verify_one(n)
         results[str(n)] = rep
         ok = ok and rep["ok"]
     payload = {"results": results, "ok": ok}
@@ -259,7 +259,8 @@ def cmd_scan_borel(args):
 def cmd_periodic(args):
     field = _field_for(args)
     if args.j_max is not None:
-        _at_least(args.j_max, "--j-max", 1)
+        # the family report compares the first and the last gap
+        _at_least(args.j_max, "--j-max", 2)
         fam = periodic_family_report(field, args.j_max)
         return (0 if fam["ok"] else 1), _envelope("periodic", field.n, args.seed, fam)
     pp = periodic_point(field, args.j)
@@ -384,8 +385,11 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
             writer.writerow({k: row.get(k) for k in fieldnames})
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -416,8 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="full exact identity suite")
     common(p)
     p.add_argument("--n-range", default=None, help="inclusive range A:B")
-    p.add_argument("--k-fin", type=int, default=6)
-    p.add_argument("--j-fin", type=int, default=6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="exact orbit and height tables")

@@ -157,11 +157,11 @@ def expand(
         if (N.a * q0_prev + N.b * q0) * q != q_prev * (N.c * q0_prev + N.d * q0):
             raise ConsistencyError("v-recurrence disagrees with matrix action")
         # with t = A/B and v = q_prev/q, 1 + t v = D / (q qB) for
-        # D = q qB + q_prev qA, which the determinant makes equal to q
+        # D = q qB + q_prev qA = q det P_m, so Theta_m = |t/(1 + t v)| =
+        # |q qA / D| is the direct |qA| exactly when det P_m = 1
         D = q * qB + q_prev * qA
-        # Theta_m = |t/(1 + t v)| = |q qA / D|
-        if not _equal_up_to_sign(theta * D, q * qA):
-            raise ConsistencyError("direct and planar theta disagree")
+        if D != q:
+            raise ConsistencyError("det P_m != 1: direct and planar theta disagree")
         # successor form of Theta_{m-1} where the new branch is A^-k C:
         # |v/(1 + t v)| = |q_prev qB / D|
         if k >= 1 and not _equal_up_to_sign(res.thetas[-1] * D, q_prev * qB):

@@ -343,19 +343,12 @@ def product_relations_check(field: NumberField) -> dict:
     return {"n": n, "relations": [name for name, _ in relations], "ok": ok}
 
 
-def full_cylinder_check(field: NumberField, k_max: int = 10) -> dict:
-    """g maps each Delta_k, k >= 2, onto the whole interval: the left endpoint
-    goes to -tau and the right endpoint to 0, exactly."""
-    tau = field.tau
-    results = []
-    for k in range(2, k_max + 1):
-        left = cylinder_right_endpoint(field, k - 1)
-        right = cylinder_right_endpoint(field, k)
-        img_left = 1 - tau * k - 1 / left
-        results.append(img_left == -tau)
-        img_right = digit_matrix(field, k).apply(right)
-        results.append(img_right.is_zero())
-    if not all(results):
+def full_cylinder_check(field: NumberField) -> dict:
+    """g maps each Delta_k, 2 <= k <= 10, onto the whole interval: the left
+    endpoint goes to -tau and the right endpoint to 0 (which branch checks
+    when it builds the entry), exactly."""
+    k_max = 10
+    if any(branch(field, k).image_lo != -field.tau for k in range(2, k_max + 1)):
         raise ConsistencyError("full cylinder check failed")
     return {"n": field.n, "k_max": k_max, "ok": True}
 

@@ -200,15 +200,6 @@ def power_B(field: NumberField, j: int) -> Mobius:
     return generators(field).B ** j
 
 
-@lru_cache(maxsize=None)
-def _b_sequence_cache(field: NumberField, k: int) -> FieldElement:
-    if k == 0:
-        return field.zero
-    if k == 1:
-        return field.one
-    return field.lam * _b_sequence_cache(field, k - 1) - _b_sequence_cache(field, k - 2)
-
-
 def b_sequence(field: NumberField, k: int) -> FieldElement:
     """Recurrence B_0 = 0, B_1 = 1, B_{k+1} = lambda B_k - B_{k-1}.
 
@@ -217,7 +208,10 @@ def b_sequence(field: NumberField, k: int) -> FieldElement:
     """
     if k < 0:
         raise DomainError("b_sequence index must be >= 0")
-    return _b_sequence_cache(field, k)
+    b, b_next = field.zero, field.one
+    for _ in range(k):
+        b, b_next = b_next, field.lam * b_next - b
+    return b
 
 
 def _mul2(x, y):

@@ -136,21 +136,24 @@ class PlanarRegion:
                 out.append(Rect(s.x_lo, s.x_hi, lo, hi))
         return out
 
+    def _index_at(self, x) -> int:
+        """Index of the last slab whose x_lo <= x; -1 left of every slab."""
+        return bisect_right(self.slabs, x, key=attrgetter("x_lo")) - 1
+
     def contains(self, x, y) -> bool:
         return any(lo <= y and y <= hi for lo, hi in self.fiber_at(x))
 
     def fiber_at(self, x):
-        for s in self.slabs:
-            if s.x_lo <= x and x < s.x_hi:
-                return s.fibers
-        return ()
+        i = self._index_at(x)
+        if i < 0 or not x < self.slabs[i].x_hi:
+            return ()
+        return self.slabs[i].fibers
 
     def overlay(self, a, b):
         """(slab, lo, hi) for each slab meeting [a, b), in slab order, where
         [lo, hi) is the part of [a, b) over that slab.  The slabs left of
         the one holding a, and those from b on, are not visited."""
-        first = max(bisect_right(self.slabs, a, key=attrgetter("x_lo")) - 1, 0)
-        for s in self.slabs[first:]:
+        for s in self.slabs[max(self._index_at(a), 0):]:
             if not s.x_lo < b:
                 return
             lo = max(a, s.x_lo)
@@ -213,16 +216,14 @@ def build_gamma(field: NumberField) -> PlanarRegion:
         Slab(eps[0], eps[1], ((zero, L(1)),)),
     ]
     for j in range(1, n - 2):
-        lower_top = L(2 * j - 1)
-        if j <= n - 3:
-            slabs.append(
-                Slab(
-                    eps[j],
-                    eps[n - 2 + j],
-                    ((zero, lower_top), (L(2 * j), L(2 * j + 1))),
-                )
+        slabs.append(
+            Slab(
+                eps[j],
+                eps[n - 2 + j],
+                ((zero, L(2 * j - 1)), (L(2 * j), L(2 * j + 1))),
             )
-            slabs.append(Slab(eps[n - 2 + j], eps[j + 1], ((zero, L(2 * j + 1)),)))
+        )
+        slabs.append(Slab(eps[n - 2 + j], eps[j + 1], ((zero, L(2 * j + 1)),)))
     slabs.append(
         Slab(
             eps[n - 2],
@@ -238,19 +239,21 @@ def build_gamma(field: NumberField) -> PlanarRegion:
 
 
 def _check_gamma_in_omega(field: NumberField, gamma: PlanarRegion) -> None:
+    """Each Gamma slab lies under Omega: the Omega slabs over it cover its
+    x-range without a gap, and each of its fibers ends below their tops."""
     omega = build_omega(field)
-    cuts = sorted({s.x_lo for s in omega.slabs} | {s.x_lo for s in gamma.slabs})
-    for g_slab in gamma.slabs:
-        inner = [x for x in cuts if g_slab.x_lo < x and x < g_slab.x_hi]
-        points = [g_slab.x_lo] + inner
-        for x in points:
-            omega_fibers = omega.fiber_at(x)
-            if not omega_fibers:
+    for g in gamma.slabs:
+        cursor = g.x_lo
+        for o, lo, hi in omega.overlay(g.x_lo, g.x_hi):
+            if lo != cursor:
                 raise ConsistencyError("Gamma extends outside Omega in x")
-            top = omega_fibers[-1][1]
-            for (lo, hi) in g_slab.fibers:
-                if not (field.zero <= lo and lo <= hi and hi <= top):
+            top = o.fibers[-1][1]
+            for (y_lo, y_hi) in g.fibers:
+                if not (field.zero <= y_lo and y_lo <= y_hi and y_hi <= top):
                     raise ConsistencyError("Gamma fiber exceeds Omega height")
+            cursor = hi
+        if cursor != g.x_hi:
+            raise ConsistencyError("Gamma extends outside Omega in x")
     # the singular corner of Omega is excluded from Gamma
     tables = build_orbit_tables(field)
     heights = build_heights(field)
@@ -502,11 +505,13 @@ def _distribute_bands(region: PlanarRegion, images) -> dict:
     return bands_by_slab
 
 
-def verify_bijectivity(field: NumberField, k_fin: int = 6, j_fin: int = 6) -> dict:
+def verify_bijectivity(field: NumberField) -> dict:
     """Exact corner-tiling proof that S permutes Omega and T permutes Gamma
     up to measure zero, and that every finite piece keeps its measure
-    dx dy/(1+xy)^2.  The two infinite branch families are truncated and
-    their tails checked against closed-form stack limits."""
+    dx dy/(1+xy)^2.  The two infinite branch families are checked piece by
+    piece up to digits 6 and -6, and their tails against closed-form stack
+    limits."""
+    k_fin = j_fin = 6
     tau = field.tau
     report = {"n": field.n}
 

@@ -14,7 +14,7 @@ from .field import build_field
 from .group import INFINITY, Mobius
 
 
-def verify_one(n: int, k_fin: int = 6, j_fin: int = 6) -> dict:
+def verify_one(n: int) -> dict:
     """Run every check for K = Q(2cos(pi/n)); returns {"checks", "ok"}.
 
     A check that raises ConsistencyError, DomainError or AssertionError is
@@ -66,7 +66,7 @@ def verify_one(n: int, k_fin: int = 6, j_fin: int = 6) -> dict:
     run("region containment and hyperbola corner exclusion",
         lambda: planar.build_gamma(field))
     run("natural-extension corner tilings (slow and accelerated)",
-        lambda: planar.verify_bijectivity(field, k_fin=k_fin, j_fin=j_fin))
+        lambda: planar.verify_bijectivity(field))
     # an exact check; "(numeric)" is pinned by golden digests of verify output
     run("rotation-form conjugation (numeric)",
         lambda: group.rotation_conjugation_check(field))

@@ -51,7 +51,7 @@ def test_criterion_1_exact_identity_suite():
     worst_time = 0.0
     for n in range(4, 17):
         t0 = time.time()
-        rep = verify_one(n, k_fin=6, j_fin=6)
+        rep = verify_one(n)
         elapsed = time.time() - t0
         worst_time = max(worst_time, elapsed)
         failed = [c["name"] for c in rep["checks"] if not c["ok"]]

@@ -140,9 +140,11 @@ def test_periodic_command():
 
 
 def test_periodic_family():
-    proc = run_cli("periodic", "--n", "4", "--j-max", "4")
-    data = json.loads(proc.stdout)
-    assert data["ok"] is True
+    # 2 is the shortest family the first-to-last gap comparison accepts
+    for j_max in ("2", "4"):
+        proc = run_cli("periodic", "--n", "4", "--j-max", j_max)
+        data = json.loads(proc.stdout)
+        assert data["ok"] is True
 
 
 def test_transcendence_q_file(tmp_path):
@@ -255,17 +257,27 @@ def test_precision_flag_validation():
         ("periodic", "--n", "5", "--j-max", "-2"),
         ("ergodic-test", "--n", "5", "--steps", "100", "--cells", "0"),
         ("field", "--n", "5", "--precision", "0"),
+        ("field", "--n", "5", "--out", "{unwritable}"),
+        ("periodic", "--n", "4", "--j-max", "1"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
          "convergence-zero-samples", "ergodic-zero-steps", "negative-steps",
          "coeffs-not-rational", "q-file-bad-line", "negative-j-max", "ergodic-zero-cells",
-         "zero-precision-cap"],
+         "zero-precision-cap", "unwritable-out", "one-point-family"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, args):
     # exit 1 is reserved for a failed identity; bad input must give 2
     bad = tmp_path / "bad.txt"
     bad.write_text("12\nnot-a-number\n")
-    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad) for a in args]
+    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad,
+                     unwritable=tmp_path / "no-such-dir" / "x.json") for a in args]
     proc = run_cli(*argv, expect=2)
     assert proc.stderr.startswith("usage error: "), proc.stderr
+    assert proc.stdout == ""
+
+
+def test_removed_truncation_flag_is_a_usage_error():
+    proc = run_cli("verify", "--n", "5", "--k-fin", "0", expect=2)
+    assert "Traceback" not in proc.stderr
+    assert "unrecognized arguments: --k-fin" in proc.stderr
     assert proc.stdout == ""

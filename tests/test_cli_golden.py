@@ -40,6 +40,9 @@ COMMANDS += [
     # high degree: d = 6 at n=13, d = 4 at n=16
     ("expand", "--n", "13", "--x", "random:1", "--steps", "10", "--seed", "0"),
     ("verify", "--n", "13"),
+    # the remaining verify commands of the benchmark's identity suite
+    ("verify", "--n-range", "4:9"),
+    ("verify", "--n", "16"),
     ("orbit", "--n", "16", "--table", "eps"),
     # the CLI commands that order quadratic points through compare_numeric
     ("periodic", "--n", "5", "--j-max", "10"),

@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from trianglecf.errors import DomainError
+from trianglecf import dioph
+from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import build_field, random_interval_point
-from trianglecf.dynamics import build_orbit_tables, cylinder_right_endpoint
+from trianglecf.group import Mobius
+from trianglecf.dynamics import branch, build_orbit_tables, cylinder_right_endpoint
 from trianglecf.planar import T_digit_of_y, build_gamma, build_heights
 from trianglecf.dioph import (
     ConvergentState,
@@ -294,3 +296,16 @@ def test_theta_bounded_by_gamma_sup():
         for th in res.thetas:
             assert th <= sup
             assert th.sign() > 0  # no vanishing coefficients off the cusps
+
+
+def test_expand_rejects_a_running_product_of_determinant_other_than_one(monkeypatch):
+    # 2 M acts as M does, but det(2 M) = 4 breaks the (t, v) check D = q
+    F = build_field(5)
+
+    def doubled(field, k):
+        b = branch(field, k)
+        return b._replace(M=Mobius(field, *(2 * e for e in b.M.entries()), check=False))
+
+    monkeypatch.setattr(dioph, "branch", doubled)
+    with pytest.raises(ConsistencyError, match="det P_m != 1"):
+        expand(F, F.from_fraction(Fraction(-7, 10)), 5)

@@ -110,6 +110,12 @@ def test_b_sequence_values(n):
         assert abs(float(b_sequence(F, k)) - expect) < 1e-9
 
 
+def test_b_sequence_has_period_2n_at_large_index():
+    # B_{k+n} = -B_k; index 2000 is computed without one stack frame per index
+    F = build_field(7)
+    assert b_sequence(F, 2000) == b_sequence(F, 2000 % 14)
+
+
 def test_b3_golden_identity_n5():
     F = build_field(5)
     assert b_sequence(F, 3) == F.lam * F.lam - 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ from trianglecf.planar import (
     T_inverse,
     T_step,
     _check_band_tiling,
+    _check_gamma_in_omega,
     _check_measure,
     _cylinder_pieces,
     acceleration_fiber_top,
@@ -423,3 +425,41 @@ def test_overlay_matches_a_linear_scan(n):
             slow = list(_linear_overlay(region, a, b))
             assert len(fast) == len(slow)
             assert all(x is y for f, s in zip(fast, slow) for x, y in zip(f, s))
+
+
+def _linear_fiber_at(region, x):
+    for s in region.slabs:
+        if s.x_lo <= x and x < s.x_hi:
+            return s.fibers
+    return ()
+
+
+@pytest.mark.parametrize("n", [5, 16])
+def test_fiber_at_matches_a_linear_scan(n):
+    F = build_field(n)
+    for region in (build_omega(F), build_gamma(F)):
+        ends = [s.x_lo for s in region.slabs] + [F.zero]
+        for x in ends + [-F.tau - 1]:
+            assert region.fiber_at(x) is _linear_fiber_at(region, x)
+        assert region.fiber_at(F.zero) == ()
+        assert region.fiber_at(-F.tau - 1) == ()
+
+
+def _replace_slab(region, i, **change):
+    slabs = list(region.slabs)
+    slabs[i] = dataclasses.replace(slabs[i], **change)
+    return PlanarRegion("gamma", slabs)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_gamma_in_omega_rejects_a_region_outside_omega(n):
+    F = build_field(n)
+    gamma = build_gamma(F)
+    _check_gamma_in_omega(F, gamma)
+    too_high = ((F.zero, F.tau + 1),)
+    with pytest.raises(ConsistencyError, match="exceeds Omega height"):
+        _check_gamma_in_omega(F, _replace_slab(gamma, 0, fibers=too_high))
+    with pytest.raises(ConsistencyError, match="outside Omega in x"):
+        _check_gamma_in_omega(F, _replace_slab(gamma, 0, x_lo=-F.tau - 1))
+    with pytest.raises(ConsistencyError, match="outside Omega in x"):
+        _check_gamma_in_omega(F, _replace_slab(gamma, -1, x_hi=F.one))
