@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -65,6 +66,12 @@ def _parse_x(field, spec: str):
 def _at_least(value: int, flag: str, minimum: int) -> None:
     if value < minimum:
         raise UsageError(f"{flag} must be at least {minimum}, got {value}")
+
+
+def _not_nan(value: float, flag: str) -> None:
+    # every comparison with NaN is false, so a NaN bound makes a check vacuous
+    if math.isnan(value):
+        raise UsageError(f"{flag} must be a number, got nan")
 
 
 def _field_for(args) -> object:
@@ -250,6 +257,7 @@ def cmd_scan_borel(args):
         payload = {"mode": "single", "x": args.x, "rows": rows,
                    "f_rational": res.f_rational}
         return 0, _envelope("scan-borel", n, args.seed, payload)
+    _not_nan(args.tol, "--tol")
     rep = trianglecf.borel_scan(field, args.samples, args.steps, args.seed, args.tol)
     ok = rep["violations"] == 0
     return (0 if ok else 1), _envelope("scan-borel", n, args.seed,
@@ -284,6 +292,7 @@ def cmd_periodic(args):
 
 
 def cmd_transcendence(args):
+    _not_nan(args.margin, "--margin")
     if args.q_file:
         if args.d is None:
             raise UsageError("--d (field degree) is required with --q-file")
@@ -318,7 +327,8 @@ def cmd_transcendence(args):
 
 def cmd_ergodic_test(args):
     field = _field_for(args)
-    _at_least(args.steps, "--steps", 1)
+    # the report compares the discrepancy half-way and at the end
+    _at_least(args.steps, "--steps", 2)
     _at_least(args.cells, "--cells", 1)
     uni = trianglecf.uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
     adler = trianglecf.adler_scan(field, args.samples, args.seed + 1)
@@ -481,6 +491,8 @@ def main(argv=None) -> int:
             set_precision_cap(args.precision)
         _at_least(args.steps, "--steps", 0)
         _at_least(args.samples, "--samples", 1)
+        # numpy's generators take only non-negative seeds
+        _at_least(args.seed, "--seed", 0)
         code, payload = args.func(args)
         _emit(payload, args.format, args.out)
         return code

@@ -48,30 +48,68 @@ def sample_interval(fs: FloatSystem, rng, count: int) -> np.ndarray:
 
 
 def step_tv(fs: FloatSystem, t: np.ndarray, v: np.ndarray):
-    """One vectorized accelerated step of (t, v); returns (t', v', digit)."""
-    tau = fs.tau
-    acc = t < fs.eps0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        inv_t = 1.0 / t
-        k = np.floor((1.0 - inv_t) / tau) + 1.0
-        k = np.maximum(k, 1.0)
-        t_pos = 1.0 - k * tau - inv_t
-        v_pos = -1.0 / (v + 1.0 - k * tau)
+    """One vectorized accelerated step of (t, v); returns (t', v', digit).
 
-        u = t + tau
-        u = np.maximum(u, 1e-300)
-        jj = np.ceil(-1.0 / tau ** 2 + 1.0 / (tau * u)) - 1.0
-        jj = np.maximum(jj, 1.0)
-        t_acc = u / (1.0 - jj * tau * u) - tau
-        v_acc = ((1.0 - jj * tau ** 2) * v + jj * tau) / (
-            -jj * tau ** 3 * v + 1.0 + jj * tau ** 2
-        )
-    t_new = np.where(acc, t_acc, t_pos)
-    v_new = np.where(acc, v_acc, v_pos)
-    digit = np.where(acc, -jj, k)
+    The continued-fraction branch is evaluated on every sample, the
+    acceleration branch (W^j, on [-tau, eps0)) only on the samples with
+    t < eps0, whose results then overwrite the first.  Each element goes
+    through the same IEEE operations as the per-element formulas of
+    `step_scalar`, so t', v' and digit are bitwise theirs; where
+    `step_scalar` raises at a boundary, this step clamps t + tau to 1e-300
+    and t' into [-tau, -1e-300] instead.  The inputs are not modified.
+    """
+    tau = fs.tau
+    acc = np.flatnonzero(t < fs.eps0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # continued-fraction branch: k = max(floor((1 - 1/t)/tau) + 1, 1)
+        inv_t = np.divide(1.0, t)
+        k = np.subtract(1.0, inv_t)
+        np.divide(k, tau, out=k)
+        np.floor(k, out=k)
+        np.add(k, 1.0, out=k)
+        np.maximum(k, 1.0, out=k)
+        kt = np.multiply(k, tau)
+        t_new = np.subtract(1.0, kt)
+        np.subtract(t_new, inv_t, out=t_new)        # (1 - k tau) - 1/t
+        v_new = np.add(v, 1.0)
+        np.subtract(v_new, kt, out=v_new)
+        np.divide(-1.0, v_new, out=v_new)           # -1/((v + 1) - k tau)
+        digit = k
+
+        if acc.size:
+            # acceleration branch: j = max(ceil(-1/tau^2 + 1/(tau u)) - 1, 1)
+            u = t[acc]
+            np.add(u, tau, out=u)
+            np.maximum(u, 1e-300, out=u)
+            jj = np.multiply(u, tau)
+            np.divide(1.0, jj, out=jj)
+            np.add(jj, -1.0 / tau ** 2, out=jj)
+            np.ceil(jj, out=jj)
+            np.subtract(jj, 1.0, out=jj)
+            np.maximum(jj, 1.0, out=jj)
+            jt = np.multiply(jj, tau)
+            den = np.multiply(jt, u)
+            np.subtract(1.0, den, out=den)
+            np.divide(u, den, out=u)
+            np.subtract(u, tau, out=u)              # u/(1 - j tau u) - tau
+            t_new[acc] = u
+            # ((1 - j tau^2) v + j tau) / ((-j) tau^3 v + 1 + j tau^2)
+            jt2 = np.multiply(jj, tau ** 2)
+            va = v[acc]
+            num = np.subtract(1.0, jt2)
+            np.multiply(num, va, out=num)
+            np.add(num, jt, out=num)
+            np.negative(jj, out=jj)
+            digit[acc] = jj
+            np.multiply(jj, tau ** 3, out=den)
+            np.multiply(den, va, out=den)
+            np.add(den, 1.0, out=den)
+            np.add(den, jt2, out=den)
+            np.divide(num, den, out=num)
+            v_new[acc] = num
     # keep strictly inside [-tau, 0) against rounding
-    t_new = np.minimum(t_new, -1e-300)
-    t_new = np.maximum(t_new, -tau)
+    np.minimum(t_new, -1e-300, out=t_new)
+    np.maximum(t_new, -tau, out=t_new)
     return t_new, v_new, digit
 
 
@@ -145,21 +183,30 @@ def borel_scan(
     violations = 0
     max_window_min = 0.0
     worst_m = None
+    above = np.empty(samples, dtype=bool)
+    wmin = np.empty(samples)
     for m in range(1, steps + 1):
         t, v, _ = step_tv(fs, t, v)
-        theta = np.abs(t / (1.0 + t * v))
-        window[m % (n + 1)] = theta
-        run = np.where(theta > fs.tau, run + 1, 0)
+        theta = window[m % (n + 1)]
+        np.multiply(t, v, out=theta)
+        np.add(theta, 1.0, out=theta)
+        np.divide(t, theta, out=theta)
+        np.abs(theta, out=theta)
+        # run length of consecutive Theta > tau, reset to 0 where Theta <= tau
+        np.greater(theta, fs.tau, out=above)
+        run += 1
+        run *= above
         mr = int(run.max())
         if mr > max_run:
             max_run = mr
         if m >= n:
-            wmin = window.min(axis=0)
+            np.min(window, axis=0, out=wmin)
             wm = float(wmin.max())
             if wm > max_window_min:
                 max_window_min = wm
                 worst_m = m - n + 1
-            violations += int(np.count_nonzero(wmin > fs.tau + tol))
+            np.greater(wmin, fs.tau + tol, out=above)
+            violations += int(np.count_nonzero(above))
     return {
         "n": n,
         "samples": samples,
@@ -198,22 +245,26 @@ def convergence_scan(
     max_ratio_acc = 0.0          # |t v| over acceleration steps, bounded by 1
     v_above_one = 0
     log_target = math.log(target)
+    tv = np.empty(samples)
+    one_plus_tv = np.empty(samples)
     for m in range(1, steps + 1):
         t, v, digit = step_tv(fs, t, v)
-        theta = np.abs(t / (1.0 + t * v))
-        log_q = log_q - np.log(np.abs(v))
+        np.multiply(t, v, out=tv)
+        np.add(tv, 1.0, out=one_plus_tv)
+        theta = np.abs(t / one_plus_tv)
+        log_q -= np.log(np.abs(v))
         err_log = np.log(theta) - 2.0 * log_q
         hit = (err_log < log_target) & (converged_at < 0)
         converged_at[hit] = m
         max_v = max(max_v, float(v.max()))
-        min_one_plus_tv = min(min_one_plus_tv, float((1.0 + t * v).min()))
+        min_one_plus_tv = min(min_one_plus_tv, float(one_plus_tv.min()))
         pos = digit >= 1.0
+        np.abs(tv, out=tv)
         if np.any(pos):
-            margin = 1.0 - np.abs(t[pos] * v[pos])
+            margin = 1.0 - tv[pos]
             min_margin_pos = min(min_margin_pos, float(margin.min()))
         if not np.all(pos):
-            ratios = np.abs(t[~pos] * v[~pos])
-            max_ratio_acc = max(max_ratio_acc, float(ratios.max()))
+            max_ratio_acc = max(max_ratio_acc, float(tv[~pos].max()))
         v_above_one += int(np.count_nonzero(v > 1.0))
     return {
         "n": fs.n,
@@ -257,7 +308,7 @@ def digit_matrix_batch(field: NumberField, samples: int, length: int, seed: int)
     out = np.empty((length, samples), dtype=np.int64)
     for i in range(length):
         t, v, digit = step_tv(fs, t, v)
-        out[i] = digit.astype(np.int64)
+        out[i] = digit
     return out
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 REPO = Path(__file__).resolve().parent.parent
 SCHEMA_PATH = REPO / "schemas" / "cli-output.schema.json"
@@ -259,11 +262,16 @@ def test_precision_flag_validation():
         ("field", "--n", "5", "--precision", "0"),
         ("field", "--n", "5", "--out", "{unwritable}"),
         ("periodic", "--n", "4", "--j-max", "1"),
+        ("convergence", "--n", "5", "--samples", "20", "--seed", "-1"),
+        ("ergodic-test", "--n", "5", "--steps", "1", "--cells", "5"),
+        ("scan-borel", "--n", "5", "--samples", "20", "--tol", "nan"),
+        ("transcendence", "--n", "5", "--x", "-0.7391", "--margin", "nan"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
          "convergence-zero-samples", "ergodic-zero-steps", "negative-steps",
          "coeffs-not-rational", "q-file-bad-line", "negative-j-max", "ergodic-zero-cells",
-         "zero-precision-cap", "unwritable-out", "one-point-family"],
+         "zero-precision-cap", "unwritable-out", "one-point-family", "negative-seed",
+         "ergodic-one-step", "nan-tolerance", "nan-margin"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, args):
     # exit 1 is reserved for a failed identity; bad input must give 2
@@ -281,3 +289,83 @@ def test_removed_truncation_flag_is_a_usage_error():
     assert "Traceback" not in proc.stderr
     assert "unrecognized arguments: --k-fin" in proc.stderr
     assert proc.stdout == ""
+
+
+# -- the exit-code contract under fuzzed flags --------------------------------
+#
+# Each example starts from a small valid command and redraws one to three of
+# its flags: zero, negative, huge or malformed, or dropped.  Flags whose value
+# sets the amount of work (--n, --steps, --samples, --cells, --j, --j-max) are
+# never drawn huge and positive, so every run stays small.
+
+HUGE = 10 ** 30
+_SIZE = [0, 1, 2, 7, -1, -HUGE]
+_REAL = ["0", "-1", "1e-10", "1e300", "nan", "inf", "-inf", "x"]
+_X = [
+    "-0.7391", "-1", "-1/2", "-2/3", "0", "-0", "1", "-3", "1e400", "-1e-400",
+    "nan", "inf", "-inf", "", "x", "-", "1/0", "-9" + "9" * 400, "-1e-300",
+    "coeffs:", "coeffs:-1", "coeffs:-1,0", "coeffs:a,b", "coeffs:1/0",
+    "coeffs:1,2,3,4,5,6,7,8,9", "random:1", "random:0", "random:-1", "random:",
+    "random:x", "random:1.5",
+]
+_COMMON = {
+    "--n": [4, 5, 8, 0, 3, -1, -HUGE, "x"],
+    "--seed": [0, 1, -1, 2 ** 64, HUGE, -HUGE, "x"],
+    "--precision": [64, 63, 0, -1, 4096, HUGE],
+    "--format": ["json", "csv", "jsonl", "x"],
+}
+# the valid starting command and the values each of its own flags may take
+_COMMANDS = {
+    "field": ({"--n": 5}, {}),
+    "verify": ({"--n": 5},
+               {"--n-range": ["4:5", "5:4", "3:4", "a:b", "5", ":", "4:5:6"]}),
+    "orbit": ({"--n": 5, "--table": "phi"}, {"--table": ["eps", "heights", "x"]}),
+    "region": ({"--n": 5, "--which": "gamma"}, {"--which": ["omega", "x"]}),
+    "expand": ({"--n": 5, "--x": "-0.7391", "--steps": 10},
+               {"--x": _X, "--steps": _SIZE}),
+    "scan-borel": ({"--n": 5, "--samples": 20, "--steps": 30},
+                   {"--x": _X, "--steps": _SIZE, "--samples": _SIZE, "--tol": _REAL}),
+    "periodic": ({"--n": 5, "--j": 2}, {"--j": _SIZE, "--j-max": _SIZE}),
+    "transcendence": ({"--n": 5, "--x": "-0.7391", "--steps": 30},
+                      {"--x": _X, "--steps": _SIZE, "--margin": _REAL}),
+    "ergodic-test": ({"--n": 5, "--steps": 200, "--samples": 20, "--cells": 5},
+                     {"--steps": _SIZE, "--samples": _SIZE, "--cells": _SIZE}),
+    "convergence": ({"--n": 5, "--samples": 20, "--steps": 30},
+                    {"--steps": _SIZE, "--samples": _SIZE}),
+}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    base, own = _COMMANDS[command]
+    pools = {**_COMMON, **own}
+    flags = dict(base)
+    for flag in draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=3,
+                              unique=True)):
+        flags[flag] = draw(st.sampled_from([None, *pools[flag]]))
+    return [command] + [f"{f}={v}" for f, v in flags.items() if v is not None]
+
+
+def _run_in_process(argv):
+    from trianglecf.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=120, deadline=None)
+@given(argv=argvs())
+def test_exit_code_contract_under_fuzzed_flags(argv):
+    # an exception escaping main() is the traceback the CLI would print
+    code, out, err = _run_in_process(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    json_out = not any(a.startswith("--format=") and a != "--format=json" for a in argv)
+    if code in (0, 1) and json_out:
+        assert (code == 1) == (json.loads(out).get("ok") is False), (argv, code)

@@ -54,6 +54,9 @@ COMMANDS += [
     ("scan-borel", "--n", "5", "--samples", "200", "--steps", "100"),
     ("ergodic-test", "--n", "5", "--steps", "20000", "--samples", "200", "--cells", "20"),
     ("convergence", "--n", "5", "--samples", "50", "--steps", "100"),
+    # the float lane at other degrees: d = 6 at n=13, d = 3 at n=8
+    ("scan-borel", "--n", "13", "--samples", "500", "--steps", "200"),
+    ("convergence", "--n", "8", "--samples", "300", "--steps", "150"),
 ]
 
 
