@@ -13,12 +13,14 @@ class PrecisionExhausted(TriangleCFError):
     """A numeric decision could not be made within the precision cap.
 
     Carries the undecided quantity so callers can report which boundary
-    was too close to call.
+    was too close to call, and for an exact decision the last precision in
+    bits that it tried.
     """
 
-    def __init__(self, message, boundary=None):
+    def __init__(self, message, boundary=None, bits=None):
         super().__init__(message)
         self.boundary = boundary
+        self.bits = bits
 
 
 class ConsistencyError(TriangleCFError):

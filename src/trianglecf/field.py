@@ -41,7 +41,7 @@ def _refine(decide, start_bits: int, message: str):
     (result, boundary) with result None while the enclosures at p bits
     cannot decide.  Returns the first result that is not None.  Once some
     p >= get_precision_cap() is still undecided, raises PrecisionExhausted
-    with the message ("{bits}" becomes p) and that try's boundary.
+    with the message ("{bits}" becomes p), that try's boundary and bits=p.
     """
     cap = get_precision_cap()
     p = start_bits
@@ -50,14 +50,15 @@ def _refine(decide, start_bits: int, message: str):
         if result is not None:
             return result
         if p >= cap:
-            raise PrecisionExhausted(message.format(bits=p), boundary=boundary)
+            raise PrecisionExhausted(message.format(bits=p), boundary=boundary, bits=p)
         p *= 2
 
 
 def _is_tight(enc, precision: int) -> bool:
-    """Width at most 2^(1-precision) * max(1, |value|)."""
-    scale = max(Fraction(1), abs(enc.lo), abs(enc.hi))
-    return enc.width() <= Fraction(2) ** (1 - precision) * scale
+    """Width at most 2^(1-precision) * max(1, |lo|, |hi|), decided on the
+    integers of enc: both sides are multiplied by den * 2^(precision-1)."""
+    lo, hi = enc.lo_num, enc.hi_num
+    return (hi - lo) << (precision - 1) <= max(enc.den, abs(lo), abs(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +131,8 @@ def trace_min_poly(n: int) -> tuple:
     return tuple(psi)
 
 
-def _int_poly_sign_at(poly, x: Fraction) -> int:
-    """Exact sign of an integer polynomial at a rational point."""
-    num, den = x.numerator, x.denominator
+def _int_poly_sign_at(poly, num: int, den: int) -> int:
+    """Exact sign of an integer polynomial at the rational num / den, den > 0."""
     acc = 0
     powd = 1
     # evaluate sum c_i num^i den^(d-i) by Horner from the top
@@ -148,77 +148,126 @@ def _int_poly_sign_at(poly, x: Fraction) -> int:
 
 
 class Enclosure:
-    """Exact rational interval [lo, hi] certified to contain a real value."""
+    """Exact rational interval [lo_num / den, hi_num / den] certified to
+    contain a real value: two integers over one positive denominator, not
+    reduced.  Every decision runs on the integers; lo, hi, width and mid
+    build Fractions only when read.
 
-    __slots__ = ("lo", "hi")
+    Enclosure(lo, hi) takes two Fractions or ints.
+    """
 
-    def __init__(self, lo: Fraction, hi: Fraction):
+    __slots__ = ("lo_num", "hi_num", "den")
+
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
         if lo > hi:
             raise ValueError("inverted enclosure")
-        self.lo = lo
-        self.hi = hi
+        den = math.lcm(lo.denominator, hi.denominator)
+        self.lo_num = lo.numerator * (den // lo.denominator)
+        self.hi_num = hi.numerator * (den // hi.denominator)
+        self.den = den
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.lo_num, self.den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hi_num, self.den)
 
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self.hi_num - self.lo_num, self.den)
 
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return self.lo_num <= 0 <= self.hi_num
 
     def sign(self):
         """+1/-1 when the interval excludes zero, else None."""
-        if self.lo > 0:
+        if self.lo_num > 0:
             return 1
-        if self.hi < 0:
+        if self.hi_num < 0:
             return -1
         return None
 
     def __float__(self):
-        return float(self.mid())
+        # int true division is correctly rounded, so this is float(mid())
+        return (self.lo_num + self.hi_num) / (2 * self.den)
 
     def __repr__(self):
-        return f"Enclosure({float(self.lo)!r}, {float(self.hi)!r})"
+        return f"Enclosure({self.lo_num / self.den!r}, {self.hi_num / self.den!r})"
+
+
+def _enclosure(lo_num: int, hi_num: int, den: int) -> Enclosure:
+    """The enclosure [lo_num / den, hi_num / den], with lo_num <= hi_num and
+    den > 0 already."""
+    e = object.__new__(Enclosure)
+    e.lo_num, e.hi_num, e.den = lo_num, hi_num, den
+    return e
 
 
 class _RootBracket:
-    """A sign-change bracket around one real root of an integer polynomial,
-    refined on demand by exact dyadic bisection."""
+    """A sign-change bracket [lo, hi] / den around one real root of an
+    integer polynomial, den a power of two, refined on demand by exact
+    dyadic bisection."""
 
-    __slots__ = ("poly", "lo", "hi", "sign_lo")
+    __slots__ = ("poly", "_lo", "_hi", "_den", "sign_lo")
 
-    def __init__(self, poly, lo: Fraction, hi: Fraction):
+    def __init__(self, poly, lo: int, hi: int, den: int):
         self.poly = poly
-        s_lo = _int_poly_sign_at(poly, lo)
-        s_hi = _int_poly_sign_at(poly, hi)
+        s_lo = _int_poly_sign_at(poly, lo, den)
+        s_hi = _int_poly_sign_at(poly, hi, den)
         if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
             raise ArithmeticError("bracket does not isolate a simple root")
-        self.lo, self.hi, self.sign_lo = lo, hi, s_lo
+        self._lo, self._hi, self._den, self.sign_lo = lo, hi, den, s_lo
 
-    def refine_to(self, width: Fraction) -> Enclosure:
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            s = _int_poly_sign_at(self.poly, mid)
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._lo, self._den)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._hi, self._den)
+
+    def refine_to(self, width) -> Enclosure:
+        """Bisect until the bracket is at most width wide, a Fraction or int."""
+        return self._narrow(width.numerator, width.denominator)
+
+    def _narrow(self, w_num: int, w_den: int) -> Enclosure:
+        # bisect while (hi - lo) / den > w_num / w_den
+        lo, hi, den = self._lo, self._hi, self._den
+        sign_lo = self.sign_lo
+        while (hi - lo) * w_den > w_num * den:
+            mid = lo + hi
+            lo, hi, den = lo << 1, hi << 1, den << 1
+            s = _int_poly_sign_at(self.poly, mid, den)
             if s == 0:
                 # rational root: collapse to a point
-                self.lo = self.hi = mid
+                lo = hi = mid
                 break
-            if s == self.sign_lo:
-                self.lo = mid
+            if s == sign_lo:
+                lo = mid
             else:
-                self.hi = mid
-        return Enclosure(self.lo, self.hi)
+                hi = mid
+        self._lo, self._hi, self._den = lo, hi, den
+        return _enclosure(lo, hi, den)
 
 
 def _bracket_root_near(poly, approx: float, slack: float = 3e-9) -> _RootBracket:
-    lo = Fraction(approx - slack)
-    hi = Fraction(approx + slack)
+    # the floats approx -+ slack are dyadic rationals; put them over one
+    # power-of-two denominator and widen symmetrically until they bracket
+    lo, lo_den = (approx - slack).as_integer_ratio()
+    hi, hi_den = (approx + slack).as_integer_ratio()
+    den = max(lo_den, hi_den)
+    lo *= den // lo_den
+    hi *= den // hi_den
     for _ in range(60):
         try:
-            return _RootBracket(poly, lo, hi)
+            return _RootBracket(poly, lo, hi, den)
         except ArithmeticError:
-            spread = (hi - lo)
+            spread = hi - lo
             lo -= spread
             hi += spread
     raise ArithmeticError("failed to isolate root near %r" % approx)
@@ -235,14 +284,13 @@ def _iv_mul(a_lo, a_hi, b_lo, b_hi):
 def _eval_interval(num, den: int, box: Enclosure) -> Enclosure:
     """Interval Horner evaluation of (sum_i num[i] x^i) / den over box.
 
-    Runs on integers: with box = [b_lo, b_hi] / q over one denominator q,
-    the accumulator after k steps is q^k times the rational one.  Scaling
-    by q > 0 and den > 0 keeps every min and max, so the result equals, as
-    rationals, Horner evaluation of the coefficients num[i] / den.
+    Runs on integers: with box = [b_lo, b_hi] / q, the accumulator after k
+    steps is q^k times the rational one.  Scaling by q > 0 and den > 0
+    keeps every min and max, so the result, the accumulator over
+    q^d * den, equals as rationals Horner evaluation of the coefficients
+    num[i] / den.
     """
-    q = math.lcm(box.lo.denominator, box.hi.denominator)
-    b_lo = box.lo.numerator * (q // box.lo.denominator)
-    b_hi = box.hi.numerator * (q // box.hi.denominator)
+    b_lo, b_hi, q = box.lo_num, box.hi_num, box.den
     lo = hi = 0
     scale = 1
     for c in reversed(num):
@@ -250,7 +298,7 @@ def _eval_interval(num, den: int, box: Enclosure) -> Enclosure:
         scale *= q
         lo += c * scale
         hi += c * scale
-    return Enclosure(Fraction(lo, scale * den), Fraction(hi, scale * den))
+    return _enclosure(lo, hi, scale * den)
 
 
 class NumberField:
@@ -310,7 +358,7 @@ class NumberField:
         result is the narrowest bracket any earlier call on this field asked
         for: it depends on the calls made before it in the process.
         """
-        return self._lambda_bracket.refine_to(Fraction(1, 2 ** precision))
+        return self._lambda_bracket._narrow(1, 1 << precision)
 
     def conjugate_enclosures(self, precision: int):
         """Enclosures of all real embeddings of lambda: 2cos(k pi/n),
@@ -323,8 +371,8 @@ class NumberField:
                 _bracket_root_near(self.min_poly, 2.0 * math.cos(math.pi * k / self.n))
                 for k in ks
             ]
-        w = Fraction(1, 2 ** precision)
-        return [b.refine_to(w) for b in self._conjugate_brackets]
+        w_den = 1 << precision
+        return [b._narrow(1, w_den) for b in self._conjugate_brackets]
 
     def _reduce(self, poly) -> list:
         """Reduce an integer polynomial in lambda (ascending list, consumed)
@@ -444,8 +492,8 @@ class _ExactReal:
         # embed_raw is a point, so this terminates
         def decide(p):
             enc = self.embed_raw(p)
-            f_lo = math.floor(enc.lo)
-            return (f_lo if f_lo == math.floor(enc.hi) else None), enc
+            f_lo = enc.lo_num // enc.den
+            return (f_lo if f_lo == enc.hi_num // enc.den else None), enc
 
         return _refine(decide, 64, "floor undecided")
 
@@ -628,7 +676,8 @@ class FieldElement(_ExactReal):
         return _refine(decide, 64, "sign undecided at {bits} bits")
 
     def embed_raw(self, precision: int) -> Enclosure:
-        """Evaluate at a lambda-enclosure of the given width exponent; a
+        """Evaluate at a lambda-enclosure of the given width exponent, as
+        integers over one positive denominator (see _eval_interval); a
         rational is its own point enclosure and leaves lambda untouched.
 
         The result width scales with the coefficients.  The lambda
@@ -637,8 +686,8 @@ class FieldElement(_ExactReal):
         this field in the process.
         """
         if self.is_rational():
-            c = Fraction(self.num[0], self.den)
-            return Enclosure(c, c)
+            c = self.num[0]
+            return _enclosure(c, c, self.den)
         return _eval_interval(self.num, self.den, self.field.lambda_enclosure(precision))
 
     def __eq__(self, other):

@@ -10,28 +10,23 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .field import Enclosure, FieldElement, NumberField, _ExactReal, _iv_mul, _refine
+from .field import (Enclosure, FieldElement, NumberField, _enclosure, _ExactReal, _iv_mul,
+                    _refine)
 
 
 def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
-    """Certified rational enclosure of sqrt over [max(x.lo, 0), x.hi], so
-    of sqrt(D) for any D >= 0 in x."""
-    if x.hi < 0:
+    """Certified enclosure over 2^precision of sqrt over [max(x.lo, 0), x.hi],
+    so of sqrt(D) for any D >= 0 in x."""
+    if x.hi_num < 0:
         raise DomainError("negative discriminant has no real embedding")
-    scale = 1 << (2 * precision)
-
-    def lower(q: Fraction) -> Fraction:
-        m = max(q.numerator * scale // q.denominator, 0)
-        return Fraction(math.isqrt(m), 1 << precision)
-
-    def upper(q: Fraction) -> Fraction:
-        m = -((-q.numerator * scale) // q.denominator)  # ceil
-        r = math.isqrt(m)
-        if r * r < m:
-            r += 1
-        return Fraction(r, 1 << precision)
-
-    return Enclosure(lower(x.lo), upper(x.hi))
+    shift = 2 * precision
+    # floor and ceil of 2^(2 precision) x.lo and x.hi
+    lo = max((x.lo_num << shift) // x.den, 0)
+    hi = -((-x.hi_num << shift) // x.den)
+    r = math.isqrt(hi)
+    if r * r < hi:
+        r += 1
+    return _enclosure(math.isqrt(lo), r, 1 << precision)
 
 
 class QuadExt(_ExactReal):
@@ -142,13 +137,17 @@ class QuadExt(_ExactReal):
         return val, eu + ev * (r + r_err) + abs(v) * r_err + 2.0 ** -50 * (abs(u) + abs(v * r))
 
     def embed_raw(self, precision: int) -> Enclosure:
-        """u + v sqrt(D) over p-bit enclosures of u, v and D.  While D's
-        enclosure straddles zero, sqrt(D) is enclosed in [0, sqrt(D_hi)]."""
+        """u + v sqrt(D) over p-bit enclosures of u, v and D, as integers
+        over the product of their denominators.  While D's enclosure
+        straddles zero, sqrt(D) is enclosed in [0, sqrt(D_hi)]."""
         eu = self.u.embed_raw(precision)
         ev = self.v.embed_raw(precision)
         sq = _sqrt_enclosure(self.disc.embed_raw(precision), precision)
-        lo, hi = _iv_mul(ev.lo, ev.hi, sq.lo, sq.hi)
-        return Enclosure(eu.lo + lo, eu.hi + hi)
+        # v sqrt(D) over vs = ev.den * sq.den, then u + v sqrt(D) over eu.den * vs
+        lo, hi = _iv_mul(ev.lo_num, ev.hi_num, sq.lo_num, sq.hi_num)
+        vs = ev.den * sq.den
+        return _enclosure(eu.lo_num * vs + lo * eu.den, eu.hi_num * vs + hi * eu.den,
+                          eu.den * vs)
 
     def __repr__(self):
         return (
@@ -191,9 +190,10 @@ def compare_numeric(a, b):
     """
     def decide(p):
         ea, eb = a.embed_raw(p), b.embed_raw(p)
-        if ea.hi < eb.lo:
+        # cross-multiplied by the positive denominators
+        if ea.hi_num * eb.den < eb.lo_num * ea.den:
             order = -1
-        elif eb.hi < ea.lo:
+        elif eb.hi_num * ea.den < ea.lo_num * eb.den:
             order = 1
         else:
             order = None

@@ -57,6 +57,12 @@ COMMANDS += [
     # the float lane at other degrees: d = 6 at n=13, d = 3 at n=8
     ("scan-borel", "--n", "13", "--samples", "500", "--steps", "200"),
     ("convergence", "--n", "8", "--samples", "300", "--steps", "150"),
+    # exact embeddings: printed floats at d = 4, quadratic floats at n=13,
+    # a long orbit whose signs fall to _sign_exact, and the cap at d = 6
+    ("expand", "--n", "16", "--x", "-0.7391", "--steps", "60", "--format", "jsonl"),
+    ("periodic", "--n", "13", "--j", "3"),
+    ("expand", "--n", "5", "--x", "random:2", "--steps", "250"),
+    ("expand", "--n", "13", "--x", "random:1", "--steps", "40", "--precision", "64"),
 ]
 
 

@@ -275,7 +275,9 @@ def test_sign_consistent_with_embedding():
 def test_embed_examples():
     F4 = build_field(4)
     enc = F4.tau.embed(53)
-    assert enc.lo <= Fraction(24142135623, 10 ** 10) <= enc.hi or True
+    # tau = 1 + sqrt(2) at n=4, and both ends exceed 1
+    assert 1 < enc.lo and (enc.lo - 1) ** 2 <= 2 <= (enc.hi - 1) ** 2
+    assert enc.width() <= Fraction(2) ** -52 * enc.hi
     assert abs(float(enc) - (1 + math.sqrt(2))) < 1e-12
     F6 = build_field(6)
     assert abs(float(F6.lam.embed(53)) - math.sqrt(3)) < 1e-12
@@ -360,10 +362,11 @@ def test_precision_exhausted_with_tiny_cap():
     assert not tiny.is_zero()
     set_precision_cap(64)
     try:
-        with pytest.raises(PrecisionExhausted):
+        with pytest.raises(PrecisionExhausted) as info:
             tiny._sign_exact()
     finally:
         set_precision_cap(None)
+    assert info.value.bits == 64
     assert tiny.sign() in (-1, 1)  # default cap decides it
 
 
@@ -379,17 +382,21 @@ def _near_lambda(F):
 # Each refinement entry point on an input it cannot decide with 64 bits:
 # d = lambda - q is positive and below 2^-300, and 2^200 d has large
 # coefficients but a value far below one.
+# The third entry is the last precision tried: the first p >= 64 of the
+# entry point's doubling sequence.
 CAP_CASES = {
-    "FieldElement.sign": (lambda F, d: (d * 2 ** 200).sign(), "sign undecided at 64 bits"),
-    "FieldElement.embed": (lambda F, d: (d * 2 ** 200).embed(), "embedding did not converge at 64"),
-    "FieldElement.floor": (lambda F, d: d.floor(), "floor undecided"),
+    "FieldElement.sign": (lambda F, d: (d * 2 ** 200).sign(), "sign undecided at 64 bits", 64),
+    "FieldElement.embed": (lambda F, d: (d * 2 ** 200).embed(),
+                           "embedding did not converge at 64", 64),
+    "FieldElement.floor": (lambda F, d: d.floor(), "floor undecided", 64),
     "galois_conjugate_values": (
-        lambda F, d: galois_conjugate_values(d * 2 ** 200), "conjugate embeddings"),
+        lambda F, d: galois_conjugate_values(d * 2 ** 200), "conjugate embeddings", 106),
     "QuadExt.embed": (lambda F, d: QuadExt(F, 0, 1, d).embed(),
-                      "embedding did not converge at 64"),
-    "QuadExt.floor": (lambda F, d: QuadExt(F, 0, 1, 1 + d).floor(), "floor undecided"),
+                      "embedding did not converge at 64", 64),
+    "QuadExt.floor": (lambda F, d: QuadExt(F, 0, 1, 1 + d).floor(), "floor undecided", 64),
     "compare_numeric": (
-        lambda F, d: compare_numeric(QuadExt(F, 0, 1, 1 + d), F.one), "comparison undecided"),
+        lambda F, d: compare_numeric(QuadExt(F, 0, 1, 1 + d), F.one), "comparison undecided",
+        80),
 }
 
 
@@ -399,13 +406,14 @@ def test_every_refinement_respects_the_cap(entry):
     # bracket; for the same reason nothing here may decide d before the call
     F = NumberField(5)
     d = F.lam - _near_lambda(F)
-    call, message = CAP_CASES[entry]
+    call, message, bits = CAP_CASES[entry]
     set_precision_cap(64)
     try:
-        with pytest.raises(PrecisionExhausted, match=message):
+        with pytest.raises(PrecisionExhausted, match=message) as info:
             call(F, d)
     finally:
         set_precision_cap(None)
+    assert info.value.bits == bits
 
 
 def test_trace_domination_of_conjugates():
@@ -440,3 +448,27 @@ def test_enclosure_invariants():
     assert not e.contains_zero()
     with pytest.raises(ValueError):
         Enclosure(Fraction(1), Fraction(0))
+
+
+@pytest.mark.parametrize("n", [5, 13])
+def test_exact_decisions_build_no_fraction(n, monkeypatch):
+    F = NumberField(n)
+    x = F.element([Fraction(-7, 3), Fraction(2 ** 300 + 1, 5 ** 90)])
+    q = QuadExt(F, x, 1, F.tau)
+    built = 0
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    float(x)
+    enc = x.embed(53)
+    x._sign_exact()
+    x.floor()
+    float(q)
+    assert built == 0
+    enc.lo, enc.hi
+    assert built == 2
