@@ -427,7 +427,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_field)
 
-    p = sub.add_parser("verify", help="full exact identity suite")
+    p = sub.add_parser(
+        "verify", help="full exact identity suite",
+        description="Run the full exact identity suite for one n or each n of a range. "
+                    "The cost grows steeply with the field degree phi(2n)/2: about 1.5 s "
+                    "at n = 60 (degree 16) and under a minute at n = 100 (degree 40).")
     common(p)
     p.add_argument("--n-range", default=None, help="inclusive range A:B")
     p.set_defaults(func=cmd_verify)

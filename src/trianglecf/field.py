@@ -3,12 +3,16 @@
 An element is an integer coefficient vector in the power basis of lambda,
 reduced modulo its minimal polynomial, over one positive denominator, with
 no common factor left between them; ring operations run on Python ints and
-divide out one content gcd per result.  The inverse is the product of the
-d - 1 nontrivial Galois conjugates divided by the norm (Cohen, A Course in
-Computational Algebraic Number Theory, sections 4.2-4.3).  Every comparison
-against the real line goes through a certified rational enclosure of lambda
-that is refined by exact bisection, so branch decisions are never silently
-wrong.
+divide out one content gcd per result that is not already integral.  Each
+field multiplies coefficient vectors with one straight-line kernel,
+generated for its minimal polynomial on the first product: the
+convolution, then the reduction of lambda^(2d-2) ... lambda^d with the
+polynomial's constants written in (the multiplication table of Cohen, A
+Course in Computational Algebraic Number Theory, section 4.2).  The
+inverse is the product of the d - 1 nontrivial Galois conjugates divided
+by the norm (section 4.3).  Every comparison against the real line goes
+through a certified rational enclosure of lambda that is refined by exact
+bisection, so branch decisions are never silently wrong.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError, PrecisionExhausted
 
@@ -197,7 +202,22 @@ class Enclosure:
         return (self.lo_num + self.hi_num) / (2 * self.den)
 
     def __repr__(self):
-        return f"Enclosure({self.lo_num / self.den!r}, {self.hi_num / self.den!r})"
+        lo, hi = _end_repr(self.lo_num, self.den), _end_repr(self.hi_num, self.den)
+        return f"Enclosure({lo}, {hi})"
+
+
+def _end_repr(num: int, den: int) -> str:
+    """An enclosure end as its float, or as its exact reduced ratio when it
+    lies beyond the double range: in decimal, or in hexadecimal where the
+    decimal digits would pass Python's int-to-str conversion limit."""
+    try:
+        return repr(num / den)
+    except OverflowError:
+        q = Fraction(num, den)
+    try:
+        return str(q)
+    except ValueError:
+        return f"{q.numerator:#x}/{q.denominator:#x}"
 
 
 def _enclosure(lo_num: int, hi_num: int, den: int) -> Enclosure:
@@ -310,8 +330,6 @@ class NumberField:
         self.n = n
         self.min_poly = trace_min_poly(n)
         self.degree = len(self.min_poly) - 1
-        # lambda^d = -sum_j min_poly[j] lambda^j, over the nonzero terms
-        self._red_terms = [(j, c) for j, c in enumerate(self.min_poly[:-1]) if c]
         approx = 2.0 * math.cos(math.pi / n)
         self._lambda_bracket = _bracket_root_near(self.min_poly, approx)
         self._lambda_pows_float = [approx ** i for i in range(self.degree)]
@@ -374,45 +392,65 @@ class NumberField:
         w_den = 1 << precision
         return [b._narrow(1, w_den) for b in self._conjugate_brackets]
 
-    def _reduce(self, poly) -> list:
-        """Reduce an integer polynomial in lambda (ascending list, consumed)
-        modulo the minimal polynomial, to d coefficients."""
-        d = self.degree
-        for i in range(len(poly) - 1, d - 1, -1):
-            c = poly[i]
-            if c:
-                base = i - d
-                for j, m in self._red_terms:
-                    poly[base + j] -= c * m
-        del poly[d:]
-        poly += [0] * (d - len(poly))
-        return poly
+    def __getstate__(self):
+        # the generated kernel cannot be pickled; the first product after
+        # unpickling generates it again
+        state = dict(self.__dict__)
+        state.pop("_mul", None)
+        return state
 
-    def _mul(self, a, b) -> list:
-        """Product of two integer coefficient vectors in K."""
-        conv = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        return self._reduce(conv)
+    def _mul(self, a, b) -> tuple:
+        """Product of two integer coefficient vectors in K.  The first call
+        generates the field's kernel (see _product_kernel), which then
+        takes this method's place on the instance."""
+        self._mul = _product_kernel(self.min_poly)
+        return self._mul(a, b)
 
     def _conjugations(self):
         """The d - 1 embeddings lambda -> 2cos(k pi/n), k > 1, as integer
         matrices in rows: sigma_k(a)[j] = sum_i rows[j][i] a[i].  Built on
         the first call, since only inverse() needs them."""
         if self._conjugation_rows is None:
-            vs = _chebyshev_v(self.n)
+            d = self.degree
+            # sigma_k(lambda) = V_k(lambda), by the Chebyshev recurrence in K
+            lam = (0, 1) + (0,) * (d - 2)
+            vs = [(2,) + (0,) * (d - 1), lam]
+            while len(vs) < self.n:
+                vs.append(tuple(x - y for x, y in zip(self._mul(lam, vs[-1]), vs[-2])))
             mats = []
             for k in _embedding_indices(self.n)[1:]:
-                image = self._reduce(list(vs[k]))  # sigma_k(lambda) = V_k(lambda)
-                cols = [[1] + [0] * (self.degree - 1)]
-                for _ in range(self.degree - 1):
-                    cols.append(self._mul(cols[-1], image))
+                cols = [(1,) + (0,) * (d - 1)]
+                for _ in range(d - 1):
+                    cols.append(self._mul(cols[-1], vs[k]))
                 mats.append(tuple(zip(*cols)))
             self._conjugation_rows = mats
         return self._conjugation_rows
+
+
+@lru_cache(maxsize=None)
+def _product_kernel(min_poly: tuple):
+    """The straight-line product of two coefficient vectors modulo the monic
+    min_poly of degree d: the convolution t_m = sum_i a_i b_(m-i), then
+    t_(2d-2), ..., t_d folded into the lower terms by
+    lambda^m = -sum_j min_poly[j] lambda^(m-d+j), each fold an in-place
+    update with the polynomial's constant written in."""
+    d = len(min_poly) - 1
+    lines = ["def product(a, b):",
+             f"    {', '.join(f'a{i}' for i in range(d))}, = a",
+             f"    {', '.join(f'b{i}' for i in range(d))}, = b"]
+    for m in range(2 * d - 1):
+        terms = [f"a{i} * b{m - i}" for i in range(max(0, m - d + 1), min(m, d - 1) + 1)]
+        lines.append(f"    t{m} = {' + '.join(terms)}")
+    for m in range(2 * d - 2, d - 1, -1):
+        for j, c in enumerate(min_poly[:-1]):
+            if c:
+                op = "-=" if c > 0 else "+="
+                factor = "" if abs(c) == 1 else f" * {abs(c)}"
+                lines.append(f"    t{m - d + j} {op} t{m}{factor}")
+    lines.append(f"    return ({', '.join(f't{i}' for i in range(d))},)")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<product kernel of degree {d}>", "exec"), namespace)
+    return namespace["product"]
 
 
 @lru_cache(maxsize=None)
@@ -560,33 +598,40 @@ class FieldElement(_ExactReal):
 
     def _add(self, o, sign: int):
         """self + sign * o over the common denominator."""
+        if self.den == o.den:
+            return _element(self.field, tuple(a + sign * b for a, b in zip(self.num, o.num)),
+                            self.den)
         g = math.gcd(self.den, o.den)
         sa, sb = o.den // g, self.den // g * sign
         return _element(self.field, tuple(a * sa + b * sb for a, b in zip(self.num, o.num)),
                         self.den * sa)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, 1)
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._add(o, -1)
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self._add(other, -1)
 
     def __neg__(self):
         return _new(self.field, tuple(-a for a in self.num), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _element(self.field, self.field._mul(self.num, o.num), self.den * o.den)
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _element(self.field, self.field._mul(self.num, other.num),
+                        self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -602,7 +647,7 @@ class FieldElement(_ExactReal):
         a = self.num
         prod = None
         for rows in field._conjugations():
-            conj = [sum(r * x for r, x in zip(row, a)) for row in rows]
+            conj = tuple(sum(map(mul, row, a)) for row in rows)
             prod = conj if prod is None else field._mul(prod, conj)
         norm = field._mul(a, prod)
         if any(norm[1:]):
@@ -624,6 +669,22 @@ class FieldElement(_ExactReal):
         return out
 
     # -- order and embedding --------------------------------------------------
+
+    def _sign_of_difference(self, other):
+        """Sign of self - other from the unreduced difference
+        (a.num * b.den - b.num * a.den) / (a.den * b.den): the float filter
+        and the exact enclosure read only its rational value, so every
+        decision is the one the reduced difference would give."""
+        if type(other) is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is None:
+                return None
+        if self.den == other.den:
+            num, den = tuple(a - b for a, b in zip(self.num, other.num)), self.den
+        else:
+            sa, sb = other.den, self.den
+            num, den = tuple(a * sa - b * sb for a, b in zip(self.num, other.num)), sa * sb
+        return _new(self.field, num, den).sign()
 
     def sign(self) -> int:
         """Exact sign under lambda -> 2cos(pi/n); 0 iff the element is zero."""
@@ -710,16 +771,18 @@ class FieldElement(_ExactReal):
         return field.element([Fraction(s) for s in data])
 
 
-def _element(field: NumberField, num, den: int) -> FieldElement:
+def _element(field: NumberField, num: tuple, den: int) -> FieldElement:
     """The element num / den for d ints num and any nonzero den, divided by
     its content gcd(num..., den) with the sign that makes den positive."""
+    if den == 1:
+        return _new(field, num, 1)
     g = math.gcd(den, *num)
     if den < 0:
         g = -g
     if g != 1:
         num = tuple(c // g for c in num)
         den //= g
-    return _new(field, tuple(num), den)
+    return _new(field, num, den)
 
 
 def _new(field: NumberField, num: tuple, den: int) -> FieldElement:

@@ -235,6 +235,34 @@ def test_precision_exhausted_exit_code():
     run_cli("expand", "--n", "5", f"--x={x_spec}", "--steps", "5")
 
 
+def test_precision_exhausted_report_with_a_boundary_beyond_the_double_range(monkeypatch):
+    # the exit-3 report prints str(boundary); ends past the double range
+    # print as exact ratios rather than ending in a traceback
+    from trianglecf import cli
+    from trianglecf.errors import PrecisionExhausted
+    from trianglecf.field import Enclosure
+
+    boundary = Enclosure(2 ** 2000, 2 ** 2001)
+
+    def exhausted(args):
+        raise PrecisionExhausted("sign undecided at 4096 bits", boundary=boundary, bits=4096)
+
+    monkeypatch.setattr(cli, "cmd_field", exhausted)
+    code, out, err = _run_in_process(["field", "--n", "5"])
+    assert code == 3, err
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["error"] == "precision-exhausted"
+    assert data["boundary"] == f"Enclosure({2 ** 2000}, {2 ** 2001})"
+    load_schema()(data)
+
+
+def test_verify_help_states_the_cost_in_the_degree():
+    code, out, _ = _run_in_process(["verify", "--help"])
+    assert code == 0
+    assert "phi(2n)/2" in out
+
+
 def test_precision_flag_validation():
     proc = subprocess.run(
         [sys.executable, "-m", "trianglecf.cli", "field", "--n", "5",

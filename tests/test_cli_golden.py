@@ -8,6 +8,11 @@ later in one process could depend on the calls made before it.
 After an intended output change, re-record the digests with
 
     python tests/test_cli_golden.py
+
+and record only commands that have no digest yet, leaving every existing
+one as it is, with
+
+    python tests/test_cli_golden.py --missing
 """
 
 import hashlib
@@ -37,7 +42,7 @@ COMMANDS += [
     ("verify", "--n", "5"),
     # stops at the cap: exit 3 with the precision-exhausted report
     ("expand", "--n", "5", "--x", "random:3", "--steps", "40", "--precision", "64"),
-    # high degree: d = 6 at n=13, d = 4 at n=16
+    # high degree: d = 6 at n=13, d = 8 at n=16
     ("expand", "--n", "13", "--x", "random:1", "--steps", "10", "--seed", "0"),
     ("verify", "--n", "13"),
     # the remaining verify commands of the benchmark's identity suite
@@ -54,15 +59,20 @@ COMMANDS += [
     ("scan-borel", "--n", "5", "--samples", "200", "--steps", "100"),
     ("ergodic-test", "--n", "5", "--steps", "20000", "--samples", "200", "--cells", "20"),
     ("convergence", "--n", "5", "--samples", "50", "--steps", "100"),
-    # the float lane at other degrees: d = 6 at n=13, d = 3 at n=8
+    # the float lane at other degrees: d = 6 at n=13, d = 4 at n=8
     ("scan-borel", "--n", "13", "--samples", "500", "--steps", "200"),
     ("convergence", "--n", "8", "--samples", "300", "--steps", "150"),
-    # exact embeddings: printed floats at d = 4, quadratic floats at n=13,
+    # exact embeddings: printed floats at d = 8, quadratic floats at n=13,
     # a long orbit whose signs fall to _sign_exact, and the cap at d = 6
     ("expand", "--n", "16", "--x", "-0.7391", "--steps", "60", "--format", "jsonl"),
     ("periodic", "--n", "13", "--j", "3"),
     ("expand", "--n", "5", "--x", "random:2", "--steps", "250"),
     ("expand", "--n", "13", "--x", "random:1", "--steps", "40", "--precision", "64"),
+    # fields of other shapes: d = 4 and d = 8 with a non-cyclic Galois
+    # group, and d = 16
+    ("verify", "--n", "12"),
+    ("verify", "--n", "20"),
+    ("expand", "--n", "60", "--x", "-0.7391", "--steps", "20", "--format", "jsonl"),
 ]
 
 
@@ -94,5 +104,14 @@ def test_cli_output_matches_golden(args):
 
 
 if __name__ == "__main__":
-    digests = {" ".join(args): run_digests(args) for args in COMMANDS}
+    if sys.argv[1:] == ["--missing"]:
+        digests = json.loads(GOLDEN_PATH.read_text())
+    elif sys.argv[1:]:
+        sys.exit("usage: python tests/test_cli_golden.py [--missing]")
+    else:
+        digests = {}
+    for args in COMMANDS:
+        key = " ".join(args)
+        if key not in digests:
+            digests[key] = run_digests(args)
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2) + "\n")

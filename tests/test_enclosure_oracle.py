@@ -4,10 +4,12 @@ The oracles below are the Fraction implementations of Enclosure,
 _int_poly_sign_at, _RootBracket, _bracket_root_near, _eval_interval,
 _is_tight, _sqrt_enclosure, QuadExt.embed_raw, compare_numeric and
 _ExactReal.embed/floor/__float__, kept verbatim apart from taking their
-lambda brackets and embed_raw from an oracle object.  Each decision must
-give the same result and the same enclosure endpoints, and leave lambda's
-bracket with the same history, so every printed float and every
-precision-exhausted report stays byte for byte what it was.
+lambda brackets and embed_raw from an oracle object, and apart from
+Enclosure.__repr__, which prints an end beyond the double range as its
+exact ratio where the Fraction implementation raised OverflowError.  Each
+decision must give the same result and the same enclosure endpoints, and
+leave lambda's bracket with the same history, so every printed float and
+every precision-exhausted report stays byte for byte what it was.
 """
 
 import math
@@ -90,7 +92,20 @@ class Enclosure:
         return float(self.mid())
 
     def __repr__(self):
-        return f"Enclosure({float(self.lo)!r}, {float(self.hi)!r})"
+        return f"Enclosure({_end_repr(self.lo)}, {_end_repr(self.hi)})"
+
+
+def _end_repr(q: Fraction) -> str:
+    # the float, or past the double range the exact ratio, in hexadecimal
+    # where decimal would pass the int-to-str digit limit
+    try:
+        return repr(float(q))
+    except OverflowError:
+        pass
+    try:
+        return str(q)
+    except ValueError:
+        return f"{q.numerator:#x}/{q.denominator:#x}"
 
 
 class _RootBracket:

@@ -450,6 +450,17 @@ def test_enclosure_invariants():
         Enclosure(Fraction(1), Fraction(0))
 
 
+def test_enclosure_repr_beyond_the_double_range():
+    # finite ends print as floats; an end past the double range prints as
+    # its exact reduced ratio instead of raising OverflowError
+    assert repr(Enclosure(Fraction(1, 3), Fraction(1, 2))) == "Enclosure(0.3333333333333333, 0.5)"
+    assert repr(Enclosure(2 ** 2000, 2 ** 2001)) == f"Enclosure({2 ** 2000}, {2 ** 2001})"
+    assert repr(Enclosure(-1, Fraction(3 ** 1300, 2))) == f"Enclosure(-1.0, {3 ** 1300}/2)"
+    # past the int-to-str digit limit the ratio prints in hexadecimal
+    big = Fraction(3 ** 9500, 2 ** 3)
+    assert repr(Enclosure(0, big)) == f"Enclosure(0.0, {3 ** 9500:#x}/0x8)"
+
+
 @pytest.mark.parametrize("n", [5, 13])
 def test_exact_decisions_build_no_fraction(n, monkeypatch):
     F = NumberField(n)
