@@ -68,10 +68,12 @@ def _at_least(value: int, flag: str, minimum: int) -> None:
         raise UsageError(f"{flag} must be at least {minimum}, got {value}")
 
 
-def _not_nan(value: float, flag: str) -> None:
-    # every comparison with NaN is false, so a NaN bound makes a check vacuous
-    if math.isnan(value):
-        raise UsageError(f"{flag} must be a number, got nan")
+def _finite(value: float, flag: str) -> None:
+    # every comparison with NaN is false, so a NaN bound makes a check
+    # vacuous, and an infinite one would be echoed as Infinity, which is
+    # not JSON
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be a finite number, got {value}")
 
 
 def _field_for(args) -> object:
@@ -257,7 +259,7 @@ def cmd_scan_borel(args):
         payload = {"mode": "single", "x": args.x, "rows": rows,
                    "f_rational": res.f_rational}
         return 0, _envelope("scan-borel", n, args.seed, payload)
-    _not_nan(args.tol, "--tol")
+    _finite(args.tol, "--tol")
     rep = trianglecf.borel_scan(field, args.samples, args.steps, args.seed, args.tol)
     ok = rep["violations"] == 0
     return (0 if ok else 1), _envelope("scan-borel", n, args.seed,
@@ -292,7 +294,7 @@ def cmd_periodic(args):
 
 
 def cmd_transcendence(args):
-    _not_nan(args.margin, "--margin")
+    _finite(args.margin, "--margin")
     if args.q_file:
         if args.d is None:
             raise UsageError("--d (field degree) is required with --q-file")
@@ -357,8 +359,11 @@ def cmd_ergodic_test(args):
 
 def cmd_convergence(args):
     field = _field_for(args)
+    _at_least(args.steps, "--steps", 1)
     rep = trianglecf.convergence_scan(field, args.samples, args.steps, args.seed)
-    ok = rep["all_converged"] and rep["max_v"] <= rep["tau"] + 1e-12 and rep["delta"] > 0
+    # with no continued-fraction step there is no margin to bound
+    delta_ok = rep["delta"] is None or rep["delta"] > 0
+    ok = rep["all_converged"] and rep["max_v"] <= rep["tau"] + 1e-12 and delta_ok
     return (0 if ok else 1), _envelope("convergence", field.n, args.seed,
                                        {**rep, "ok": ok})
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import add, neg
 
 from .errors import ConsistencyError, DomainError
-from .field import FieldElement, NumberField
+from .field import FieldElement, NumberField, _element, _new
 from .dynamics import branch, cylinder_of_f, digit_of
 from .group import Mobius
 from .planar import (
@@ -39,9 +40,6 @@ class ConvergentState:
     @staticmethod
     def initial(field: NumberField) -> "ConvergentState":
         return ConvergentState(Mobius.identity(field))
-
-    def advance(self, M: Mobius) -> "ConvergentState":
-        return ConvergentState(M * self.matrix)
 
     @property
     def q(self):
@@ -68,10 +66,6 @@ class ConvergentState:
 
     def approximant(self):
         return self.p / self.q
-
-    def reconstruct(self, t):
-        """x from t = f^m(x): (p_prev t + p)/(q_prev t + q)."""
-        return (self.p_prev * t + self.p) / (self.q_prev * t + self.q)
 
 
 def theta_fn(x, y):
@@ -105,17 +99,38 @@ class ExpansionResult:
     def theta_floats(self):
         return [float(t) for t in self.thetas]
 
-    def window_mins(self, n: int):
-        """min over Theta_{m-1..m+n-1} for m = 1..M-n+1 (n+1 values each)."""
-        th = self.theta_floats()
-        out = []
-        for m in range(1, len(th) - n):
-            out.append(min(th[m - 1 : m + n]))
-        return out
+
+# Integer vectors: a coefficient vector of Z[lambda] is a tuple of d ints.  A
+# start point x = X / delta has X integral and delta a positive integer; X
+# and every value linear in it (an "X-form") is a tuple of vectors, one for
+# x in K and two, the parts u and v of u + v sqrt(D), for x in K(sqrt(D)).
+
+def _vadd(a, b):
+    return tuple(map(add, a, b))
 
 
-def _equal_up_to_sign(a, b) -> bool:
-    return a == b or a == -b
+def _vneg(a):
+    return tuple(map(neg, a))
+
+
+def _vscale(k: int, a):
+    return tuple([k * c for c in a])
+
+
+def _integral(M: Mobius) -> tuple:
+    """The entries of a branch matrix as integer vectors."""
+    a, b, c, d = M.a, M.b, M.c, M.d
+    if not a.den == b.den == c.den == d.den == 1:
+        raise ConsistencyError("branch matrix has an entry outside Z[lambda]")
+    return a.num, b.num, c.num, d.num
+
+
+def _clear_denominator(x) -> tuple:
+    """(X, delta) with x = X / delta, X an X-form and delta > 0 an integer."""
+    if isinstance(x, QuadExt):
+        delta = math.lcm(x.u.den, x.v.den)
+        return tuple(_vscale(delta // e.den, e.num) for e in (x.u, x.v)), delta
+    return (x.num,), x.den
 
 
 def expand(
@@ -128,54 +143,100 @@ def expand(
 
     x is an element of K, or of K(sqrt D) for a quadratic point.  With
     P_m = [[q, -p], [-q_prev, p_prev]] the running product, t_m = P_m x =
-    A/B for A = q x - p and B = p_prev - q_prev x.  The loop carries the
-    q-scaled forms qA and qB, of size about 1: |qA| is Theta_m, and the
-    next digit is decided from the signs of linear combinations of qA and
-    qB (dynamics.digit_of), so no step divides.  The v-recurrence, the
-    (t, v) and successor forms of Theta and the reconstruction of x are
-    asserted as cross-multiplied identities; any disagreement raises
-    ConsistencyError.  t_m and v_m are built only when read
-    (ExpansionResult.ts, .vs).
+    A/B for A = q x - p and B = p_prev - q_prev x.  Every branch matrix,
+    and so P_m, has entries in Z[lambda], so with x = X/delta for X
+    integral and delta a positive integer the loop runs on integer
+    coefficient vectors through the field's product kernel: it carries
+    P_m and the scaled forms A^ = delta q A and B^ = delta q B, which are
+    integral and linear in X.  |A^|/delta is Theta_m, and the next digit
+    is decided from the signs of linear combinations of A^ and B^
+    (dynamics.digit_of), so no step divides and the only content gcd is
+    the one that reduces Theta_m.  With D^ = q B^ + q_prev A^ the
+    identities are asserted cross-multiplied: det P_m = 1 as D^ = delta q,
+    the successor form of Theta_(m-1) as |A^_(m-1)| D^ = +-delta q_prev B^
+    (A^_0 = X), the reconstruction of x as X D^ = delta (p_prev A^ + p B^),
+    and the v-recurrence; any disagreement raises ConsistencyError.  t_m
+    and v_m are built only when read (ExpansionResult.ts, .vs).
     """
+    mul = field._mul
+    X, delta = _clear_denominator(x)
+    disc = x.disc if isinstance(x, QuadExt) else None
+
+    def real(F, den=None):
+        """The X-form F as an exact real: F/1 built as it is, or F/den
+        divided by its content gcd."""
+        parts = [_new(field, f, 1) if den is None else _element(field, f, den) for f in F]
+        return parts[0] if disc is None else QuadExt(field, *parts, disc)
+
+    if disc is None:
+        def times(s, F):
+            return (mul(s, F[0]),)
+    else:
+        def times(s, F):
+            return (mul(s, F[0]), mul(s, F[1]))
+
+    def affine(s, t, F):
+        """s F + delta t for vectors s, t: t enters the rational part."""
+        sF = times(s, F)
+        return (_vadd(sF[0], _vscale(delta, t)),) + sF[1:]
+
+    def constant(c):
+        """The vector c of Z[lambda] as an X-form."""
+        return (c,) + (zero,) * (len(X) - 1)
+
+    one, zero = field.one.num, field.zero.num
     state = ConvergentState.initial(field)
     res = ExpansionResult(x0=x, digits=[], thetas=[abs(x)], states=[state])
     gamma = build_gamma(field) if check_natural_extension else None
-    qA, qB = x, field.one
+    a, b, c, d = one, zero, zero, one
+    abs_A = X if x.sign() >= 0 else tuple(map(_vneg, X))
+    A_hat, B_hat = X, constant(_vscale(delta, one))
+    A_real, B_real = real(A_hat), real(B_hat)
     for m in range(1, steps + 1):
-        k = digit_of(field, qA, qB)
+        k = digit_of(field, A_real, B_real)
         if k is None:
             res.f_rational = True
             break
-        b = branch(field, k)
-        state_new = state.advance(b.M)
-        P = state_new.matrix
-        q, q_prev, p, p_prev = P.a, -P.c, -P.b, P.d
-        qA, qB = q * (P.a * x + P.b), q * (P.c * x + P.d)
-        theta = abs(qA)
+        br = branch(field, k)
+        ma, mb, mc, md = _integral(br.M)
+        na, nb, nc, nd = _integral(br.N)
+        q0, q0_prev = a, _vneg(c)
+        a, b, c, d = (_vadd(mul(ma, a), mul(mb, c)), _vadd(mul(ma, b), mul(mb, d)),
+                      _vadd(mul(mc, a), mul(md, c)), _vadd(mul(mc, b), mul(md, d)))
+        q, q_prev, p, p_prev = a, _vneg(c), _vneg(b), d
+        A_hat, B_hat = times(q, affine(a, b, X)), times(q, affine(c, d, X))
         # v = q_prev/q must follow the second-coordinate action N v
-        N, q0, q0_prev = b.N, state.q, state.q_prev
-        if (N.a * q0_prev + N.b * q0) * q != q_prev * (N.c * q0_prev + N.d * q0):
+        if (mul(_vadd(mul(na, q0_prev), mul(nb, q0)), q)
+                != mul(q_prev, _vadd(mul(nc, q0_prev), mul(nd, q0)))):
             raise ConsistencyError("v-recurrence disagrees with matrix action")
         # with t = A/B and v = q_prev/q, 1 + t v = D / (q qB) for
         # D = q qB + q_prev qA = q det P_m, so Theta_m = |t/(1 + t v)| =
-        # |q qA / D| is the direct |qA| exactly when det P_m = 1
-        D = q * qB + q_prev * qA
-        if D != q:
+        # |q qA / D| is the direct |qA| exactly when det P_m = 1; scaled by
+        # delta, D^ = delta D
+        D_hat = tuple(map(_vadd, times(q, B_hat), times(q_prev, A_hat)))
+        if D_hat != constant(_vscale(delta, q)):
             raise ConsistencyError("det P_m != 1: direct and planar theta disagree")
+        D = D_hat[0]
         # successor form of Theta_{m-1} where the new branch is A^-k C:
         # |v/(1 + t v)| = |q_prev qB / D|
-        if k >= 1 and not _equal_up_to_sign(res.thetas[-1] * D, q_prev * qB):
-            raise ConsistencyError("successor theta form disagrees")
+        if k >= 1:
+            lhs, rhs = times(D, abs_A), times(_vscale(delta, q_prev), B_hat)
+            if lhs != rhs and lhs != tuple(map(_vneg, rhs)):
+                raise ConsistencyError("successor theta form disagrees")
         # reconstruction: x = (p_prev t + p)/(q_prev t + q) = (p_prev qA + p qB) / D
-        if x * D != p_prev * qA + p * qB:
+        if times(D, X) != tuple(_vscale(delta, _vadd(f, g)) for f, g in
+                                zip(times(p_prev, A_hat), times(p, B_hat))):
             raise ConsistencyError("reconstruction identity failed")
+        state = ConvergentState(Mobius(field, *(_new(field, e, 1) for e in (a, b, c, d)),
+                                       check=False))
         if gamma is not None:
-            t_new, v_new = P.apply(x), state_new.v()
+            t_new, v_new = state.matrix.apply(x), state.v()
             if not gamma.contains(t_new, v_new):
                 raise ConsistencyError("(t, v) left the natural-extension domain")
-        state = state_new
+        A_real, B_real = real(A_hat), real(B_hat)
+        abs_A = A_hat if A_real.sign() >= 0 else tuple(map(_vneg, A_hat))
         res.digits.append(k)
-        res.thetas.append(theta)
+        res.thetas.append(real(abs_A, delta))
         res.states.append(state)
     return res
 

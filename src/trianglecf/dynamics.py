@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .field import FieldElement, NumberField
+from .field import FieldElement, NumberField, _new
 from .group import Mobius, digit_matrix, generators, y_matrix
 
 # most (field, digit) entries the branch table keeps; an evicted entry is
@@ -97,6 +97,23 @@ def _guess_position(field: NumberField, A, B) -> int:
         return 1
 
 
+def _sign_of_gap(A, B, e: FieldElement) -> int:
+    """Sign of A - e B for exact reals A, B and an element e = E/eps of K.
+
+    For elements A = a/alpha and B = b/beta of K the sign is read from
+    (eps beta a - alpha E b) / (alpha eps beta), built unreduced: one
+    kernel product, E b, and no content gcd.  The sign reads only the
+    rational value of each coefficient, so it is the sign of the reduced
+    difference."""
+    if type(A) is FieldElement and type(B) is FieldElement:
+        field = e.field
+        eb = field._mul(e.num, B.num)
+        sa, sb = e.den * B.den, A.den
+        return _new(field, tuple(x * sa - y * sb for x, y in zip(A.num, eb)),
+                    A.den * sa).sign()
+    return (A - e * B).sign()
+
+
 def digit_of(field: NumberField, A, B):
     """Digit k of the accelerated map at t = A/B, decided by signs alone.
 
@@ -116,7 +133,7 @@ def digit_of(field: NumberField, A, B):
     s_b = B.sign()
     if s_b == 0:
         raise DomainError("zero denominator")
-    s_left = (A + field.tau * B).sign() * s_b
+    s_left = _sign_of_gap(A, B, -field.tau) * s_b
     if s_left < 0 or A.sign() * s_b >= 0:
         raise DomainError(f"point {A!r} / {B!r} outside [-tau, 0)")
     if s_left == 0:
@@ -124,7 +141,7 @@ def digit_of(field: NumberField, A, B):
 
     def at_or_right_of(pos):
         # lo <= t for the cylinder at this position
-        return (A - branch(field, _digit_at(pos)).lo * B).sign() * s_b >= 0
+        return _sign_of_gap(A, B, branch(field, _digit_at(pos)).lo) * s_b >= 0
 
     # lo_pos holds a cylinder whose lo is <= t, hi_pos one whose lo is > t
     pos = _guess_position(field, A, B)

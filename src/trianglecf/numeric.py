@@ -232,6 +232,8 @@ def convergence_scan(
 
     |x - p_m/q_m| = Theta_m / q_m^2 is evaluated through log q_m (the q_m
     overflow doubles), so the convergence threshold is exact in log space.
+    delta, the least 1 - |t v| over continued-fraction steps, is None when
+    every step taken was an acceleration step.
     """
     fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed)
@@ -276,7 +278,7 @@ def convergence_scan(
         "max_steps_to_converge": int(converged_at.max()),
         "max_v": max_v,
         "min_one_plus_tv": min_one_plus_tv,
-        "delta": min_margin_pos,
+        "delta": min_margin_pos if min_margin_pos < np.inf else None,
         "max_acceleration_ratio": max_ratio_acc,
         "v_above_one_count": v_above_one,
         "tau": fs.tau,

@@ -179,6 +179,26 @@ def test_ergodic_test_command():
     load_schema()(data)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which Python
+    prints but JSON does not have."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_convergence_with_no_continued_fraction_step():
+    # the one orbit's one step is an acceleration step, so no margin
+    # 1 - |t v| over continued-fraction steps exists: delta is null
+    proc = run_cli("convergence", "--n", "8", "--samples", "1", "--steps", "1",
+                   "--seed", "4", expect=1)
+    data = _strict_json(proc.stdout)
+    assert data["delta"] is None
+    assert data["all_converged"] is False and data["ok"] is False
+    load_schema()(data)
+
+
 def test_convergence_command():
     proc = run_cli("convergence", "--n", "5", "--samples", "200", "--steps", "150")
     data = json.loads(proc.stdout)
@@ -282,6 +302,7 @@ def test_precision_flag_validation():
         ("scan-borel", "--n", "5", "--samples", "0"),
         ("convergence", "--n", "5", "--samples", "0"),
         ("ergodic-test", "--n", "5", "--steps", "0"),
+        ("convergence", "--n", "5", "--steps", "0"),
         ("expand", "--n", "5", "--x=-1/2", "--steps", "-3"),
         ("expand", "--n", "5", "--x", "coeffs:a,b"),
         ("transcendence", "--q-file", "{bad}", "--d", "2"),
@@ -294,12 +315,16 @@ def test_precision_flag_validation():
         ("ergodic-test", "--n", "5", "--steps", "1", "--cells", "5"),
         ("scan-borel", "--n", "5", "--samples", "20", "--tol", "nan"),
         ("transcendence", "--n", "5", "--x", "-0.7391", "--margin", "nan"),
+        ("transcendence", "--n", "5", "--x", "-0.7391", "--margin", "inf"),
+        ("scan-borel", "--n", "5", "--samples", "20", "--tol=-inf"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
-         "convergence-zero-samples", "ergodic-zero-steps", "negative-steps",
+         "convergence-zero-samples", "ergodic-zero-steps", "convergence-zero-steps",
+         "negative-steps",
          "coeffs-not-rational", "q-file-bad-line", "negative-j-max", "ergodic-zero-cells",
          "zero-precision-cap", "unwritable-out", "one-point-family", "negative-seed",
-         "ergodic-one-step", "nan-tolerance", "nan-margin"],
+         "ergodic-one-step", "nan-tolerance", "nan-margin", "infinite-margin",
+         "infinite-tolerance"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, args):
     # exit 1 is reserved for a failed identity; bad input must give 2
@@ -396,4 +421,4 @@ def test_exit_code_contract_under_fuzzed_flags(argv):
     assert "Traceback" not in err
     json_out = not any(a.startswith("--format=") and a != "--format=json" for a in argv)
     if code in (0, 1) and json_out:
-        assert (code == 1) == (json.loads(out).get("ok") is False), (argv, code)
+        assert (code == 1) == (_strict_json(out).get("ok") is False), (argv, code)

@@ -73,6 +73,13 @@ COMMANDS += [
     ("verify", "--n", "12"),
     ("verify", "--n", "20"),
     ("expand", "--n", "60", "--x", "-0.7391", "--steps", "20", "--format", "jsonl"),
+    # start points whose denominator is not a power of two, a start point
+    # with a lambda part, the natural-extension check, and the float lane's
+    # long Borel scan
+    ("expand", "--n", "7", "--x=-7/13", "--steps", "80", "--format", "jsonl"),
+    ("expand", "--n", "5", "--x", "coeffs:-1/3,-1/7", "--steps", "60", "--format", "jsonl"),
+    ("expand", "--n", "5", "--x", "-0.7391", "--steps", "30", "--check-ne"),
+    ("scan-borel", "--n", "7", "--x", "-0.31", "--steps", "200"),
 ]
 
 

@@ -8,13 +8,16 @@ dioph.expand.
 """
 
 import itertools
+import math
 import random
+import types
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trianglecf.field as field_module
 from trianglecf.dioph import expand, periodic_point
 from trianglecf.dynamics import branch, cylinder_of_f, digit_of, eps0
 from trianglecf.errors import DomainError
@@ -176,10 +179,25 @@ def test_expand_neither_embeds_nor_divides(n, steps, monkeypatch, fresh_branch_t
         return inverse(self)
 
     monkeypatch.setattr(FieldElement, "inverse", counted)
+    # the content gcds the field module takes: one per step, the one that
+    # reduces Theta_m
+    gcds = 0
+
+    def counted_gcd(*args):
+        nonlocal gcds
+        gcds += 1
+        return math.gcd(*args)
+
+    counting_math = types.ModuleType("math")
+    counting_math.__dict__.update(vars(math))
+    counting_math.gcd = counted_gcd
+    monkeypatch.setattr(field_module, "math", counting_math)
     for x, before in zip(xs, warm):
+        gcds = 0
         res = expand(F, x, steps)
         assert res.digits == before.digits and res.thetas == before.thetas
         assert inversions == 0
+        assert 0 < gcds <= len(res.digits)
         # v_m = q_{m-1}/q_m: one inversion of q_m per index, on first read
         res.vs
         res.vs

@@ -62,7 +62,9 @@ def test_expand_cross_checks_and_reconstruction():
         assert res.f_rational or len(res.digits) == 30
         st = res.states[-1]
         assert (st.det() - 1).is_zero()
-        assert (st.reconstruct(res.ts[-1]) - x).is_zero()
+        # x from t = f^m(x): (p_prev t + p)/(q_prev t + q)
+        t = res.ts[-1]
+        assert ((st.p_prev * t + st.p) / (st.q_prev * t + st.q) - x).is_zero()
 
 
 def test_expand_natural_extension_membership():
@@ -88,7 +90,10 @@ def test_window_mins_below_tau():
     x = random_interval_point(F, rng, 128)
     res = expand(F, x, 60)
     tau = float(F.tau)
-    for wm in res.window_mins(F.n):
+    # min over Theta_{m-1..m+n-1} for m = 1..M-n+1 (n+1 values each)
+    th = res.theta_floats()
+    window_mins = [min(th[m - 1 : m + F.n]) for m in range(1, len(th) - F.n)]
+    for wm in window_mins:
         assert wm <= tau + 1e-12
 
 
