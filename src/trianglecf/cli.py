@@ -8,7 +8,6 @@ and identical configuration + seed produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -16,22 +15,13 @@ import random
 import sys
 from fractions import Fraction
 
-# the float-lane commands reach numeric and ergodic through the package,
-# which imports them (and numpy) on first use
+# every layer past `field`, and the csv module, is reached through the
+# package, which imports it on first use: a command loads only the layers
+# it runs
 import trianglecf
 from . import __version__
 from .errors import ConsistencyError, DomainError, PrecisionExhausted
 from .field import build_field, get_precision_cap, random_interval_point, set_precision_cap
-from .dynamics import build_orbit_tables
-from .planar import _log_big_fraction, build_gamma, build_heights, build_omega, mu_gamma
-from .dioph import (
-    expand,
-    log_q_sequence,
-    periodic_family_report,
-    periodic_point,
-    transcendence_indicator,
-)
-from .verify import verify_one
 
 
 class UsageError(Exception):
@@ -117,7 +107,7 @@ def cmd_verify(args):
     results = {}
     ok = True
     for n in ns:
-        rep = verify_one(n)
+        rep = trianglecf.verify.verify_one(n)
         results[str(n)] = rep
         ok = ok and rep["ok"]
     payload = {"results": results, "ok": ok}
@@ -132,8 +122,8 @@ def _table_rows(indexed_values) -> list:
 
 def cmd_orbit(args):
     field = _field_for(args)
-    tables = build_orbit_tables(field)
-    heights = build_heights(field)
+    tables = trianglecf.dynamics.build_orbit_tables(field)
+    heights = trianglecf.planar.build_heights(field)
     which = args.table
     if which == "phi":
         data = _table_rows(enumerate(tables.phi))
@@ -155,10 +145,11 @@ def cmd_orbit(args):
 
 def cmd_region(args):
     field = _field_for(args)
-    region = build_omega(field) if args.which == "omega" else build_gamma(field)
+    planar = trianglecf.planar
+    region = planar.build_omega(field) if args.which == "omega" else planar.build_gamma(field)
     payload = {"which": args.which, "region": region.to_json()}
     if args.which == "gamma":
-        payload["mu"] = mu_gamma(field)
+        payload["mu"] = planar.mu_gamma(field)
     return 0, _envelope("region", field.n, args.seed, payload)
 
 
@@ -169,7 +160,7 @@ def cmd_expand(args):
     if args.x.startswith("random:"):
         return _expand_random(field, args)
     x = _parse_x(field, args.x)
-    res = expand(field, x, args.steps, check_natural_extension=args.check_ne)
+    res = trianglecf.dioph.expand(field, x, args.steps, check_natural_extension=args.check_ne)
     rows = []
     for m in range(len(res.thetas)):
         row = {
@@ -218,7 +209,7 @@ def _expand_random(field, args):
     rows = []
     for i in range(count):
         x = random_interval_point(field, rng, 256)
-        res = expand(field, x, args.steps)
+        res = trianglecf.dioph.expand(field, x, args.steps)
         thetas = res.theta_floats()
         rows.append(
             {
@@ -239,7 +230,7 @@ def cmd_scan_borel(args):
     n = field.n
     if args.x is not None:
         x = _parse_x(field, args.x)
-        res = expand(field, x, args.steps)
+        res = trianglecf.dioph.expand(field, x, args.steps)
         thetas = res.theta_floats()
         tau = float(field.tau)
         rows = []
@@ -271,9 +262,9 @@ def cmd_periodic(args):
     if args.j_max is not None:
         # the family report compares the first and the last gap
         _at_least(args.j_max, "--j-max", 2)
-        fam = periodic_family_report(field, args.j_max)
+        fam = trianglecf.dioph.periodic_family_report(field, args.j_max)
         return (0 if fam["ok"] else 1), _envelope("periodic", field.n, args.seed, fam)
-    pp = periodic_point(field, args.j)
+    pp = trianglecf.dioph.periodic_point(field, args.j)
     payload = {
         "j": pp.j,
         "digits": list(pp.digits),
@@ -311,18 +302,19 @@ def cmd_transcendence(args):
                 else:
                     q = Fraction(line)
                     if q > 1:
-                        logs.append(_log_big_fraction(q))
+                        logs.append(trianglecf.planar._log_big_fraction(q))
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad --q-file line {line!r}: {exc}") from exc
-        rep = transcendence_indicator(logs, args.d, margin=args.margin)
+        rep = trianglecf.dioph.transcendence_indicator(logs, args.d, margin=args.margin)
         return 0, _envelope("transcendence", args.n, args.seed,
                             {"source": "q-file", **rep})
     field = _field_for(args)
     if args.x is None:
         raise UsageError("need --x or --q-file")
     x = _parse_x(field, args.x)
-    logs = log_q_sequence(field, x, args.steps)
-    rep = transcendence_indicator(logs, field.degree, margin=args.margin)
+    dioph = trianglecf.dioph
+    logs = dioph.log_q_sequence(field, x, args.steps)
+    rep = dioph.transcendence_indicator(logs, field.degree, margin=args.margin)
     return 0, _envelope("transcendence", field.n, args.seed,
                         {"source": "expansion", **rep})
 
@@ -394,7 +386,7 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
             raise UsageError("this command has no tabular output; use --format json")
         buf = io.StringIO()
         fieldnames = list(rows[0].keys()) if rows else []
-        writer = csv.DictWriter(buf, fieldnames=fieldnames)
+        writer = trianglecf._csv.DictWriter(buf, fieldnames=fieldnames)
         writer.writeheader()
         for row in rows:
             writer.writerow({k: row.get(k) for k in fieldnames})

@@ -10,22 +10,16 @@ the exact lane exact and the float lane free of cancellation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from operator import add, neg
 
+# the planar layer is reached through the package, which imports it on
+# first use: an expansion without the natural-extension check never loads it
+import trianglecf
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField, _element, _new
 from .dynamics import branch, cylinder_of_f, digit_of
 from .group import Mobius
-from .planar import (
-    T_inverse,
-    _log_big_fraction,
-    branch_step,
-    build_gamma,
-    build_heights,
-    gamma_hyperbola_gap,
-)
 from .quadratic import QuadExt, compare_numeric, solve_fixed_points
 
 
@@ -76,13 +70,14 @@ def theta_fn(x, y):
     return -x / den
 
 
-@dataclass
 class ExpansionResult:
-    x0: object
-    digits: list
-    thetas: list      # Theta_0 .. Theta_M  (exact absolute values)
-    states: list      # ConvergentState per index
-    f_rational: bool = False
+    def __init__(self, x0, digits: list, thetas: list, states: list,
+                 f_rational: bool = False):
+        self.x0 = x0
+        self.digits = digits
+        self.thetas = thetas            # Theta_0 .. Theta_M  (exact absolute values)
+        self.states = states            # ConvergentState per index
+        self.f_rational = f_rational
 
     @cached_property
     def ts(self) -> list:
@@ -187,7 +182,7 @@ def expand(
     one, zero = field.one.num, field.zero.num
     state = ConvergentState.initial(field)
     res = ExpansionResult(x0=x, digits=[], thetas=[abs(x)], states=[state])
-    gamma = build_gamma(field) if check_natural_extension else None
+    gamma = trianglecf.planar.build_gamma(field) if check_natural_extension else None
     a, b, c, d = one, zero, zero, one
     abs_A = X if x.sign() >= 0 else tuple(map(_vneg, X))
     A_hat, B_hat = X, constant(_vscale(delta, one))
@@ -248,12 +243,12 @@ def danger_region_contains(field: NumberField, point, validate: bool = True) -> 
     to lying above both curves y = -1/x - 1/tau and y = tau/(1 - tau x).
     """
     x, y = point
-    if validate and not build_gamma(field).contains(x, y):
+    if validate and not trianglecf.planar.build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
     tau = field.tau
     if not theta_fn(x, y) > tau:
         return False
-    pre = T_inverse(field, point, validate=False)
+    pre = trianglecf.planar.T_inverse(field, point, validate=False)
     return theta_fn(pre[0], pre[1]) > tau
 
 
@@ -272,24 +267,26 @@ def sup_theta_gamma(field: NumberField) -> FieldElement:
     theta decreases in x and increases in y, so the sup over a rectangle
     sits at its upper-left corner."""
     best = None
-    for r in build_gamma(field).rects():
+    for r in trianglecf.planar.build_gamma(field).rects():
         v = theta_fn(r.x_lo, r.y_hi)
         if best is None or best < v:
             best = v
     return best
 
 
-@dataclass
 class PeriodicPoint:
-    j: int
-    x: QuadExt
-    y: QuadExt
-    disc: FieldElement
-    quad_coeffs: tuple        # (c, d - a, -b): c x^2 + (d-a) x - b = 0 over K
-    digits: tuple             # T-digit word along one period
-    theta_min: QuadExt        # theta at the point itself
-    theta_orbit: tuple
-    full_run_above_tau: bool = False  # all n-2 other orbit thetas exceed tau
+    def __init__(self, j: int, x: QuadExt, y: QuadExt, disc: FieldElement,
+                 quad_coeffs: tuple, digits: tuple, theta_min: QuadExt,
+                 theta_orbit: tuple, full_run_above_tau: bool = False):
+        self.j = j
+        self.x = x
+        self.y = y
+        self.disc = disc
+        self.quad_coeffs = quad_coeffs  # (c, d - a, -b): c x^2 + (d-a) x - b = 0 over K
+        self.digits = digits            # T-digit word along one period
+        self.theta_min = theta_min      # theta at the point itself
+        self.theta_orbit = theta_orbit
+        self.full_run_above_tau = full_run_above_tau  # all n-2 other orbit thetas exceed tau
 
 
 def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
@@ -317,7 +314,7 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
         raise ConsistencyError("no fixed point found in the digit-2 cylinder")
     y = -(other.inverse())
 
-    gamma = build_gamma(field)
+    gamma = trianglecf.planar.build_gamma(field)
     if not gamma.contains(chosen, y):
         raise ConsistencyError("periodic point escaped Gamma")
 
@@ -327,7 +324,7 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
     for _ in range(n - 1):
         k = cylinder_of_f(field, pt[0])
         digits.append(k)
-        pt = branch_step(field, k, pt)
+        pt = trianglecf.planar.branch_step(field, k, pt)
     if pt != (chosen, y):
         raise ConsistencyError("orbit failed to close after n-1 steps")
     if digits != [2, -j] + [1] * (n - 3):
@@ -338,7 +335,7 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
     pt = (chosen, y)
     for k in [None] + digits[:-1]:
         if k is not None:
-            pt = branch_step(field, k, pt)
+            pt = trianglecf.planar.branch_step(field, k, pt)
         thetas.append(theta_fn(pt[0], pt[1]))
     tau = field.tau
     if not thetas[0] < tau:
@@ -370,7 +367,7 @@ def periodic_family_report(field: NumberField, j_max: int = 10) -> dict:
     tau = field.tau
     gaps = [float(tau.embed(60).mid() - p.theta_min.embed(60).mid()) for p in pts]
     limit_x = branch(field, 1).hi
-    limit_y = build_heights(field).level(2 * field.n - 5)
+    limit_y = trianglecf.planar.build_heights(field).level(2 * field.n - 5)
     last = pts[-1]
     dist = abs(float(last.x) - float(limit_x)) + abs(float(last.y) - float(limit_y))
     return {
@@ -387,7 +384,7 @@ def convergence_witness_exact(field: NumberField, x, steps: int = 40) -> dict:
     """Exact spot-check of the q-ratio bound and the hyperbola-gap estimate."""
     res = expand(field, x, steps)
     tau = field.tau
-    gap = gamma_hyperbola_gap(field)
+    gap = trianglecf.planar.gamma_hyperbola_gap(field)
     max_v = field.zero
     min_one_plus_tv = None
     for t, v in zip(res.ts[1:], res.vs[1:]):
@@ -417,7 +414,7 @@ def log_q_sequence(field: NumberField, x, steps: int) -> list:
         val = abs(st.q.embed(60).mid())
         if val == 0:
             raise ConsistencyError("vanishing q along an expansion")
-        logs.append(_log_big_fraction(val))
+        logs.append(trianglecf.planar._log_big_fraction(val))
     return logs
 
 

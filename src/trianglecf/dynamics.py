@@ -8,7 +8,6 @@ W^j step, which is what makes the invariant measure finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -16,8 +15,8 @@ from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField, _new
 from .group import Mobius, digit_matrix, generators, y_matrix
 
-# most (field, digit) entries the branch table keeps; an evicted entry is
-# rebuilt on its next use
+# most (field, digit) entries the branch and cylinder-end tables keep; an
+# evicted entry is rebuilt on its next use
 BRANCH_CACHE_SIZE = 1024
 
 
@@ -52,18 +51,25 @@ class Branch(NamedTuple):
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
+def cylinder_lo(field: NumberField, k: int) -> FieldElement:
+    """Left end of the accelerated map's cylinder with digit k."""
+    if k >= 2:
+        return cylinder_right_endpoint(field, k - 1)
+    if k == 1:
+        return eps0(field)
+    return acceleration_cylinder_bounds(field, -k)[0]
+
+
+@lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def branch(field: NumberField, k: int) -> Branch:
     """The branch table of the accelerated map, one entry per digit.
 
     The slow map shares every entry except digit 1, whose cylinder starts
     at -tau instead of eps0."""
     M = digit_matrix(field, k)
-    if k >= 2:
-        lo, hi = cylinder_right_endpoint(field, k - 1), cylinder_right_endpoint(field, k)
-    elif k == 1:
-        lo, hi = eps0(field), cylinder_right_endpoint(field, 1)
-    else:
-        lo, hi = acceleration_cylinder_bounds(field, -k)
+    # the cylinders tile [-tau, 0): each ends where the next one to the
+    # right, digit k + 1 (or 1 after -1), starts
+    lo, hi = cylinder_lo(field, k), cylinder_lo(field, k + 1 or 1)
     if M.apply(hi) != 0:
         raise ConsistencyError(f"branch {k} does not send its right end to 0")
     return Branch(k, M, y_matrix(field, k), lo, hi, M.apply(lo))
@@ -141,7 +147,7 @@ def digit_of(field: NumberField, A, B):
 
     def at_or_right_of(pos):
         # lo <= t for the cylinder at this position
-        return _sign_of_gap(A, B, branch(field, _digit_at(pos)).lo) * s_b >= 0
+        return _sign_of_gap(A, B, cylinder_lo(field, _digit_at(pos))) * s_b >= 0
 
     # lo_pos holds a cylinder whose lo is <= t, hi_pos one whose lo is > t
     pos = _guess_position(field, A, B)
@@ -219,8 +225,7 @@ def f_step(field: NumberField, x):
     return x_new, k, M
 
 
-@dataclass(frozen=True)
-class OrbitTables:
+class OrbitTables(NamedTuple):
     """Exact forward orbits of -tau (slow map) and eps0 (accelerated map),
     plus the backwards orbit from 1/(1-2 tau), with their digit words."""
 

@@ -10,7 +10,7 @@ a fifth rule is provided separately for the exact characterization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmissibilityResult:
+class AdmissibilityResult(NamedTuple):
     ok: bool
     rule: int | None = None       # 1..4 published rules, 5 = realizability refinement
     position: int | None = None
@@ -137,12 +136,12 @@ def observed_words(field: NumberField, samples: int, length: int, seed: int) -> 
     }
 
 
-@dataclass
 class InducedOrbitRecord:
-    y0: float
-    return_time: int
-    word: tuple
-    derivative: float
+    def __init__(self, y0: float, return_time: int, word: tuple, derivative: float):
+        self.y0 = y0
+        self.return_time = return_time
+        self.word = word
+        self.derivative = derivative
 
 
 def induced_step_Y(field: NumberField, y, fs: FloatSystem = None) -> InducedOrbitRecord:

@@ -9,7 +9,6 @@ measure-zero misclassification at cylinder boundaries is harmless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -20,15 +19,15 @@ from .dynamics import eps0
 from .planar import Rect, acceleration_fiber_top, build_gamma, mu_gamma, mu_rect, nu_cdf
 
 
-@dataclass
 class FloatSystem:
     """Float shadows of the constants the maps branch on."""
 
-    n: int
-    tau: float
-    eps0: float
-    y_left: float          # 1/(1 - 2 tau), left endpoint of the return set Y
-    acc_top: float         # tau/(tau^2 + 1)
+    def __init__(self, n: int, tau: float, eps0: float, y_left: float, acc_top: float):
+        self.n = n
+        self.tau = tau
+        self.eps0 = eps0
+        self.y_left = y_left    # 1/(1 - 2 tau), left endpoint of the return set Y
+        self.acc_top = acc_top  # tau/(tau^2 + 1)
 
     @staticmethod
     def for_field(field: NumberField) -> "FloatSystem":

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
@@ -32,8 +32,7 @@ from .group import INFINITY
 # heights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Heights:
+class Heights(NamedTuple):
     """Rectangle heights above the orbit of -tau: L_1 < ... < L_{2n-4} < R."""
 
     field: NumberField
@@ -94,8 +93,7 @@ def build_heights(field: NumberField) -> Heights:
 # regions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Slab:
+class Slab(NamedTuple):
     """Vertical strip [x_lo, x_hi) carrying closed fiber intervals in y."""
 
     x_lo: FieldElement
@@ -103,8 +101,7 @@ class Slab:
     fibers: tuple  # ((y_lo, y_hi), ...) in increasing order
 
 
-@dataclass(frozen=True)
-class Rect:
+class Rect(NamedTuple):
     """[x_lo, x_hi) x [y_lo, y_hi] with exact field-element corners."""
 
     x_lo: FieldElement

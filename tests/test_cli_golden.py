@@ -80,6 +80,10 @@ COMMANDS += [
     ("expand", "--n", "5", "--x", "coeffs:-1/3,-1/7", "--steps", "60", "--format", "jsonl"),
     ("expand", "--n", "5", "--x", "-0.7391", "--steps", "30", "--check-ne"),
     ("scan-borel", "--n", "7", "--x", "-0.31", "--steps", "200"),
+    # csv output outside expand's fixed start points: a non-expand table
+    # and the random:K rows
+    ("orbit", "--n", "8", "--table", "heights", "--format", "csv"),
+    ("expand", "--n", "5", "--x", "random:2", "--steps", "30", "--format", "csv"),
 ]
 
 

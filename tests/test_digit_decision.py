@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import trianglecf.field as field_module
 from trianglecf.dioph import expand, periodic_point
-from trianglecf.dynamics import branch, cylinder_of_f, digit_of, eps0
+from trianglecf.dynamics import branch, cylinder_lo, cylinder_of_f, digit_of, eps0
 from trianglecf.errors import DomainError
 from trianglecf.field import (
     FieldElement,
@@ -146,15 +146,28 @@ def test_digit_of_far_cylinders():
         assert digit_of(F, b.lo, F.one) == k
 
 
+def test_gallop_probes_build_no_branch_entry():
+    # a point near 0 has a first digit near 2^256; the gallop reads only
+    # the left end of each probed cylinder, never a whole branch entry
+    F = build_field(16)
+    x = -F.tau * Fraction(1, 2 ** 256)
+    before = branch.cache_info().misses
+    k = digit_of(F, x, F.one)
+    assert branch.cache_info().misses == before
+    assert k > 2 ** 250
+    assert cylinder_lo(F, k) <= x and x < cylinder_lo(F, k + 1)
+
+
 @pytest.fixture
 def fresh_branch_tables():
     """Branch tables rebuilt on the test's own field objects, and dropped
     afterwards, so λ's bracket of a fresh field sees every decision."""
-    branch.cache_clear()
-    eps0.cache_clear()
+    tables = (branch, cylinder_lo, eps0)
+    for table in tables:
+        table.cache_clear()
     yield
-    branch.cache_clear()
-    eps0.cache_clear()
+    for table in tables:
+        table.cache_clear()
 
 
 @pytest.mark.parametrize("n,steps", [(5, 60), (13, 20)])

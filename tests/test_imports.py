@@ -47,13 +47,9 @@ def test_cli_does_not_load_mpmath():
         env=env, check=True)
 
 
-def _float_lane_imports(path):
-    """Import statements in `path` that would load numpy or a float-lane
-    module."""
-    def float_lane(module):
-        top = module.split(".")[0]
-        return top == "numpy" or module in {f"trianglecf.{m}" for m in FLOAT_LANE}
-
+def _imports(path, wanted):
+    """Import statements in `path` that would load a module for which
+    `wanted` is true; a relative import names its module under trianglecf."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
@@ -65,9 +61,13 @@ def _float_lane_imports(path):
             names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
         else:
             continue
-        if any(float_lane(name) for name in names):
+        if any(wanted(name) for name in names):
             found.append(f"{path.name}:{node.lineno}")
     return found
+
+
+def _float_lane(module):
+    return module.split(".")[0] == "numpy" or module in {f"trianglecf.{m}" for m in FLOAT_LANE}
 
 
 def test_exact_lane_imports_nothing_of_the_float_lane():
@@ -76,7 +76,23 @@ def test_exact_lane_imports_nothing_of_the_float_lane():
     package = Path(trianglecf.__file__).parent
     paths = [package / f"{m}.py" for m in (*EXACT_LANE, "__init__", "cli")]
     assert all(path.is_file() for path in paths)
-    found = [hit for path in paths for hit in _float_lane_imports(path)]
+    found = [hit for path in paths for hit in _imports(path, _float_lane)]
     assert found == []
     # the check itself sees the imports the float lane does make
-    assert _float_lane_imports(package / "ergodic.py")
+    assert _imports(package / "ergodic.py", _float_lane)
+
+
+def _dataclasses(module):
+    return module.split(".")[0] == "dataclasses"
+
+
+def test_library_does_not_import_dataclasses(tmp_path):
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # @dataclass compiles its methods at import: a cold start pays for both
+    assert SOURCES
+    found = [hit for path in SOURCES for hit in _imports(path, _dataclasses)]
+    assert found == []
+    # the check itself sees both forms of the import
+    probe = tmp_path / "probe.py"
+    probe.write_text("import dataclasses\nfrom dataclasses import dataclass\n")
+    assert _imports(probe, _dataclasses) == ["probe.py:1", "probe.py:2"]

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -447,7 +446,8 @@ def test_fiber_at_matches_a_linear_scan(n):
 
 def _replace_slab(region, i, **change):
     slabs = list(region.slabs)
-    slabs[i] = dataclasses.replace(slabs[i], **change)
+    s = slabs[i]
+    slabs[i] = Slab(**{"x_lo": s.x_lo, "x_hi": s.x_hi, "fibers": s.fibers, **change})
     return PlanarRegion("gamma", slabs)
 
 
