@@ -132,7 +132,9 @@ class Mobius:
         return num / den
 
     def conjugate_by_rotation(self) -> "Mobius":
-        """Conjugation by [[0,-1],[1,0]], used to pair x- and y-matrices."""
+        """Conjugation by [[0,-1],[1,0]], used to pair x- and y-matrices:
+        [[d, -c], [-b, a]], which is (M^T)^-1 when det M = 1.
+        planar._check_branch_measure checks N_k against it for each digit."""
         e = Mobius(self.field, 0, -1, 1, 0, check=False)
         return e * self * e.inverse()
 

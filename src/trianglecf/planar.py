@@ -12,7 +12,6 @@ import math
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
@@ -114,7 +113,9 @@ class PlanarRegion:
     """Finite union of slabs; membership is decided by exact sign tests.
 
     The slabs are nonempty and tile one x-interval from left to right: each
-    slab's x_hi is the next slab's x_lo."""
+    slab's x_hi is the next slab's x_lo.  The cuts (every x_lo, then the
+    last x_hi) are indexed by value: field elements are canonical and
+    hashable, so a point on a cut is found with no sign decision."""
 
     def __init__(self, name: str, slabs):
         self.name = name
@@ -125,56 +126,47 @@ class PlanarRegion:
         for s, t in zip(self.slabs, self.slabs[1:]):
             if s.x_hi != t.x_lo:
                 raise ConsistencyError(f"{name}: slabs are not contiguous in x")
+        self._cuts = [s.x_lo for s in self.slabs] + [self.slabs[-1].x_hi]
+        self._cut_index = {x: i for i, x in enumerate(self._cuts)}
 
     def rects(self):
-        out = []
-        for s in self.slabs:
-            for (lo, hi) in s.fibers:
-                out.append(Rect(s.x_lo, s.x_hi, lo, hi))
-        return out
+        return [Rect(s.x_lo, s.x_hi, lo, hi) for s in self.slabs for lo, hi in s.fibers]
 
-    def _index_at(self, x) -> int:
-        """Index of the last slab whose x_lo <= x; -1 left of every slab."""
-        return bisect_right(self.slabs, x, key=attrgetter("x_lo")) - 1
+    def _index_at(self, x):
+        """(i, on_cut): i indexes the last cut <= x, so x lies in slab i when
+        0 <= i < len(slabs); -1 left of every slab.  A cut is found by one
+        hash lookup, any other point by bisection."""
+        i = self._cut_index.get(x)
+        if i is not None:
+            return i, True
+        return bisect_right(self._cuts, x) - 1, False
 
     def contains(self, x, y) -> bool:
         return any(lo <= y and y <= hi for lo, hi in self.fiber_at(x))
 
     def fiber_at(self, x):
-        i = self._index_at(x)
-        if i < 0 or not x < self.slabs[i].x_hi:
-            return ()
-        return self.slabs[i].fibers
+        i, _ = self._index_at(x)
+        return self.slabs[i].fibers if 0 <= i < len(self.slabs) else ()
 
     def overlay(self, a, b):
         """(slab, lo, hi) for each slab meeting [a, b), in slab order, where
-        [lo, hi) is the part of [a, b) over that slab.  The slabs left of
-        the one holding a, and those from b on, are not visited."""
-        for s in self.slabs[max(self._index_at(a), 0):]:
-            if not s.x_lo < b:
-                return
-            lo = max(a, s.x_lo)
-            hi = min(b, s.x_hi)
-            if lo < hi:
-                yield s, lo, hi
+        [lo, hi) is the part of [a, b) over that slab: a in the slab holding
+        a, b in the last slab starting below b, the slab's own ends
+        elsewhere.  Only a < b is decided, and only when a and b fall
+        strictly inside one slab."""
+        i, a_on_cut = self._index_at(a)
+        j, b_on_cut = self._index_at(b)
+        j -= b_on_cut                        # the last cut below b
+        if i == j and not (a_on_cut or b_on_cut) and not a < b:
+            return
+        for k in range(max(i, 0), min(j + 1, len(self.slabs))):
+            s = self.slabs[k]
+            yield s, a if k == i else s.x_lo, b if k == j else s.x_hi
 
     def to_json(self):
-        rect_list = []
-        for r in self.rects():
-            rect_list.append(
-                {
-                    "x_lo": r.x_lo.to_json(),
-                    "x_hi": r.x_hi.to_json(),
-                    "y_lo": r.y_lo.to_json(),
-                    "y_hi": r.y_hi.to_json(),
-                    "shadow": {
-                        "x_lo": float(r.x_lo),
-                        "x_hi": float(r.x_hi),
-                        "y_lo": float(r.y_lo),
-                        "y_hi": float(r.y_hi),
-                    },
-                }
-            )
+        rect_list = [{**{k: e.to_json() for k, e in r._asdict().items()},
+                      "shadow": {k: float(e) for k, e in r._asdict().items()}}
+                     for r in self.rects()]
         return {"name": self.name, "rect_count": len(rect_list), "rects": rect_list}
 
 
@@ -407,13 +399,14 @@ def T_inverse(field: NumberField, point, validate: bool = True):
 # exact bijectivity verification
 # ---------------------------------------------------------------------------
 
+_K_FIN = _J_FIN = 6  # digits tiled piece by piece; the rest as two tails
+_DIGITS = (*range(-_J_FIN, 0), *range(1, _K_FIN + 1))
+
+
 def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi, ends: dict):
     """Image of one piece under (M_k, N_k); both coordinates map increasingly.
-
-    ends memoises the image of each end per (digit, coordinate, end):
-    the pieces of one cylinder share their x ends, and pieces meeting the
-    same heights share their y ends, so each distinct end costs one apply.
-    """
+    ends memoises the image of each end per (digit, coordinate, end), as
+    pieces share their ends: each distinct end costs at most one apply."""
     b = branch(field, digit)
 
     def image(axis, matrix, end):
@@ -434,27 +427,20 @@ def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi, ends: dict):
     return (nx_lo, nx_hi, ny_lo, ny_hi)
 
 
-def _check_measure(src, img) -> None:
-    """mu(src) == mu(img) for rectangles (x1, x2, y1, y2), decided exactly.
-
-    mu([x1, x2] x [y1, y2]) = log[(1+x1y1)(1+x2y2) / ((1+x1y2)(1+x2y1))], so
-    the two measures agree iff the cross-multiplied products do.  A piece
-    with a corner on 1 + xy = 0 (Omega's infinite-mass corner) gives 0 == 0.
-    """
-    x1, x2, y1, y2 = src
-    X1, X2, Y1, Y2 = img
-    if ((1 + x1 * y1) * (1 + x2 * y2) * (1 + X1 * Y2) * (1 + X2 * Y1)
-            != (1 + X1 * Y1) * (1 + X2 * Y2) * (1 + x1 * y2) * (1 + x2 * y1)):
-        raise ConsistencyError("a branch does not preserve the measure of a piece")
+def _check_branch_measure(b) -> None:
+    """det M_k == 1 and N_k == (M_k^T)^-1, decided exactly: the pairing
+    that makes (M_k, N_k) preserve dx dy/(1+xy)^2 (see verify_bijectivity)."""
+    if b.M.det() != 1:
+        raise ConsistencyError(f"branch {b.digit} does not preserve the measure: det M != 1")
+    if b.N != b.M.conjugate_by_rotation():
+        raise ConsistencyError(f"branch {b.digit} does not preserve the measure: N != (M^T)^-1")
 
 
-def _cylinder_pieces(field, region: PlanarRegion, accelerated: bool,
-                     k_fin: int, j_fin: int):
+def _cylinder_pieces(field, region: PlanarRegion, accelerated: bool):
     """Overlay of region slabs with branch cylinders; finite pieces only.
     The slow map's digit-1 cylinder starts at -tau, not at eps0."""
-    digits = list(range(-j_fin, 0)) if accelerated else []
     pieces = []
-    for digit in digits + list(range(1, k_fin + 1)):
+    for digit in (d for d in _DIGITS if accelerated or d > 0):
         b = branch(field, digit)
         c_lo = -field.tau if digit == 1 and not accelerated else b.lo
         for slab, lo, hi in region.overlay(c_lo, b.hi):
@@ -463,27 +449,57 @@ def _cylinder_pieces(field, region: PlanarRegion, accelerated: bool,
     return pieces
 
 
+def _region_images(field, region: PlanarRegion, accelerated: bool):
+    """(pieces, images): the finite pieces of region, the image of each
+    under its branch, then the closed-form image stacks of the tails."""
+    pieces = _cylinder_pieces(field, region, accelerated)
+    # the branch table has decided M_k(lo) = image_lo and M_k(hi) = 0
+    ends = {}
+    for digit in {p[0] for p in pieces}:
+        b = branch(field, digit)
+        ends[digit, "x", b.lo], ends[digit, "x", b.hi] = b.image_lo, field.zero
+    images = [_map_piece(field, *piece, ends) for piece in pieces]
+
+    # tail of the full cylinders k > _K_FIN: images stack onto
+    # [-tau, 0) x (0, 1/(_K_FIN tau - 1)]
+    tau = field.tau
+    images.append((-tau, field.zero, field.zero, (tau * _K_FIN - 1).inverse()))
+    if accelerated:
+        # acceleration tail j > _J_FIN stacks onto
+        # [eps0, 0) x (j1 tau/(j1 tau^2 + 1), L_1] with j1 = _J_FIN + 1
+        j1 = _J_FIN + 1
+        lo_band = (tau * j1) / (tau * tau * j1 + 1)
+        images.append((eps0(field), field.zero, lo_band, build_heights(field).level(1)))
+    return pieces, images
+
+
 def _check_band_tiling(region: PlanarRegion, bands_by_slab) -> None:
-    """Each slab's image bands must exactly cover its fiber union."""
+    """Each slab's image bands (lo < hi each) must exactly cover its fiber
+    union.  The bands are chained by value from the fiber bottom, jumping
+    only across a designated fiber gap, so a tiling costs no sign decision;
+    a sign is read only to word a failure."""
     for slab in region.slabs:
-        key = id(slab)
-        bands = sorted(bands_by_slab.get(key, []))
+        bands = bands_by_slab.get(id(slab))
         if not bands:
             raise ConsistencyError("slab received no image bands")
-        fibers = slab.fibers
-        fb = 0
-        cursor = fibers[0][0]
-        if cursor != bands[0][0]:
+        fibers, bottom = slab.fibers, slab.fibers[0][0]
+        chain = dict(bands)
+        if bottom not in chain:
             raise ConsistencyError("lowest band does not start at the fiber bottom")
-        for lo, hi in bands:
-            if lo == cursor:
-                cursor = hi
-                continue
-            # the only legal jump is across a designated fiber gap
-            if fb + 1 < len(fibers) and cursor == fibers[fb][1] and lo == fibers[fb + 1][0]:
+        broken = len(chain) != len(bands)       # two bands share a lo
+        fb, cursor = 0, bottom
+        while chain and not broken:
+            if cursor in chain:
+                cursor = chain.pop(cursor)
+            elif (fb + 1 < len(fibers) and cursor == fibers[fb][1]
+                    and fibers[fb + 1][0] in chain):
                 fb += 1
-                cursor = hi
-                continue
+                cursor = chain.pop(fibers[fb][0])
+            else:
+                broken = True
+        if broken:
+            if any(lo < bottom for lo, _ in bands):
+                raise ConsistencyError("lowest band does not start at the fiber bottom")
             raise ConsistencyError("gap or overlap between image bands")
         if not (cursor == fibers[fb][1] and fb == len(fibers) - 1):
             raise ConsistencyError("image bands do not reach the fiber top")
@@ -493,51 +509,33 @@ def _distribute_bands(region: PlanarRegion, images) -> dict:
     """Split image x-ranges at slab boundaries and bucket the y-bands."""
     bands_by_slab = {}
     for (x_lo, x_hi, y_lo, y_hi) in images:
-        matched_any = False
-        for slab, _, _ in region.overlay(x_lo, x_hi):
-            matched_any = True
-            bands_by_slab.setdefault(id(slab), []).append((y_lo, y_hi))
-        if not matched_any:
+        slabs = [slab for slab, _, _ in region.overlay(x_lo, x_hi)]
+        if not slabs:
             raise ConsistencyError("image piece fell outside the region")
+        for slab in slabs:
+            bands_by_slab.setdefault(id(slab), []).append((y_lo, y_hi))
     return bands_by_slab
 
 
 def verify_bijectivity(field: NumberField) -> dict:
     """Exact corner-tiling proof that S permutes Omega and T permutes Gamma
     up to measure zero, and that every finite piece keeps its measure
-    dx dy/(1+xy)^2.  The two infinite branch families are checked piece by
-    piece up to digits 6 and -6, and their tails against closed-form stack
-    limits."""
-    k_fin = j_fin = 6
-    tau = field.tau
+    dx dy/(1+xy)^2.  Digits up to 6 and -6 are tiled piece by piece, the
+    rest as two closed-form stacks.  The measure is one identity per branch,
+    det M = 1 and N = (M^T)^-1 = [[d, -c], [-b, a]] for M = [[a, b], [c, d]]:
+      1 + M(x) N(y) = (1 + xy) / ((cx + d)(a - by)),
+      the Jacobian of (x, y) -> (M x, N y) is 1 / ((cx + d)^2 (a - by)^2),
+      so dx dy/(1+xy)^2 is invariant pointwise, and with it every piece's mass.
+    """
     report = {"n": field.n}
-
+    for digit in _DIGITS:
+        _check_branch_measure(branch(field, digit))
     for name, region, accelerated in (
         ("omega", build_omega(field), False),
         ("gamma", build_gamma(field), True),
     ):
-        pieces = _cylinder_pieces(field, region, accelerated, k_fin, j_fin)
-        images = []
-        ends = {}
-        for (digit, *src) in pieces:
-            img = _map_piece(field, digit, *src, ends)
-            _check_measure(src, img)
-            images.append(img)
-
-        # tail of the full cylinders k > k_fin: images stack onto
-        # [-tau, 0) x (0, 1/(k_fin tau - 1)]
-        k_tail_top = (tau * k_fin - 1).inverse()
-        images.append((-tau, field.zero, field.zero, k_tail_top))
-        if accelerated:
-            # acceleration tail j > j_fin stacks onto
-            # [eps0, 0) x ((j_fin+1) tau/((j_fin+1) tau^2 + 1), L_1]
-            j1 = j_fin + 1
-            lo_band = (tau * j1) / (tau * tau * j1 + 1)
-            L1 = build_heights(field).level(1)
-            images.append((eps0(field), field.zero, lo_band, L1))
-
-        bands = _distribute_bands(region, images)
-        _check_band_tiling(region, bands)
+        pieces, images = _region_images(field, region, accelerated)
+        _check_band_tiling(region, _distribute_bands(region, images))
         report[name] = {"pieces": len(pieces), "ok": True}
     report["ok"] = True
     return report

@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trianglecf.errors import ConsistencyError, DomainError
-from trianglecf.field import build_field
-from trianglecf.group import INFINITY, digit_matrix, y_matrix
+from trianglecf.field import FieldElement, build_field
+from trianglecf.group import INFINITY, Mobius, digit_matrix, y_matrix
 from trianglecf.dynamics import branch, build_orbit_tables, eps0
 from trianglecf.planar import (
     PlanarRegion,
@@ -17,9 +19,11 @@ from trianglecf.planar import (
     T_inverse,
     T_step,
     _check_band_tiling,
+    _check_branch_measure,
     _check_gamma_in_omega,
-    _check_measure,
     _cylinder_pieces,
+    _distribute_bands,
+    _region_images,
     acceleration_fiber_top,
     build_gamma,
     build_heights,
@@ -140,12 +144,39 @@ def test_bijectivity(n):
     assert rep["omega"]["ok"] and rep["gamma"]["ok"]
 
 
-@pytest.mark.parametrize("n, finite_pieces", ((5, 9), (16, 20)))
-def test_measure_identity_rejects_y_mapped_by_M(n, finite_pieces):
+def _check_measure(src, img) -> None:
+    """Oracle: mu(src) == mu(img) for rectangles (x1, x2, y1, y2), decided
+    exactly.  mu([x1, x2] x [y1, y2]) = log[(1+x1y1)(1+x2y2) / ((1+x1y2)(1+x2y1))],
+    so the two measures agree iff the cross-multiplied products do.  A piece
+    with a corner on 1 + xy = 0 (Omega's infinite-mass corner) gives 0 == 0."""
+    x1, x2, y1, y2 = src
+    X1, X2, Y1, Y2 = img
+    if ((1 + x1 * y1) * (1 + x2 * y2) * (1 + X1 * Y2) * (1 + X2 * Y1)
+            != (1 + X1 * Y1) * (1 + X2 * Y2) * (1 + x1 * y2) * (1 + x2 * y1)):
+        raise ConsistencyError("a branch does not preserve the measure of a piece")
+
+
+@pytest.mark.parametrize("n", (5, 16))
+def test_every_finite_piece_keeps_its_measure(n):
+    # the per-branch identity proves this; the per-piece oracle confirms it
+    # on the very images that verify_bijectivity tiles with
     F = build_field(n)
     checked = 0
     for region, accelerated in ((build_omega(F), False), (build_gamma(F), True)):
-        for (digit, x1, x2, y1, y2) in _cylinder_pieces(F, region, accelerated, 6, 6):
+        srcs, images = _region_images(F, region, accelerated)
+        for (digit, *src), img in zip(srcs, images):
+            _check_measure(src, img)
+            checked += 1
+    rep = verify_bijectivity(F)
+    assert checked == rep["omega"]["pieces"] + rep["gamma"]["pieces"] > 0
+
+
+@pytest.mark.parametrize("n, finite_pieces", ((5, 9), (16, 20)))
+def test_measure_oracle_rejects_y_mapped_by_M(n, finite_pieces):
+    F = build_field(n)
+    checked = 0
+    for region, accelerated in ((build_omega(F), False), (build_gamma(F), True)):
+        for (digit, x1, x2, y1, y2) in _cylinder_pieces(F, region, accelerated):
             b = branch(F, digit)
             wrong_y = (b.M.apply(y1), b.M.apply(y2))
             if INFINITY in wrong_y:
@@ -157,6 +188,29 @@ def test_measure_identity_rejects_y_mapped_by_M(n, finite_pieces):
                 _check_measure(src, X + wrong_y)
             checked += 1
     assert checked == finite_pieces
+
+
+@pytest.mark.parametrize("n", (5, 16))
+def test_measure_identity_rejects_y_mapped_by_M(n):
+    F = build_field(n)
+    for k in (*range(-6, 0), *range(1, 7)):
+        b = branch(F, k)
+        _check_branch_measure(b)
+        with pytest.raises(ConsistencyError, match="measure"):
+            _check_branch_measure(b._replace(N=b.M))
+
+
+@pytest.mark.parametrize("n", (5, 16))
+def test_measure_identity_rejects_det_not_one(n):
+    # 2M and its rotation conjugate 2N are paired, but det 2M = 4
+    F = build_field(n)
+    for k in (-2, -1, 1, 2, 6):
+        b = branch(F, k)
+        M2 = Mobius(F, *(2 * e for e in b.M.entries()), check=False)
+        assert M2.conjugate_by_rotation() == Mobius(
+            F, *(2 * e for e in b.N.entries()), check=False)
+        with pytest.raises(ConsistencyError, match="measure"):
+            _check_branch_measure(b._replace(M=M2, N=M2.conjugate_by_rotation()))
 
 
 def test_mu_rect_degenerate_and_domain():
@@ -369,6 +423,168 @@ def test_band_tiling_sorts_exactly():
     slab = Slab(-F.tau, F.zero, ((F.zero, F.one),))
     bands = [(eps, 2 * eps), (F.zero, eps), (2 * eps, F.one)]
     _check_band_tiling(PlanarRegion("test", [slab]), {id(slab): bands})
+
+
+def _sorted_band_tiling(region, bands_by_slab):
+    """Oracle: the walk over each slab's bands in exact sorted order."""
+    for slab in region.slabs:
+        bands = sorted(bands_by_slab.get(id(slab), []))
+        if not bands:
+            raise ConsistencyError("slab received no image bands")
+        fibers = slab.fibers
+        fb = 0
+        cursor = fibers[0][0]
+        if cursor != bands[0][0]:
+            raise ConsistencyError("lowest band does not start at the fiber bottom")
+        for lo, hi in bands:
+            if lo == cursor:
+                cursor = hi
+                continue
+            # the only legal jump is across a designated fiber gap
+            if fb + 1 < len(fibers) and cursor == fibers[fb][1] and lo == fibers[fb + 1][0]:
+                fb += 1
+                cursor = hi
+                continue
+            raise ConsistencyError("gap or overlap between image bands")
+        if not (cursor == fibers[fb][1] and fb == len(fibers) - 1):
+            raise ConsistencyError("image bands do not reach the fiber top")
+
+
+def _verdict(check, slab, bands):
+    try:
+        check(PlanarRegion("test", [slab]), {id(slab): bands})
+    except ConsistencyError as exc:
+        return str(exc)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _tiling_slabs():
+    # Gamma's slabs hold one or two fibers at irrational heights; the last
+    # slab adds a third fiber
+    out = build_gamma(build_field(5)).slabs + [
+        s for s in build_gamma(build_field(8)).slabs if len(s.fibers) > 1]
+    F = build_field(7)
+    q = F.from_fraction
+    out.append(Slab(-F.tau, F.zero, ((F.zero, q(Fraction(1, 4))),
+                                     (q(Fraction(1, 3)), F.lam - 1), (F.one, F.tau))))
+    return out
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=64)
+
+
+def _mutate(bands, fibers, op, i, q):
+    """Apply one mutation; every band keeps lo < hi."""
+    if not bands:
+        return
+    lo, hi = bands[i % len(bands)]
+    gap = i % len(fibers)
+    if op == "drop":
+        del bands[i % len(bands)]
+    elif op == "duplicate":
+        bands.append((lo, hi))
+    elif op == "overlap":
+        bands.append((lo + (hi - lo) * (q / 2), hi))
+    elif op == "shift_lo":
+        bands[i % len(bands)] = (lo + (hi - lo) * (q - Fraction(1, 2)), hi)
+    elif op == "shift_hi":
+        bands[i % len(bands)] = (lo, hi + (hi - lo) * (q - Fraction(1, 2)))
+    elif op == "bridge" and len(fibers) > 1:
+        gap = i % (len(fibers) - 1)
+        bands.append((fibers[gap][1], fibers[gap + 1][0]))
+    elif op == "from_top":
+        top = fibers[gap][1]
+        bands.append((top, top + (1 + q) / 64))
+    elif op == "under_bottom":
+        bands.append((fibers[0][0] - (1 + q) / 64, fibers[0][0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_band_chain_agrees_with_the_sorted_walk(data):
+    slab = data.draw(st.sampled_from(_tiling_slabs()))
+    bands = []
+    for lo, hi in slab.fibers:
+        qs = sorted(data.draw(st.sets(UNIT.filter(lambda q: 0 < q < 1), max_size=3)))
+        cuts = [lo] + [lo + (hi - lo) * q for q in qs] + [hi]
+        bands.extend(zip(cuts, cuts[1:]))
+    bands = data.draw(st.permutations(bands))
+    ops = st.sampled_from(("drop", "duplicate", "overlap", "shift_lo", "shift_hi",
+                           "bridge", "from_top", "under_bottom"))
+    count = data.draw(st.integers(0, 2))
+    mutation = st.tuples(ops, st.integers(0, 50), UNIT)
+    mutations = data.draw(st.lists(mutation, min_size=count, max_size=count))
+    for op, i, q in mutations:
+        _mutate(bands, slab.fibers, op, i, q)
+    expected = _verdict(_sorted_band_tiling, slab, bands)
+    assert _verdict(_check_band_tiling, slab, bands) == expected
+    if not mutations:
+        assert expected is None
+
+
+@pytest.mark.parametrize("op, i, message", (
+    ("drop", 0, "lowest band does not start at the fiber bottom"),
+    ("drop", 1, "gap or overlap between image bands"),
+    ("drop", 3, "image bands do not reach the fiber top"),
+    ("duplicate", 1, "gap or overlap between image bands"),
+    ("overlap", 2, "gap or overlap between image bands"),
+    ("shift_lo", 0, "lowest band does not start at the fiber bottom"),
+    ("shift_hi", 1, "gap or overlap between image bands"),
+    ("bridge", 0, "image bands do not reach the fiber top"),
+    ("from_top", 0, "gap or overlap between image bands"),
+    ("from_top", 1, "image bands do not reach the fiber top"),
+    ("under_bottom", 0, "lowest band does not start at the fiber bottom"),
+))
+def test_band_chain_names_each_failure(op, i, message):
+    # two fibers, each cut into two bands: bands 0, 1 and 2, 3
+    F = build_field(5)
+    q = F.from_fraction
+    fibers = ((F.zero, q(Fraction(1, 4))), (q(Fraction(1, 2)), F.one))
+    slab = Slab(-F.tau, F.zero, fibers)
+    bands = []
+    for lo, hi in fibers:
+        mid = (lo + hi) / 2
+        bands += [(lo, mid), (mid, hi)]
+    assert _verdict(_check_band_tiling, slab, list(bands)) is None
+    _mutate(bands, fibers, op, i, Fraction(1, 5))
+    assert _verdict(_check_band_tiling, slab, bands) == message
+    assert _verdict(_sorted_band_tiling, slab, bands) == message
+
+
+def _count_signs(monkeypatch, fn):
+    calls = 0
+    sign = FieldElement.sign
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return sign(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(FieldElement, "sign", counted)
+        fn()
+    return calls
+
+
+@pytest.mark.parametrize("n, budget", ((8, 570), (16, 1240)))
+def test_tiling_sign_budget(n, budget, monkeypatch):
+    # a linear slab scan, a sorted band walk and a per-piece measure check
+    # made 2 282 (n=8) and 4 973 (n=16) sign calls here; slab lookup by
+    # hash or bisection and the band chain make 220 and 329
+    F = build_field(n)
+    omega, gamma = build_omega(F), build_gamma(F)
+    build_heights(F)
+    for k in range(1, 7):
+        branch(F, k), branch(F, -k)
+    assert _count_signs(monkeypatch, lambda: verify_bijectivity(F)) <= budget
+    for region in (omega, gamma):
+        cuts = [s.x_lo for s in region.slabs] + [region.slabs[-1].x_hi]
+        for a in cuts:
+            for b in cuts:
+                assert _count_signs(monkeypatch, lambda: list(region.overlay(a, b))) == 0
+    bands = _distribute_bands(gamma, _region_images(F, gamma, True)[1])
+    assert _count_signs(monkeypatch, lambda: _check_band_tiling(gamma, bands)) == 0
 
 
 def test_overlay_clips_to_each_slab_in_order():
