@@ -118,8 +118,7 @@ def observed_words(field: NumberField, samples: int, length: int, seed: int) -> 
     published restrictions (and the refined ones)."""
     digits = digit_matrix_batch(field, samples, length, seed)
     bad = []
-    for col in range(samples):
-        word = [int(d) for d in digits[:, col]]
+    for word in digits.T.tolist():
         res = is_realizable(word, field.n)
         if not res:
             bad.append({"word": word, "rule": res.rule, "position": res.position})

@@ -13,10 +13,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PrecisionExhausted
+from .errors import DomainError, PrecisionExhausted
 from .field import NumberField
 from .dynamics import eps0
 from .planar import Rect, acceleration_fiber_top, build_gamma, mu_gamma, mu_rect, nu_cdf
+
+
+# samples per block in `cell_counts`
+CELL_CHUNK = 1 << 15
 
 
 class FloatSystem:
@@ -169,43 +173,68 @@ def borel_scan(
 
     Checks min{Theta_{m-1}, ..., Theta_{m+n-1}} <= tau + tol for every m and
     reports the longest observed run of consecutive Theta > tau.
+
+    The window minimum costs about three np.minimum calls per step whatever
+    n is (van Herk 1992; Gil and Werman 1993): the steps fall into blocks
+    of n + 1, `prefix` holds the running minimum of the current block, and
+    when a block completes its rows are turned in place into suffix minima.
+    The window ending r rows into a block is then the previous block's
+    suffix from row r + 1 together with the current prefix.
     """
     fs = FloatSystem.for_field(field)
     n = fs.n
+    tau = fs.tau
+    bound = tau + tol
     rng = np.random.default_rng(seed)
     t = sample_interval(fs, rng, samples)
     v = np.zeros(samples)
     window = np.empty((n + 1, samples))
     window[0] = np.abs(t / (1.0 + t * v))  # Theta_0 = |x|
-    run = (window[0] > fs.tau).astype(np.int64)
+    prefix = window[0].copy()
+    # a run is at most steps + 1 long; int32 halves the two passes per step
+    run = (window[0] > tau).astype(np.int32 if steps < 2 ** 31 - 1 else np.int64)
     max_run = int(run.max()) if samples else 0
     violations = 0
     max_window_min = 0.0
     worst_m = None
     above = np.empty(samples, dtype=bool)
-    wmin = np.empty(samples)
+    wmin_buf = np.empty(samples)
     for m in range(1, steps + 1):
         t, v, _ = step_tv(fs, t, v)
-        theta = window[m % (n + 1)]
+        r = m % (n + 1)
+        theta = window[r]
         np.multiply(t, v, out=theta)
         np.add(theta, 1.0, out=theta)
         np.divide(t, theta, out=theta)
         np.abs(theta, out=theta)
         # run length of consecutive Theta > tau, reset to 0 where Theta <= tau
-        np.greater(theta, fs.tau, out=above)
+        np.greater(theta, tau, out=above)
         run += 1
         run *= above
         mr = int(run.max())
         if mr > max_run:
             max_run = mr
+        if r:
+            np.minimum(prefix, theta, out=prefix)
+        else:
+            prefix[...] = theta
         if m >= n:
-            np.min(window, axis=0, out=wmin)
+            if r < n:
+                wmin = np.minimum(window[r + 1], prefix, out=wmin_buf)
+            else:
+                wmin = prefix
             wm = float(wmin.max())
             if wm > max_window_min:
                 max_window_min = wm
                 worst_m = m - n + 1
-            np.greater(wmin, fs.tau + tol, out=above)
-            violations += int(np.count_nonzero(above))
+            # a NaN makes wm NaN, so `not wm <= bound` still counts the rest
+            if not wm <= bound:
+                np.greater(wmin, bound, out=above)
+                violations += int(np.count_nonzero(above))
+        if r == n:
+            # row 0's suffix would be the whole block, which no window reads
+            for i in range(n - 1, 0, -1):
+                np.minimum(window[i], window[i + 1], out=window[i])
     return {
         "n": n,
         "samples": samples,
@@ -216,7 +245,7 @@ def borel_scan(
         "max_window_min": max_window_min,
         "worst_window_at": worst_m,
         "max_theta_run": max_run,
-        "tau": fs.tau,
+        "tau": tau,
     }
 
 
@@ -284,20 +313,72 @@ def convergence_scan(
     }
 
 
-def orbit_tv_arrays(field: NumberField, steps: int, seed: int, x0: float = None):
-    """A single (t, v) orbit of (x, 0), stored densely for statistics."""
+def _scalar_orbit(field: NumberField, steps: int, seed: int, x0: float, with_v: bool):
+    """The orbit of (x0, 0) under `step_scalar` as float64 arrays (ts, vs);
+    vs is None without `with_v`.  x0 defaults to a point drawn from `seed`.
+
+    The step is inlined with `step_scalar`'s IEEE operation sequence, so
+    every entry is bitwise its iterate, and a boundary collision raises
+    PrecisionExhausted at the same step with the same message and boundary.
+    t never depends on v, so without v the loop skips the v update and
+    fills the same ts.
+    """
     fs = FloatSystem.for_field(field)
     if x0 is None:
         rng = np.random.default_rng(seed)
         x0 = float(sample_interval(fs, rng, 1)[0])
     ts = np.empty(steps)
-    vs = np.empty(steps)
+    vs = np.empty(steps) if with_v else None
+    t_out = memoryview(ts)
+    v_out = memoryview(vs) if with_v else None
+    tau = fs.tau
+    neg_tau = -tau
+    eps0 = fs.eps0
+    tau2 = tau ** 2
+    tau3 = tau ** 3
+    neg_inv_tau2 = -1.0 / tau2
+    floor = math.floor
+    ceil = math.ceil
     t, v = x0, 0.0
     for i in range(steps):
-        t, v, _ = step_scalar(fs, t, v)
-        ts[i] = t
-        vs[i] = v
+        if t < eps0:
+            u = t + tau
+            if u < 1e-300:
+                raise PrecisionExhausted(
+                    "float orbit reached the parabolic fixed point", boundary=neg_tau
+                )
+            j = ceil(neg_inv_tau2 + 1.0 / (tau * u)) - 1.0
+            if j < 1.0:
+                j = 1.0
+            jt = j * tau
+            t = u / (1.0 - jt * u) - tau
+            if with_v:
+                jt2 = j * tau2
+                v = ((1.0 - jt2) * v + jt) / (-j * tau3 * v + 1.0 + jt2)
+        else:
+            inv_t = 1.0 / t
+            k = floor((1.0 - inv_t) / tau) + 1.0
+            if k < 1.0:
+                k = 1.0
+            kt = k * tau
+            t = 1.0 - kt - inv_t
+            if with_v:
+                v = -1.0 / (v + 1.0 - kt)
+        if t > -1e-14:
+            raise PrecisionExhausted(
+                "float orbit landed on a cylinder boundary", boundary=t
+            )
+        if t < neg_tau:
+            t = neg_tau
+        t_out[i] = t
+        if with_v:
+            v_out[i] = v
     return ts, vs
+
+
+def orbit_tv_arrays(field: NumberField, steps: int, seed: int, x0: float = None):
+    """A single (t, v) orbit of (x, 0), stored densely for statistics."""
+    return _scalar_orbit(field, steps, seed, x0, with_v=True)
 
 
 def digit_matrix_batch(field: NumberField, samples: int, length: int, seed: int) -> np.ndarray:
@@ -343,6 +424,58 @@ def build_cells(field: NumberField, target_cells: int = 100):
     return cells
 
 
+def _cell_runs(cells):
+    """(start, stop, y_lo, y_hi, x-cuts) for each maximal run cells[start:stop]
+    of cells that share one y-range and continue each other in x."""
+    runs = []
+    start = 0
+    while start < len(cells):
+        y_lo, y_hi = cells[start]["y_lo"], cells[start]["y_hi"]
+        cuts = [cells[start]["x_lo"], cells[start]["x_hi"]]
+        stop = start + 1
+        # the cuts must ascend for the bisection; a cell with x_hi < x_lo
+        # holds no sample and stays alone
+        while (stop < len(cells)
+               and cells[stop]["y_lo"] == y_lo and cells[stop]["y_hi"] == y_hi
+               and cuts[-2] <= cells[stop]["x_lo"] == cuts[-1] <= cells[stop]["x_hi"]):
+            cuts.append(cells[stop]["x_hi"])
+            stop += 1
+        runs.append((start, stop, y_lo, y_hi, np.array(cuts)))
+        start = stop
+    return runs
+
+
+def cell_counts(cells, ts: np.ndarray, vs: np.ndarray, checkpoints) -> np.ndarray:
+    """counts[i, j]: samples among ts[:c], vs[:c] in cells[j], c = checkpoints[i].
+
+    A cell holds x_lo <= t < x_hi and y_lo <= v <= y_hi, so a sample on a
+    y-edge that two stacked cells share counts in both.  Each run of cells
+    that share one y-range and continue each other in x is binned in one
+    pass: one y/x mask, then a bisection among the run's x-cuts.  The
+    checkpoints ascend within 1..len(ts); each one's counts are the
+    cumulative sums of the segments between checkpoints, which are binned
+    in chunks of CELL_CHUNK samples to keep the temporaries small.
+    """
+    runs = _cell_runs(cells)
+    counts = np.zeros((len(checkpoints), len(cells)), dtype=np.int64)
+    lo = 0
+    for row, hi in zip(counts, checkpoints):
+        for a in range(lo, hi, CELL_CHUNK):
+            t = ts[a:min(a + CELL_CHUNK, hi)]
+            v = vs[a:min(a + CELL_CHUNK, hi)]
+            for start, stop, y_lo, y_hi, cuts in runs:
+                inside = v >= y_lo
+                inside &= v <= y_hi
+                inside &= t >= cuts[0]
+                inside &= t < cuts[-1]
+                # bins 1..stop-start: the last cut <= t
+                cell = np.searchsorted(cuts, t[inside], side="right")
+                row[start:stop] += np.bincount(cell, minlength=stop - start + 1)[1:]
+        lo = hi
+    np.cumsum(counts, axis=0, out=counts)
+    return counts
+
+
 def uniform_distribution_experiment(
     field: NumberField,
     steps: int,
@@ -353,27 +486,26 @@ def uniform_distribution_experiment(
 ) -> dict:
     """Empirical cell frequencies of the (t, v) orbit against mu(cell)/mu(Gamma),
     reported at intermediate checkpoints to show decay."""
-    cell_list = build_cells(field, cells)
-    ts, vs = orbit_tv_arrays(field, steps, seed, x0)
-    mg = mu_gamma(field)
+    if steps < 1:
+        raise DomainError("the orbit needs at least 1 step")
     if checkpoints is None:
         checkpoints = (steps // 2, steps)
     checkpoints = sorted({min(c, steps) for c in checkpoints})
+    if not checkpoints or checkpoints[0] < 1:
+        raise DomainError("checkpoints must be at least 1")
+    cell_list = build_cells(field, cells)
+    ts, vs = orbit_tv_arrays(field, steps, seed, x0)
+    mg = mu_gamma(field)
 
-    def discrepancy(upto: int) -> float:
+    def discrepancy(upto: int, row) -> float:
         worst = 0.0
-        for c in cell_list:
-            inside = (
-                (ts[:upto] >= c["x_lo"])
-                & (ts[:upto] < c["x_hi"])
-                & (vs[:upto] >= c["y_lo"])
-                & (vs[:upto] <= c["y_hi"])
-            )
-            freq = float(np.count_nonzero(inside)) / upto
+        for c, count in zip(cell_list, row):
+            freq = float(count) / upto
             worst = max(worst, abs(freq - c["mass"] / mg))
         return worst
 
-    discrepancies = {c: discrepancy(c) for c in checkpoints}
+    counts = cell_counts(cell_list, ts, vs, checkpoints).tolist()
+    discrepancies = {c: discrepancy(c, row) for c, row in zip(checkpoints, counts)}
     d_first = discrepancies[checkpoints[0]]
     d_full = discrepancies[checkpoints[-1]]
     outside = int(
@@ -401,7 +533,9 @@ def birkhoff_experiment(
     seed: int = 2,
 ) -> dict:
     """Time averages of interval indicators along an f-orbit vs nu-masses."""
-    ts, _ = orbit_tv_arrays(field, steps, seed)
+    if steps < 1:
+        raise DomainError("the orbit needs at least 1 step")
+    ts, _ = _scalar_orbit(field, steps, seed, None, with_v=False)
     rng = np.random.default_rng(seed + 1)
     worst = 0.0
     rows = []

@@ -195,6 +195,22 @@ def test_cells_outside_gamma_unused():
     assert total >= 49990
 
 
+def test_uniform_distribution_rejects_a_single_step():
+    # the default half-way checkpoint of a 1-step orbit would be 0
+    with pytest.raises(DomainError):
+        uniform_distribution_experiment(build_field(N), 1, cells=10)
+
+
+def test_uniform_distribution_rejects_a_zero_checkpoint():
+    with pytest.raises(DomainError):
+        uniform_distribution_experiment(build_field(N), 100, cells=10, checkpoints=(0, 100))
+
+
+def test_birkhoff_rejects_an_empty_orbit():
+    with pytest.raises(DomainError):
+        birkhoff_experiment(build_field(N), 0)
+
+
 def test_birkhoff_small():
     rep = birkhoff_experiment(build_field(N), steps=120000, intervals=6, seed=6)
     assert rep["max_deviation"] < 0.02
