@@ -6,8 +6,9 @@ invariant measure, approximant/Diophantine machinery, and experiment
 runners for the measure-theoretic and transcendence properties.
 
 The package has two lanes.  The exact lane (`errors`, `field`, `group`,
-`quadratic`, `dynamics`, `planar`, `dioph`, `verify`) never loads numpy.
-The float lane (`numeric`, `ergodic`) is numpy's only user.
+`quadratic`, `dynamics`, `planar`, `dioph`, `verify`) never loads numpy;
+`measure` turns its exact regions into the floats of mu and nu, also
+without numpy.  The float lane (`numeric`, `ergodic`) is numpy's only user.
 
 Every layer loads on first use.  `import trianglecf` imports no submodule;
 the module `__getattr__` below imports a layer the first time one of its
@@ -31,16 +32,15 @@ _LAYERS = {
     "quadratic": ("QuadExt", "solve_fixed_points"),
     "dynamics": ("OrbitTables", "build_orbit_tables", "cylinder_of_g",
                  "cylinder_of_f", "g_step", "f_step", "j_of", "eps0",
-                 "product_relations_check"),
+                 "product_relations_check", "AdmissibilityResult", "is_admissible",
+                 "is_realizable", "cylinder_interval"),
     "planar": ("Heights", "PlanarRegion", "Rect", "build_heights", "build_omega",
-               "build_gamma", "S_step", "T_step", "T_inverse", "verify_bijectivity",
-               "mu_rect", "mu_region", "mu_gamma", "nu_cdf", "nu_density"),
+               "build_gamma", "S_step", "T_step", "T_inverse", "verify_bijectivity"),
+    "measure": ("mu_rect", "mu_region", "mu_gamma", "nu_cdf", "nu_density"),
     "dioph": ("ConvergentState", "ExpansionResult", "PeriodicPoint", "expand",
               "theta_fn", "danger_region_contains", "periodic_point",
               "transcendence_indicator"),
-    "ergodic": ("AdmissibilityResult", "is_admissible", "is_realizable",
-                "cylinder_interval", "observed_words", "induced_step_Y",
-                "adler_scan"),
+    "ergodic": ("observed_words", "induced_step_Y", "adler_scan"),
     "numeric": ("uniform_distribution_experiment", "birkhoff_experiment",
                 "borel_scan", "convergence_scan"),
     "verify": (),

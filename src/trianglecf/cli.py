@@ -147,9 +147,13 @@ def cmd_region(args):
     field = _field_for(args)
     planar = trianglecf.planar
     region = planar.build_omega(field) if args.which == "omega" else planar.build_gamma(field)
-    payload = {"which": args.which, "region": region.to_json()}
+    data = region.to_json()
+    # each rectangle's exact corners, with their floats beside them
+    for row, rect in zip(data["rects"], region.rects()):
+        row["shadow"] = {k: float(e) for k, e in rect._asdict().items()}
+    payload = {"which": args.which, "region": data}
     if args.which == "gamma":
-        payload["mu"] = planar.mu_gamma(field)
+        payload["mu"] = trianglecf.measure.mu_gamma(field)
     return 0, _envelope("region", field.n, args.seed, payload)
 
 
@@ -302,7 +306,7 @@ def cmd_transcendence(args):
                 else:
                     q = Fraction(line)
                     if q > 1:
-                        logs.append(trianglecf.planar._log_big_fraction(q))
+                        logs.append(trianglecf.measure._log_big_fraction(q))
             except (ValueError, ZeroDivisionError) as exc:
                 raise UsageError(f"bad --q-file line {line!r}: {exc}") from exc
         rep = trianglecf.dioph.transcendence_indicator(logs, args.d, margin=args.margin)

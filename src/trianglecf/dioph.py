@@ -13,8 +13,9 @@ import math
 from functools import cached_property
 from operator import add, neg
 
-# the planar layer is reached through the package, which imports it on
-# first use: an expansion without the natural-extension check never loads it
+# the planar and measure layers are reached through the package, which
+# imports each on first use: an expansion without the natural-extension
+# check never loads planar
 import trianglecf
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField, _element, _new
@@ -380,32 +381,6 @@ def periodic_family_report(field: NumberField, j_max: int = 10) -> dict:
     }
 
 
-def convergence_witness_exact(field: NumberField, x, steps: int = 40) -> dict:
-    """Exact spot-check of the q-ratio bound and the hyperbola-gap estimate."""
-    res = expand(field, x, steps)
-    tau = field.tau
-    gap = trianglecf.planar.gamma_hyperbola_gap(field)
-    max_v = field.zero
-    min_one_plus_tv = None
-    for t, v in zip(res.ts[1:], res.vs[1:]):
-        if v > max_v:
-            max_v = v
-        opv = 1 + t * v
-        if min_one_plus_tv is None or opv < min_one_plus_tv:
-            min_one_plus_tv = opv
-    if not max_v <= tau:
-        raise ConsistencyError("q-ratio bound q_m/q_{m+1} <= tau failed")
-    if min_one_plus_tv is not None and not min_one_plus_tv >= gap:
-        raise ConsistencyError("orbit came closer to the hyperbola than Gamma allows")
-    return {
-        "steps": len(res.digits),
-        "max_v": float(max_v),
-        "min_one_plus_tv": float(min_one_plus_tv) if min_one_plus_tv is not None else None,
-        "hyperbola_gap": float(gap),
-        "f_rational": res.f_rational,
-    }
-
-
 def log_q_sequence(field: NumberField, x, steps: int) -> list:
     """log |q_m| along an exact expansion (for the growth statistic)."""
     res = expand(field, x, steps)
@@ -414,7 +389,7 @@ def log_q_sequence(field: NumberField, x, steps: int) -> list:
         val = abs(st.q.embed(60).mid())
         if val == 0:
             raise ConsistencyError("vanishing q along an expansion")
-        logs.append(trianglecf.planar._log_big_fraction(val))
+        logs.append(trianglecf.measure._log_big_fraction(val))
     return logs
 
 

@@ -2,7 +2,9 @@
 
 g applies A^-k C on the cylinder containing x; f additionally collapses the
 whole excursion through the parabolic region (-tau, eps0) into a single
-W^j step, which is what makes the invariant measure finite.
+W^j step, which is what makes the invariant measure finite.  The digit
+words of f are decided here too: which words the published restrictions
+admit, and the exact cylinder of a word.
 """
 
 from __future__ import annotations
@@ -52,12 +54,15 @@ class Branch(NamedTuple):
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
 def cylinder_lo(field: NumberField, k: int) -> FieldElement:
-    """Left end of the accelerated map's cylinder with digit k."""
+    """Left end of the accelerated map's cylinder with digit k:
+    1/(1 - (k - 1) tau) for k >= 2, eps0 for k = 1, and
+    -tau + tau/((j + 1) tau^2 + 1) for k = -j."""
     if k >= 2:
         return cylinder_right_endpoint(field, k - 1)
     if k == 1:
         return eps0(field)
-    return acceleration_cylinder_bounds(field, -k)[0]
+    tau = field.tau
+    return -tau + tau / (tau * tau * (1 - k) + 1)
 
 
 @lru_cache(maxsize=BRANCH_CACHE_SIZE)
@@ -377,25 +382,100 @@ def full_cylinder_check(field: NumberField) -> dict:
 
 def acceleration_cylinder_bounds(field: NumberField, j: int):
     """Half-open x-range of the j-th acceleration cylinder (digit -j):
-    [-tau + tau/((j+1) tau^2 + 1), -tau + tau/(j tau^2 + 1))."""
+    [-tau + tau/((j+1) tau^2 + 1), -tau + tau/(j tau^2 + 1)); its right end
+    is the next cylinder's left end, eps0 for j = 1."""
     if j < 1:
         raise DomainError("acceleration index must be >= 1")
-    tau = field.tau
-    t2 = tau * tau
-    lo = -tau + tau / (t2 * (j + 1) + 1)
-    hi = -tau + tau / (t2 * j + 1)
+    return cylinder_lo(field, -j), cylinder_lo(field, 1 - j or 1)
+
+
+# ---------------------------------------------------------------------------
+# digit words
+# ---------------------------------------------------------------------------
+#
+# The four published digit restrictions are implemented verbatim; exact
+# cylinder construction shows they are necessary but allow one extra
+# pattern (a jump digit straight after a maximal-run-closing 2) that never
+# occurs, so a fifth rule is provided separately for the exact
+# characterization.
+
+class AdmissibilityResult(NamedTuple):
+    ok: bool
+    rule: int | None = None       # 1..4 published rules, 5 = realizability refinement
+    position: int | None = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def _scan_word(word, n: int, with_refinement: bool) -> AdmissibilityResult:
+    run1 = 0              # length of the current run of 1s
+    window = -1           # >= 0: ones seen since a maximal-run-closing 2
+    for i, a in enumerate(word):
+        if a == 0:
+            raise DomainError("digit 0 does not exist")
+        if a < 0 and i > 0 and word[i - 1] <= 1:
+            return AdmissibilityResult(False, 1, i)
+        if a == 1:
+            run1 += 1
+            if window >= 0:
+                window += 1
+                if window > n - 3:
+                    return AdmissibilityResult(False, 3, i)
+            if run1 > n - 2:
+                return AdmissibilityResult(False, 2, i)
+        else:
+            if window >= 0:
+                if window == n - 3 and a < 3:
+                    return AdmissibilityResult(False, 4, i)
+                if with_refinement and a < 0 and window == 0:
+                    return AdmissibilityResult(False, 5, i)
+            if a == 2 and run1 == n - 2:
+                window = 0
+            else:
+                window = -1
+            run1 = 0
+    return AdmissibilityResult(True)
+
+
+def is_admissible(word, n: int) -> AdmissibilityResult:
+    """The four published digit restrictions:
+
+    (1) a negative digit is preceded by a digit > 1;
+    (2) at most n-2 consecutive 1s;
+    (3) a maximal (n-2)-run of 1s followed by a 2 admits at most n-3
+        further consecutive 1s;
+    (4) the full pattern 1^(n-2) 2 1^(n-3) must be followed by >= 3.
+    """
+    return _scan_word(word, n, with_refinement=False)
+
+
+def is_realizable(word, n: int) -> AdmissibilityResult:
+    """Rules (1)-(4) plus the cylinder-forced rule (5): a negative digit
+    cannot directly follow a 2 that closes a maximal (n-2)-run of 1s
+    (the image of that pattern lies right of the accelerated region)."""
+    return _scan_word(word, n, with_refinement=True)
+
+
+def cylinder_interval(field: NumberField, word):
+    """Exact half-open x-interval of a digit word, or None if empty.
+
+    Built by pulling the final cylinder back through the branch inverses and
+    intersecting with each branch image [image_lo, 0); every cylinder ends
+    left of 0, so only the left ends need clipping.  All comparisons are
+    exact."""
+    if not word:
+        return -field.tau, field.zero
+    last = branch(field, word[-1])
+    lo, hi = last.lo, last.hi
+    for a in reversed(word[:-1]):
+        b = branch(field, a)
+        u = max(b.image_lo, lo)
+        if not u < hi:
+            return None
+        M_inv = b.M.inverse()
+        lo = max(b.lo, M_inv.apply(u))
+        hi = min(b.hi, M_inv.apply(hi))
+        if not lo < hi:
+            return None
     return lo, hi
-
-
-def orbit(field: NumberField, x, steps: int, accelerated: bool = True):
-    """Exact orbit with digits; stops early if the parabolic point is hit."""
-    step = f_step if accelerated else g_step
-    xs, ds = [x], []
-    for _ in range(steps):
-        cur = xs[-1]
-        if accelerated and cur == -field.tau:
-            break
-        x_new, k, _ = step(field, cur)
-        xs.append(x_new)
-        ds.append(k)
-    return xs, ds

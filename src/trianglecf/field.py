@@ -186,9 +186,6 @@ class Enclosure:
     def mid(self) -> Fraction:
         return Fraction(self.lo_num + self.hi_num, 2 * self.den)
 
-    def contains_zero(self) -> bool:
-        return self.lo_num <= 0 <= self.hi_num
-
     def sign(self):
         """+1/-1 when the interval excludes zero, else None."""
         if self.lo_num > 0:
@@ -250,10 +247,6 @@ class _RootBracket:
     @property
     def hi(self) -> Fraction:
         return Fraction(self._hi, self._den)
-
-    def refine_to(self, width) -> Enclosure:
-        """Bisect until the bracket is at most width wide, a Fraction or int."""
-        return self._narrow(width.numerator, width.denominator)
 
     def _narrow(self, w_num: int, w_den: int) -> Enclosure:
         # bisect while (hi - lo) / den > w_num / w_den
@@ -765,10 +758,6 @@ class FieldElement(_ExactReal):
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
-
-    @staticmethod
-    def from_json(field: NumberField, data) -> FieldElement:
-        return field.element([Fraction(s) for s in data])
 
 
 def _element(field: NumberField, num: tuple, den: int) -> FieldElement:

@@ -252,13 +252,3 @@ def rotation_conjugation_check(field: NumberField) -> dict:
     if _mul2(P, g.B.entries()) != _mul2(beta, P):
         raise ConsistencyError("P B != beta P: B is not the conjugate rotation")
     return {"n": field.n, "ok": True}
-
-
-def random_group_word(field: NumberField, rng, length: int) -> Mobius:
-    """Random product over the generator alphabet {A, B, C and inverses}."""
-    g = generators(field)
-    alphabet = [g.A, g.B, g.C, g.A.inverse(), g.B.inverse(), g.C.inverse()]
-    out = Mobius.identity(field)
-    for _ in range(length):
-        out = out * alphabet[rng.randrange(len(alphabet))]
-    return out

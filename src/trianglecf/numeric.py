@@ -16,7 +16,8 @@ import numpy as np
 from .errors import DomainError, PrecisionExhausted
 from .field import NumberField
 from .dynamics import eps0
-from .planar import Rect, acceleration_fiber_top, build_gamma, mu_gamma, mu_rect, nu_cdf
+from .measure import mu_gamma, mu_rect, nu_cdf
+from .planar import Rect, acceleration_fiber_top, build_gamma
 
 
 # samples per block in `cell_counts`
@@ -181,6 +182,8 @@ def borel_scan(
     The window ending r rows into a block is then the previous block's
     suffix from row r + 1 together with the current prefix.
     """
+    if samples < 1:
+        raise DomainError("the scan needs at least 1 sample")
     fs = FloatSystem.for_field(field)
     n = fs.n
     tau = fs.tau
@@ -193,7 +196,7 @@ def borel_scan(
     prefix = window[0].copy()
     # a run is at most steps + 1 long; int32 halves the two passes per step
     run = (window[0] > tau).astype(np.int32 if steps < 2 ** 31 - 1 else np.int64)
-    max_run = int(run.max()) if samples else 0
+    max_run = int(run.max())
     violations = 0
     max_window_min = 0.0
     worst_m = None
@@ -263,6 +266,8 @@ def convergence_scan(
     delta, the least 1 - |t v| over continued-fraction steps, is None when
     every step taken was an acceleration step.
     """
+    if samples < 1:
+        raise DomainError("the scan needs at least 1 sample")
     fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed)
     t = sample_interval(fs, rng, samples)

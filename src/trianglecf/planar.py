@@ -1,16 +1,16 @@
-"""Planar natural-extension domains and the invariant measure dx dy/(1+xy)^2.
+"""Planar natural-extension domains, the planar maps, and the exact proof
+that they preserve the measure dx dy/(1+xy)^2.
 
 The slow system acts on Omega (infinite measure: one corner sits on the
 hyperbola 1 + xy = 0); the accelerated system acts on the finite-measure
 region Gamma.  All corners are exact field elements, so the bijectivity of
-both maps is checked by exact corner-tiling, not numerically.
+both maps is checked by exact corner-tiling, not numerically.  The masses
+of these regions, as floats, are computed in `measure`.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -164,8 +164,7 @@ class PlanarRegion:
             yield s, a if k == i else s.x_lo, b if k == j else s.x_hi
 
     def to_json(self):
-        rect_list = [{**{k: e.to_json() for k, e in r._asdict().items()},
-                      "shadow": {k: float(e) for k, e in r._asdict().items()}}
+        rect_list = [{k: e.to_json() for k, e in r._asdict().items()}
                      for r in self.rects()]
         return {"name": self.name, "rect_count": len(rect_list), "rects": rect_list}
 
@@ -260,68 +259,6 @@ def gamma_hyperbola_gap(field: NumberField) -> FieldElement:
     if best.sign() <= 0:
         raise ConsistencyError("Gamma touches the hyperbola")
     return best
-
-
-# ---------------------------------------------------------------------------
-# measure
-# ---------------------------------------------------------------------------
-
-def _log_big_fraction(q: Fraction) -> float:
-    if q <= 0:
-        raise DomainError("logarithm of a non-positive rational")
-
-    def lg(m: int) -> float:
-        b = m.bit_length()
-        if b <= 512:
-            return math.log(m)
-        k = b - 53
-        return math.log(m >> k) + k * math.log(2)
-
-    return lg(q.numerator) - lg(q.denominator)
-
-
-def mu_rect(rect: Rect) -> float:
-    """Closed-form measure log[(1+x1y1)(1+x2y2) / ((1+x1y2)(1+x2y1))].
-
-    Raises DomainError when the rectangle touches or crosses 1 + xy = 0.
-    """
-    x1, x2, y1, y2 = rect.x_lo, rect.x_hi, rect.y_lo, rect.y_hi
-    corners = [1 + x1 * y1, 1 + x2 * y2, 1 + x1 * y2, 1 + x2 * y1]
-    if any(c.sign() <= 0 for c in corners):
-        raise DomainError("rectangle meets the hyperbola 1 + xy = 0")
-    return _log_ratio((corners[0] * corners[1]) / (corners[2] * corners[3]))
-
-
-def mu_region(region: PlanarRegion) -> float:
-    return math.fsum(mu_rect(r) for r in region.rects())
-
-
-@lru_cache(maxsize=None)
-def mu_gamma(field: NumberField) -> float:
-    return mu_region(build_gamma(field))
-
-
-def omega_divergence_partial_sums(field: NumberField, bound: float = 1.0e3):
-    """Partial measures of dyadic column strips approaching the hyperbola
-    corner (phi_0, L_1): each halving contributes exactly log 2, so the
-    partial sums exceed any bound."""
-    tables = build_orbit_tables(field)
-    heights = build_heights(field)
-    phi0 = tables.phi[0]
-    top = heights.level(1)
-    width = tables.phi[field.n - 1] - phi0
-    total = 0.0
-    sums = []
-    i = 0
-    while total <= bound:
-        a = phi0 + width * Fraction(1, 2 ** (i + 1))
-        b = phi0 + width * Fraction(1, 2 ** i)
-        total += mu_rect(Rect(a, b, field.zero, top))
-        sums.append(total)
-        i += 1
-        if i > 100000:
-            raise ConsistencyError("divergence check did not reach the bound")
-    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -539,130 +476,3 @@ def verify_bijectivity(field: NumberField) -> dict:
         report[name] = {"pieces": len(pieces), "ok": True}
     report["ok"] = True
     return report
-
-
-# ---------------------------------------------------------------------------
-# the marginal measure on the interval
-# ---------------------------------------------------------------------------
-
-def nu_band_mass(field: NumberField, a, b) -> float:
-    """Unnormalized mu-mass of Gamma over the x-interval [a, b)."""
-    a = field.coerce(a)
-    b = field.coerce(b)
-    if not a <= b:
-        raise DomainError("empty band")
-    total = 0.0
-    for slab, lo, hi in build_gamma(field).overlay(a, b):
-        for (y_lo, y_hi) in slab.fibers:
-            total += mu_rect(Rect(lo, hi, y_lo, y_hi))
-    return total
-
-
-def nu_cdf(field: NumberField, a, b) -> float:
-    """nu([a, b)) for the normalized marginal of mu on Gamma."""
-    return nu_band_mass(field, a, b) / mu_gamma(field)
-
-
-def nu_density(field: NumberField, x) -> float:
-    """Normalized marginal density: fiber integral of (1+xy)^-2 over Gamma."""
-    try:
-        x = field.coerce(x)
-    except TypeError as exc:
-        raise DomainError("density wants an exact abscissa") from exc
-    fibers = build_gamma(field).fiber_at(x)
-    if not fibers:
-        raise DomainError("abscissa outside the interval")
-    total = field.zero
-    for (y1, y2) in fibers:
-        total = total + (y2 - y1) / ((1 + x * y1) * (1 + x * y2))
-    return float(total) / mu_gamma(field)
-
-
-@lru_cache(maxsize=None)
-def _float_slabs(field: NumberField):
-    out = []
-    for slab in build_gamma(field).slabs:
-        out.append(
-            (
-                float(slab.x_lo),
-                float(slab.x_hi),
-                tuple((float(a), float(b)) for a, b in slab.fibers),
-            )
-        )
-    return out
-
-
-def nu_density_float(field: NumberField, x: float) -> float:
-    """Float shadow of the marginal density, for quadrature sanity checks."""
-    for lo, hi, fibers in _float_slabs(field):
-        if lo <= x < hi:
-            total = 0.0
-            for (y1, y2) in fibers:
-                total += (y2 - y1) / ((1 + x * y1) * (1 + x * y2))
-            return total / mu_gamma(field)
-    raise DomainError("abscissa outside the interval")
-
-
-def _nu_interval_via_branches(field: NumberField, a, b, k_fin: int = 8, j_fin: int = 8) -> float:
-    """Unnormalized mass of f^-1([a, b)) summed over all branches;
-    both infinite families are finished in closed form (no truncation error)."""
-    tau = field.tau
-    e0 = eps0(field)
-    b1 = branch(field, 1)
-    total = 0.0
-
-    # digit-1 branch maps [eps0, 1/(1-tau)) onto [eps1, 0)
-    a1 = max(b1.image_lo, a)
-    if a1 < b:
-        M1_inv = b1.M.inverse()
-        total += nu_band_mass(field, M1_inv.apply(a1), M1_inv.apply(b))
-
-    # full positive digits
-    for k in range(2, k_fin + 1):
-        Mk_inv = branch(field, k).M.inverse()
-        total += nu_band_mass(field, Mk_inv.apply(a), Mk_inv.apply(b))
-
-    # tail k > k_fin: preimages lie in the constant-fiber strip [0, tau];
-    # the band masses telescope to log[(1 - k_fin tau - b)/(1 - k_fin tau - a)]
-    ratio = (1 - tau * k_fin - b) / (1 - tau * k_fin - a)
-    total += _log_ratio(ratio)
-
-    # acceleration branches: the W^j branch maps its cylinder onto [eps0, 0)
-    aj = max(e0, a)
-    if aj < b:
-        c = acceleration_fiber_top(field)
-        u_a, u_b = aj + tau, b + tau
-        for j in range(1, j_fin + 1):
-            Wj_inv = branch(field, -j).M.inverse()
-            x1, x2 = Wj_inv.apply(aj), Wj_inv.apply(b)
-            num = 1 + c * x2
-            den = 1 + c * x1
-            total += _log_ratio(num / den)
-        # tail j > j_fin telescopes to
-        # log[(u_b/u_a) * (1 + (j_fin+1) tau u_a)/(1 + (j_fin+1) tau u_b)]
-        j1 = j_fin + 1
-        ratio = (u_b / u_a) * ((1 + tau * u_a * j1) / (1 + tau * u_b * j1))
-        total += _log_ratio(ratio)
-    return total
-
-
-def _log_ratio(ratio: FieldElement) -> float:
-    if ratio.sign() <= 0:
-        raise DomainError("non-positive ratio in log")
-    if ratio.is_rational():
-        return _log_big_fraction(ratio.as_fraction())
-    return _log_big_fraction(ratio.embed(80).mid())
-
-
-def nu_invariance_check(field: NumberField, parts: int = 200) -> dict:
-    """Max |nu(f^-1 J) - nu(J)| over an equal-width partition of [-tau, 0)."""
-    tau = field.tau
-    mg = mu_gamma(field)
-    worst = 0.0
-    for i in range(parts):
-        a = -tau * Fraction(parts - i, parts)
-        b = -tau * Fraction(parts - i - 1, parts)
-        direct = nu_band_mass(field, a, b)
-        pulled = _nu_interval_via_branches(field, a, b)
-        worst = max(worst, abs(direct - pulled) / mg)
-    return {"n": field.n, "parts": parts, "max_deviation": worst}

@@ -23,13 +23,8 @@ from trianglecf.dioph import (
     periodic_point,
     transcendence_indicator,
 )
-from trianglecf.planar import (
-    Rect,
-    build_heights,
-    mu_gamma,
-    mu_rect,
-    omega_divergence_partial_sums,
-)
+from trianglecf.planar import Rect, build_heights
+from trianglecf.measure import mu_gamma, mu_rect, omega_divergence_partial_sums
 from trianglecf.group import digit_matrix, y_matrix
 from trianglecf.quadratic import compare_numeric
 from trianglecf.numeric import (

@@ -76,6 +76,10 @@ def test_region_dump_schema():
     data = json.loads(proc.stdout)
     assert data["region"]["rect_count"] > 5
     assert data["mu"] > 0
+    # each rectangle carries its exact corners and their floats
+    first = data["region"]["rects"][0]
+    assert set(first) == {"x_lo", "x_hi", "y_lo", "y_hi", "shadow"}
+    assert first["shadow"]["x_lo"] == pytest.approx(-(1 + 2 * math.cos(math.pi / 5)))
     load_schema()(data)
 
 

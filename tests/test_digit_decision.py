@@ -218,5 +218,5 @@ def test_expand_neither_embeds_nor_divides(n, steps, monkeypatch, fresh_branch_t
         inversions = 0
     # every sign went through the float filter or a 64-bit enclosure
     bracket = F._lambda_bracket
-    reference = NumberField(n)._lambda_bracket.refine_to(Fraction(1, 2 ** 64))
+    reference = NumberField(n)._lambda_bracket._narrow(1, 2 ** 64)
     assert bracket.hi - bracket.lo >= reference.width()

@@ -9,10 +9,9 @@ from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.group import Mobius
 from trianglecf.dynamics import branch, build_orbit_tables, cylinder_right_endpoint
-from trianglecf.planar import T_digit_of_y, build_gamma, build_heights
+from trianglecf.planar import T_digit_of_y, build_gamma, build_heights, gamma_hyperbola_gap
 from trianglecf.dioph import (
     ConvergentState,
-    convergence_witness_exact,
     danger_curves_exceeded,
     danger_region_contains,
     expand,
@@ -187,6 +186,32 @@ def test_periodic_seeded_theta_run():
             else:
                 cur = 0
         assert best == n - 2
+
+
+def convergence_witness_exact(field, x, steps: int = 40) -> dict:
+    """Exact spot-check of the q-ratio bound and the hyperbola-gap estimate."""
+    res = expand(field, x, steps)
+    tau = field.tau
+    gap = gamma_hyperbola_gap(field)
+    max_v = field.zero
+    min_one_plus_tv = None
+    for t, v in zip(res.ts[1:], res.vs[1:]):
+        if v > max_v:
+            max_v = v
+        opv = 1 + t * v
+        if min_one_plus_tv is None or opv < min_one_plus_tv:
+            min_one_plus_tv = opv
+    if not max_v <= tau:
+        raise ConsistencyError("q-ratio bound q_m/q_{m+1} <= tau failed")
+    if min_one_plus_tv is not None and not min_one_plus_tv >= gap:
+        raise ConsistencyError("orbit came closer to the hyperbola than Gamma allows")
+    return {
+        "steps": len(res.digits),
+        "max_v": float(max_v),
+        "min_one_plus_tv": float(min_one_plus_tv) if min_one_plus_tv is not None else None,
+        "hyperbola_gap": float(gap),
+        "f_rational": res.f_rational,
+    }
 
 
 def test_convergence_witness_exact():

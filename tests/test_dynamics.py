@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from trianglecf.errors import DomainError
-from trianglecf.field import build_field, random_interval_point
+from trianglecf.field import FieldElement, build_field, random_interval_point
 from trianglecf.group import digit_matrix, generators, y_matrix
 from trianglecf.dynamics import (
     acceleration_cylinder_bounds,
@@ -12,13 +12,14 @@ from trianglecf.dynamics import (
     build_orbit_tables,
     cylinder_of_f,
     cylinder_of_g,
+    cylinder_lo,
     cylinder_right_endpoint,
+    digit_of,
     eps0,
     f_step,
     full_cylinder_check,
     g_step,
     j_of,
-    orbit,
     product_relations_check,
 )
 
@@ -284,10 +285,12 @@ def test_steps_stay_in_interval():
 
 def test_orbit_helper_stops_at_fixed_point():
     F = build_field(5)
-    xs, ds = orbit(F, (1 - 2 * F.tau).inverse(), 10)
-    # digit 3 sends it to -tau where the accelerated orbit is cut off
-    assert ds == [3]
-    assert xs[-1] == -F.tau
+    x, k, _ = f_step(F, (1 - 2 * F.tau).inverse())
+    # digit 3 sends it to -tau, which lies in no cylinder, so the
+    # accelerated orbit is cut off there
+    assert k == 3
+    assert x == -F.tau
+    assert digit_of(F, x, F.one) is None
 
 
 def test_acceleration_cylinders_partition():
@@ -300,6 +303,29 @@ def test_acceleration_cylinders_partition():
             assert hi == prev_lo
         prev_lo, prev_hi = lo, hi
     assert acceleration_cylinder_bounds(F, 1)[1] == eps0(F)
+
+
+def test_acceleration_cylinder_end_costs_one_inversion(monkeypatch):
+    F = build_field(7)
+    tau, t2 = F.tau, F.tau * F.tau
+    inversions = 0
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        nonlocal inversions
+        inversions += 1
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    for j in (1, 2, 3):
+        cylinder_lo.cache_clear()
+        inversions = 0
+        lo = cylinder_lo(F, -j)
+        assert inversions == 1
+        assert lo == -tau + tau / (t2 * (j + 1) + 1)
+    # the right end is the next cylinder's left end, in closed form too
+    for j in (1, 2, 3):
+        assert acceleration_cylinder_bounds(F, j)[1] == -tau + tau / (t2 * j + 1)
 
 
 @pytest.mark.parametrize("n", (4, 5, 8))

@@ -6,17 +6,15 @@ import pytest
 from trianglecf.errors import DomainError
 from trianglecf.field import build_field
 from trianglecf.group import digit_matrix
-from trianglecf.dynamics import build_orbit_tables
-from trianglecf.ergodic import (
-    adler_scan,
-    completeness_check,
+from trianglecf.dynamics import (
+    branch,
+    build_orbit_tables,
     cylinder_interval,
-    induced_step_Y,
-    induced_step_Y_exact,
+    f_step,
     is_admissible,
     is_realizable,
-    observed_words,
 )
+from trianglecf.ergodic import adler_scan, induced_step_Y, observed_words
 from trianglecf.numeric import (
     FloatSystem,
     birkhoff_experiment,
@@ -92,6 +90,60 @@ def test_cylinder_interval_matches_orbit_witnesses():
     assert (lo - t.eps[0]).is_zero()
 
 
+def completeness_check(field, alphabet, max_len: int) -> dict:
+    """Depth-first sweep comparing cylinder nonemptiness with the two rule
+    sets, carrying the forward image interval along each prefix.
+
+    Returns counts of words where the published rules over-generate (ghost
+    words) and any mismatch of the refined rules (expected zero)."""
+    n = field.n
+    interval = (-field.tau, field.zero)
+    ghost_words = []
+    refined_mismatches = []
+    checked = 0
+
+    def recurse(word, image, depth):
+        nonlocal checked
+        if depth == max_len:
+            return
+        for a in alphabet:
+            w = word + (a,)
+            checked += 1
+            nonempty = False
+            new_image = None
+            if image is not None:
+                b = branch(field, a)
+                lo = max(image[0], b.lo)
+                hi = min(image[1], b.hi)
+                if lo < hi:
+                    nonempty = True
+                    new_image = (b.M.apply(lo), b.M.apply(hi))
+            adm = bool(is_admissible(list(w), n))
+            real = bool(is_realizable(list(w), n))
+            if real != nonempty:
+                refined_mismatches.append(w)
+            if adm and not nonempty:
+                ghost_words.append(w)
+            if nonempty:
+                recurse(w, new_image, depth + 1)
+            elif adm:
+                # rule-admissible extensions of an empty cylinder stay empty
+                recurse(w, None, depth + 1)
+
+    recurse((), interval, 0)
+    return {
+        "n": n,
+        "alphabet": list(alphabet),
+        "max_len": max_len,
+        "checked": checked,
+        "ghost_words": ghost_words[:20],
+        "ghost_count": len(ghost_words),
+        "refined_mismatches": refined_mismatches[:20],
+        "refined_mismatch_count": len(refined_mismatches),
+        "refined_ok": not refined_mismatches,
+    }
+
+
 def test_completeness_small_alphabet():
     # realizability (rules 1-5) coincides with cylinder nonemptiness,
     # while the published rules over-generate exactly the ghost patterns
@@ -121,6 +173,31 @@ def test_observed_includes_full_cylinder_constant_word():
     # exact witness is the fixed point (see test_quadratic)
     F = build_field(N)
     assert cylinder_interval(F, [3] * 8) is not None
+
+
+def induced_step_Y_exact(field, y, max_steps: int = 2000):
+    """Exact first return; derivative as an exact field element.
+
+    f-rational points whose orbit reaches the parabolic fixed point never
+    return and raise DomainError."""
+    y_left = (1 - 2 * field.tau).inverse()
+    if not (y_left <= y and y < 0):
+        raise DomainError("point outside the return set Y")
+    t = y
+    word = []
+    deriv = field.one
+    for m in range(1, max_steps):
+        t_prev = t
+        t, k, M = f_step(field, t)
+        word.append(k)
+        # M has determinant 1, so M'(t) = 1 / (c t + d)^2
+        den = M.c * t_prev + M.d
+        deriv = deriv * (den * den).inverse()
+        if t == -field.tau:
+            raise DomainError("f-rational point: orbit reached the parabolic fixed point")
+        if y_left <= t and t < 0:
+            return t, m, tuple(word), deriv
+    raise DomainError(f"no exact return within {max_steps} steps")
 
 
 def test_induced_step_full_cylinder_case():
@@ -209,6 +286,14 @@ def test_uniform_distribution_rejects_a_zero_checkpoint():
 def test_birkhoff_rejects_an_empty_orbit():
     with pytest.raises(DomainError):
         birkhoff_experiment(build_field(N), 0)
+
+
+@pytest.mark.parametrize("scan", [borel_scan, convergence_scan])
+def test_scans_reject_an_empty_sample(scan):
+    # numpy would reduce an empty array: a ValueError, not a report
+    for samples in (0, -1):
+        with pytest.raises(DomainError, match="at least 1 sample"):
+            scan(build_field(N), samples, 5, 0)
 
 
 def test_birkhoff_small():

@@ -15,7 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from trianglecf import ergodic, numeric
 from trianglecf.errors import PrecisionExhausted
-from trianglecf.ergodic import is_realizable, observed_words
+from trianglecf.dynamics import is_realizable
+from trianglecf.ergodic import observed_words
 from trianglecf.field import build_field
 from trianglecf.numeric import (
     FloatSystem,

@@ -14,7 +14,6 @@ from trianglecf.group import (
     digit_matrix,
     generators,
     power_B,
-    random_group_word,
     rotation_conjugation_check,
     y_matrix,
 )
@@ -212,6 +211,16 @@ def test_digit_matrices(n):
     # N_k = [[0, -1], [1, 1 - k tau]]
     N2 = y_matrix(F, 2)
     assert N2 == Mobius(F, 0, -1, 1, 1 - 2 * F.tau)
+
+
+def random_group_word(field, rng, length: int) -> Mobius:
+    """Random product over the generator alphabet {A, B, C and inverses}."""
+    g = generators(field)
+    alphabet = [g.A, g.B, g.C, g.A.inverse(), g.B.inverse(), g.C.inverse()]
+    out = Mobius.identity(field)
+    for _ in range(length):
+        out = out * alphabet[rng.randrange(len(alphabet))]
+    return out
 
 
 def test_det_preserved_under_products():

@@ -16,8 +16,9 @@ import trianglecf
 
 SOURCES = sorted(Path(trianglecf.__file__).parent.glob("*.py"))
 SRC = Path(trianglecf.__file__).resolve().parent.parent
+# the modules that never load numpy, and the modules that may
 EXACT_LANE = ("errors", "field", "group", "quadratic", "dynamics", "planar",
-              "dioph", "verify")
+              "measure", "dioph", "verify")
 FLOAT_LANE = ("numeric", "ergodic")
 
 
@@ -80,6 +81,31 @@ def test_exact_lane_imports_nothing_of_the_float_lane():
     assert found == []
     # the check itself sees the imports the float lane does make
     assert _imports(package / "ergodic.py", _float_lane)
+
+
+def test_every_module_is_in_a_lane():
+    # a module outside both lists would escape the numpy check above
+    assert {path.stem for path in SOURCES} == {*EXACT_LANE, *FLOAT_LANE, "__init__", "cli"}
+
+
+def _float_work(path):
+    """Imports of math or fractions, and calls of float, in `path`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _imports(path, lambda m: m.split(".")[0] in ("math", "fractions"))
+    found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"]
+    return found
+
+
+def test_planar_computes_no_float(tmp_path):
+    # regions, maps and tilings are exact; their masses are measure's
+    package = Path(trianglecf.__file__).parent
+    assert _float_work(package / "planar.py") == []
+    # the check itself sees each form
+    probe = tmp_path / "probe.py"
+    probe.write_text("import math\nfrom fractions import Fraction\nx = float(1)\n")
+    assert _float_work(probe) == ["probe.py:1", "probe.py:2", "probe.py:3"]
 
 
 def _dataclasses(module):

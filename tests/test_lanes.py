@@ -61,8 +61,7 @@ def test_readme_library_example_does_not_load_numpy():
 FLOAT_LANE_NAMES = {
     "borel_scan", "convergence_scan", "birkhoff_experiment",
     "uniform_distribution_experiment", "adler_scan", "observed_words",
-    "induced_step_Y", "is_admissible", "is_realizable", "cylinder_interval",
-    "AdmissibilityResult",
+    "induced_step_Y",
 }
 
 
@@ -85,14 +84,17 @@ def test_float_lane_names_are_the_float_layers_public_names():
          f"assert names == {FLOAT_LANE_NAMES!r}, names\n")
 
 
+# the standard-library and third-party modules the load cases watch
+WATCHED = ("dataclasses", "csv", "numpy")
+
+
 def _loaded_after(code):
-    """The trianglecf submodules, and the standard-library modules this
-    file watches, that are loaded after running `code` in a fresh
-    interpreter."""
+    """The trianglecf submodules, and the WATCHED modules, that are loaded
+    after running `code` in a fresh interpreter."""
     out = _run(code + "\n"
                "import sys\n"
                "print(' '.join(sorted(m for m in sys.modules\n"
-               "      if m.startswith('trianglecf.') or m in ('dataclasses', 'csv'))))\n")
+               f"      if m.startswith('trianglecf.') or m in {WATCHED!r})))\n")
     return set(out.split())
 
 
@@ -100,8 +102,16 @@ def test_import_loads_no_layer_but_errors():
     assert _loaded_after("import trianglecf") <= {"trianglecf.errors"}
 
 
+def test_admissibility_loads_no_numpy():
+    # digit-word combinatorics is exact: it lives in dynamics
+    loaded = _loaded_after("import trianglecf\n"
+                           "assert not trianglecf.is_admissible([1, -1], 5)\n")
+    assert "trianglecf.dynamics" in loaded
+    assert not loaded & {"trianglecf.ergodic", "trianglecf.numeric", "numpy"}
+
+
 PAST_FIELD = {f"trianglecf.{m}" for m in
-              ("group", "quadratic", "dynamics", "planar", "dioph", "verify")}
+              ("group", "quadratic", "dynamics", "planar", "measure", "dioph", "verify")}
 
 
 # (command, modules it must load, modules it must not load)
@@ -112,6 +122,9 @@ COMMAND_LOADS = [
     (["field", "--n", "5"], {"trianglecf.field"}, PAST_FIELD),
     (["orbit", "--n", "5", "--format", "csv"], {"csv"},
      {"trianglecf.dioph", "trianglecf.verify", "dataclasses"}),
+    (["transcendence", "--n", "5", "--x", "-0.7391", "--steps", "20"],
+     {"trianglecf.measure"}, {"trianglecf.planar", "numpy"}),
+    (["region", "--n", "5"], {"trianglecf.measure"}, {"numpy"}),
 ]
 
 
@@ -145,5 +158,5 @@ def test_unknown_name_is_an_attribute_error():
 
 def test_float_lane_modules_resolve_as_package_attributes():
     _run("import trianglecf\n"
-         "assert trianglecf.ergodic.is_admissible is trianglecf.is_admissible\n"
+         "assert trianglecf.ergodic.adler_scan is trianglecf.adler_scan\n"
          "assert trianglecf.numeric.convergence_scan is trianglecf.convergence_scan")

@@ -29,13 +29,16 @@ from trianglecf.planar import (
     build_heights,
     build_omega,
     gamma_hyperbola_gap,
+    verify_bijectivity,
+)
+from trianglecf.measure import (
+    _log_ratio,
     mu_gamma,
     mu_rect,
+    nu_band_mass,
     nu_cdf,
     nu_density,
-    nu_invariance_check,
     omega_divergence_partial_sums,
-    verify_bijectivity,
 )
 
 
@@ -307,11 +310,34 @@ def _simpson(f, a, b, m):
     return (ys[0] + ys[-1] + 4 * sum(ys[1:-1:2]) + 2 * sum(ys[2:-2:2])) * h / 3
 
 
+@lru_cache(maxsize=None)
+def _float_slabs(field):
+    out = []
+    for slab in build_gamma(field).slabs:
+        out.append(
+            (
+                float(slab.x_lo),
+                float(slab.x_hi),
+                tuple((float(a), float(b)) for a, b in slab.fibers),
+            )
+        )
+    return out
+
+
+def nu_density_float(field, x: float) -> float:
+    """Float shadow of the marginal density, for quadrature sanity checks."""
+    for lo, hi, fibers in _float_slabs(field):
+        if lo <= x < hi:
+            total = 0.0
+            for (y1, y2) in fibers:
+                total += (y2 - y1) / ((1 + x * y1) * (1 + x * y2))
+            return total / mu_gamma(field)
+    raise DomainError("abscissa outside the interval")
+
+
 def test_nu_density_integrates_to_one():
     # piecewise Simpson over every slab: the density is analytic between
     # breakpoints, so the composite rule reaches the rounding floor
-    from trianglecf.planar import nu_density_float
-
     F = build_field(5)
     total = 0.0
     for slab in build_gamma(F).slabs:
@@ -322,11 +348,66 @@ def test_nu_density_integrates_to_one():
 
 def test_nu_density_float_matches_exact():
     F = build_field(5)
-    from trianglecf.planar import nu_density_float
-
     for q in (Fraction(-1, 10), Fraction(-7, 9), Fraction(-2), Fraction(-22, 10)):
         exact = nu_density(F, F.from_fraction(q))
         assert abs(exact - nu_density_float(F, float(q))) < 1e-12
+
+
+def _nu_interval_via_branches(field, a, b, k_fin: int = 8, j_fin: int = 8) -> float:
+    """Unnormalized mass of f^-1([a, b)) summed over all branches;
+    both infinite families are finished in closed form (no truncation error)."""
+    tau = field.tau
+    e0 = eps0(field)
+    b1 = branch(field, 1)
+    total = 0.0
+
+    # digit-1 branch maps [eps0, 1/(1-tau)) onto [eps1, 0)
+    a1 = max(b1.image_lo, a)
+    if a1 < b:
+        M1_inv = b1.M.inverse()
+        total += nu_band_mass(field, M1_inv.apply(a1), M1_inv.apply(b))
+
+    # full positive digits
+    for k in range(2, k_fin + 1):
+        Mk_inv = branch(field, k).M.inverse()
+        total += nu_band_mass(field, Mk_inv.apply(a), Mk_inv.apply(b))
+
+    # tail k > k_fin: preimages lie in the constant-fiber strip [0, tau];
+    # the band masses telescope to log[(1 - k_fin tau - b)/(1 - k_fin tau - a)]
+    ratio = (1 - tau * k_fin - b) / (1 - tau * k_fin - a)
+    total += _log_ratio(ratio)
+
+    # acceleration branches: the W^j branch maps its cylinder onto [eps0, 0)
+    aj = max(e0, a)
+    if aj < b:
+        c = acceleration_fiber_top(field)
+        u_a, u_b = aj + tau, b + tau
+        for j in range(1, j_fin + 1):
+            Wj_inv = branch(field, -j).M.inverse()
+            x1, x2 = Wj_inv.apply(aj), Wj_inv.apply(b)
+            num = 1 + c * x2
+            den = 1 + c * x1
+            total += _log_ratio(num / den)
+        # tail j > j_fin telescopes to
+        # log[(u_b/u_a) * (1 + (j_fin+1) tau u_a)/(1 + (j_fin+1) tau u_b)]
+        j1 = j_fin + 1
+        ratio = (u_b / u_a) * ((1 + tau * u_a * j1) / (1 + tau * u_b * j1))
+        total += _log_ratio(ratio)
+    return total
+
+
+def nu_invariance_check(field, parts: int = 200) -> dict:
+    """Max |nu(f^-1 J) - nu(J)| over an equal-width partition of [-tau, 0)."""
+    tau = field.tau
+    mg = mu_gamma(field)
+    worst = 0.0
+    for i in range(parts):
+        a = -tau * Fraction(parts - i, parts)
+        b = -tau * Fraction(parts - i - 1, parts)
+        direct = nu_band_mass(field, a, b)
+        pulled = _nu_interval_via_branches(field, a, b)
+        worst = max(worst, abs(direct - pulled) / mg)
+    return {"n": field.n, "parts": parts, "max_deviation": worst}
 
 
 def test_nu_invariance():
@@ -411,8 +492,9 @@ def test_region_json_dump():
     data = build_gamma(F).to_json()
     assert data["rect_count"] == len(data["rects"])
     first = data["rects"][0]
-    assert set(first) == {"x_lo", "x_hi", "y_lo", "y_hi", "shadow"}
-    assert first["shadow"]["x_lo"] == pytest.approx(-float(F.tau))
+    # exact corners only; the CLI adds their floats
+    assert set(first) == {"x_lo", "x_hi", "y_lo", "y_hi"}
+    assert first["x_lo"] == (-F.tau).to_json()
 
 
 def test_band_tiling_sorts_exactly():
