@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 identity/verification failure, 2 usage error,
 3 precision exhausted.  All reports embed {version, n, seed, precision_cap}
-and identical configuration + seed produces byte-identical output.
+and identical configuration + seed produces byte-identical output.  This
+module only parses text: the library function that reads a value checks
+its bounds and raises DomainError, which main reports as a usage error.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -22,10 +23,6 @@ import trianglecf
 from . import __version__
 from .errors import ConsistencyError, DomainError, PrecisionExhausted
 from .field import build_field, get_precision_cap, random_interval_point, set_precision_cap
-
-
-class UsageError(Exception):
-    pass
 
 
 def _envelope(command: str, n, seed, payload: dict) -> dict:
@@ -47,30 +44,13 @@ def _parse_x(field, spec: str):
         else:
             x = field.from_fraction(Fraction(spec))
     except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse x-spec {spec!r}: {exc}") from exc
-    if not (-field.tau <= x and x < field.zero):
-        raise UsageError("x outside the interval [-tau, 0)")
+        raise DomainError(f"cannot parse x-spec {spec!r}: {exc}") from exc
     return x
-
-
-def _at_least(value: int, flag: str, minimum: int) -> None:
-    if value < minimum:
-        raise UsageError(f"{flag} must be at least {minimum}, got {value}")
-
-
-def _finite(value: float, flag: str) -> None:
-    # every comparison with NaN is false, so a NaN bound makes a check
-    # vacuous, and an infinite one would be echoed as Infinity, which is
-    # not JSON
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be a finite number, got {value}")
 
 
 def _field_for(args) -> object:
     if args.n is None:
-        raise UsageError("--n is required")
-    if args.n < 4:
-        raise UsageError("n must be at least 4")
+        raise DomainError("--n is required")
     return build_field(args.n)
 
 
@@ -96,14 +76,12 @@ def cmd_verify(args):
         try:
             lo, hi = (int(p) for p in args.n_range.split(":"))
         except ValueError as exc:
-            raise UsageError("--n-range wants A:B") from exc
+            raise DomainError("--n-range wants A:B") from exc
         if lo > hi:
-            raise UsageError(f"--n-range {args.n_range} is empty")
+            raise DomainError(f"--n-range {args.n_range} is empty")
         ns = list(range(lo, hi + 1))
     else:
         ns = [_field_for(args).n]
-    if any(n < 4 for n in ns):
-        raise UsageError("n must be at least 4")
     results = {}
     ok = True
     for n in ns:
@@ -134,11 +112,9 @@ def cmd_orbit(args):
     elif which == "alpha":
         data = _table_rows(enumerate(tables.alpha, start=1))
         extra = {}
-    elif which == "heights":
+    else:  # heights
         data = _table_rows([*enumerate(heights.L, start=1), ("R", heights.R)])
         extra = {}
-    else:
-        raise UsageError(f"unknown table {which!r}")
     return 0, _envelope("orbit", field.n, args.seed,
                         {"table": which, "entries": data, **extra})
 
@@ -160,7 +136,7 @@ def cmd_region(args):
 def cmd_expand(args):
     field = _field_for(args)
     if args.x is None:
-        raise UsageError("--x is required for expand")
+        raise DomainError("--x is required for expand")
     if args.x.startswith("random:"):
         return _expand_random(field, args)
     x = _parse_x(field, args.x)
@@ -206,14 +182,15 @@ def _expand_random(field, args):
     try:
         count = int(args.x.split(":", 1)[1])
     except ValueError as exc:
-        raise UsageError("random:<count> wants an integer count") from exc
+        raise DomainError("random:<count> wants an integer count") from exc
     if count < 1:
-        raise UsageError("random:<count> wants a positive count")
+        raise DomainError("random:<count> wants a positive count")
     rng = random.Random(args.seed)
     rows = []
     for i in range(count):
         x = random_interval_point(field, rng, 256)
-        res = trianglecf.dioph.expand(field, x, args.steps)
+        res = trianglecf.dioph.expand(field, x, args.steps,
+                                      check_natural_extension=args.check_ne)
         thetas = res.theta_floats()
         rows.append(
             {
@@ -254,7 +231,6 @@ def cmd_scan_borel(args):
         payload = {"mode": "single", "x": args.x, "rows": rows,
                    "f_rational": res.f_rational}
         return 0, _envelope("scan-borel", n, args.seed, payload)
-    _finite(args.tol, "--tol")
     rep = trianglecf.borel_scan(field, args.samples, args.steps, args.seed, args.tol)
     ok = rep["violations"] == 0
     return (0 if ok else 1), _envelope("scan-borel", n, args.seed,
@@ -264,8 +240,6 @@ def cmd_scan_borel(args):
 def cmd_periodic(args):
     field = _field_for(args)
     if args.j_max is not None:
-        # the family report compares the first and the last gap
-        _at_least(args.j_max, "--j-max", 2)
         fam = trianglecf.dioph.periodic_family_report(field, args.j_max)
         return (0 if fam["ok"] else 1), _envelope("periodic", field.n, args.seed, fam)
     pp = trianglecf.dioph.periodic_point(field, args.j)
@@ -289,15 +263,14 @@ def cmd_periodic(args):
 
 
 def cmd_transcendence(args):
-    _finite(args.margin, "--margin")
     if args.q_file:
         if args.d is None:
-            raise UsageError("--d (field degree) is required with --q-file")
+            raise DomainError("--d (field degree) is required with --q-file")
         try:
             with open(args.q_file) as fh:
                 lines = [line.strip() for line in fh]
         except OSError as exc:
-            raise UsageError(f"cannot read --q-file: {exc}") from exc
+            raise DomainError(f"cannot read --q-file: {exc}") from exc
         logs = []
         for line in filter(None, lines):
             try:
@@ -308,13 +281,13 @@ def cmd_transcendence(args):
                     if q > 1:
                         logs.append(trianglecf.measure._log_big_fraction(q))
             except (ValueError, ZeroDivisionError) as exc:
-                raise UsageError(f"bad --q-file line {line!r}: {exc}") from exc
+                raise DomainError(f"bad --q-file line {line!r}: {exc}") from exc
         rep = trianglecf.dioph.transcendence_indicator(logs, args.d, margin=args.margin)
         return 0, _envelope("transcendence", args.n, args.seed,
                             {"source": "q-file", **rep})
     field = _field_for(args)
     if args.x is None:
-        raise UsageError("need --x or --q-file")
+        raise DomainError("need --x or --q-file")
     x = _parse_x(field, args.x)
     dioph = trianglecf.dioph
     logs = dioph.log_q_sequence(field, x, args.steps)
@@ -325,9 +298,6 @@ def cmd_transcendence(args):
 
 def cmd_ergodic_test(args):
     field = _field_for(args)
-    # the report compares the discrepancy half-way and at the end
-    _at_least(args.steps, "--steps", 2)
-    _at_least(args.cells, "--cells", 1)
     uni = trianglecf.uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
     adler = trianglecf.adler_scan(field, args.samples, args.seed + 1)
     birk = trianglecf.birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
@@ -355,7 +325,6 @@ def cmd_ergodic_test(args):
 
 def cmd_convergence(args):
     field = _field_for(args)
-    _at_least(args.steps, "--steps", 1)
     rep = trianglecf.convergence_scan(field, args.samples, args.steps, args.seed)
     # with no continued-fraction step there is no margin to bound
     delta_ok = rep["delta"] is None or rep["delta"] > 0
@@ -381,13 +350,13 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
     elif fmt == "jsonl":
         lines = payload.get("lines") or _flatten_rows(payload)
         if lines is None:
-            raise UsageError("this command has no per-step output; use --format json")
+            raise DomainError("this command has no per-step output; use --format json")
         text = "".join(json.dumps(line, sort_keys=True, default=str) + "\n"
                        for line in lines)
     else:
         rows = _flatten_rows(payload)
         if rows is None:
-            raise UsageError("this command has no tabular output; use --format json")
+            raise DomainError("this command has no tabular output; use --format json")
         buf = io.StringIO()
         fieldnames = list(rows[0].keys()) if rows else []
         writer = trianglecf._csv.DictWriter(buf, fieldnames=fieldnames)
@@ -400,7 +369,7 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
             with open(out_path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise UsageError(f"cannot write --out: {exc}") from exc
+            raise DomainError(f"cannot write --out: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -413,11 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps_default=100):
+    def common(p):
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--steps", type=int, default=steps_default)
-        p.add_argument("--samples", type=int, default=1000)
         p.add_argument("--precision", type=int, default=None,
                        help="adaptive-precision cap in bits")
         p.add_argument("--format", choices=("json", "csv", "jsonl"),
@@ -449,14 +416,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("expand", help="exact expansion of a point")
-    common(p, steps_default=40)
+    common(p)
+    p.add_argument("--steps", type=int, default=40)
     p.add_argument("--x", default=None)
     p.add_argument("--check-ne", action="store_true",
                    help="assert (t, v) stays in Gamma at every step")
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("scan-borel", help="window minima of the theta sequence")
-    common(p, steps_default=500)
+    common(p)
+    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--x", default=None)
     p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_scan_borel)
@@ -469,6 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transcendence", help="denominator growth screen")
     common(p)
+    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--q-file", default=None)
     p.add_argument("--d", type=int, default=None)
     p.add_argument("--x", default=None)
@@ -476,12 +447,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transcendence)
 
     p = sub.add_parser("ergodic-test", help="equidistribution and expansivity")
-    common(p, steps_default=100000)
+    common(p)
+    p.add_argument("--steps", type=int, default=100000)
+    p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--cells", type=int, default=100)
     p.set_defaults(func=cmd_ergodic_test)
 
     p = sub.add_parser("convergence", help="approximant convergence statistics")
-    common(p, steps_default=200)
+    common(p)
+    p.add_argument("--steps", type=int, default=200)
+    p.add_argument("--samples", type=int, default=1000)
     p.set_defaults(func=cmd_convergence)
 
     return parser
@@ -491,19 +466,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.precision is not None:
-            _at_least(args.precision, "--precision", 64)
-            set_precision_cap(args.precision)
-        _at_least(args.steps, "--steps", 0)
-        _at_least(args.samples, "--samples", 1)
-        # numpy's generators take only non-negative seeds
-        _at_least(args.seed, "--seed", 0)
+        set_precision_cap(args.precision)
+        # every command echoes the seed, and numpy's generators take only
+        # non-negative ones
+        if args.seed < 0:
+            raise DomainError(f"--seed must be at least 0, got {args.seed}")
         code, payload = args.func(args)
         _emit(payload, args.format, args.out)
         return code
-    except UsageError as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return 2
     except PrecisionExhausted as exc:
         sys.stderr.write(f"precision exhausted: {exc}\n")
         report = {
@@ -519,7 +489,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
     except DomainError as exc:
-        sys.stderr.write(f"domain error: {exc}\n")
+        sys.stderr.write(f"usage error: {exc}\n")
         return 2
     finally:
         set_precision_cap(None)

@@ -153,7 +153,12 @@ def expand(
     (A^_0 = X), the reconstruction of x as X D^ = delta (p_prev A^ + p B^),
     and the v-recurrence; any disagreement raises ConsistencyError.  t_m
     and v_m are built only when read (ExpansionResult.ts, .vs).
+    DomainError unless steps >= 0 and -tau <= x < 0.
     """
+    if steps < 0:
+        raise DomainError(f"steps must be at least 0, got {steps}")
+    if not (-field.tau <= x and x < field.zero):
+        raise DomainError("x outside the interval [-tau, 0)")
     mul = field._mul
     X, delta = _clear_denominator(x)
     disc = x.disc if isinstance(x, QuadExt) else None
@@ -319,10 +324,12 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
     if not gamma.contains(chosen, y):
         raise ConsistencyError("periodic point escaped Gamma")
 
-    # verify exact T-periodicity with the expected digit word
-    digits = []
+    # verify exact T-periodicity with the expected digit word, and take
+    # theta along the orbit: minimal at the point itself, below tau there
+    digits, thetas = [], []
     pt = (chosen, y)
     for _ in range(n - 1):
+        thetas.append(theta_fn(pt[0], pt[1]))
         k = cylinder_of_f(field, pt[0])
         digits.append(k)
         pt = trianglecf.planar.branch_step(field, k, pt)
@@ -330,14 +337,6 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
         raise ConsistencyError("orbit failed to close after n-1 steps")
     if digits != [2, -j] + [1] * (n - 3):
         raise ConsistencyError(f"unexpected periodic digit word {digits}")
-
-    # theta along the orbit: minimal at the point itself, below tau there
-    thetas = []
-    pt = (chosen, y)
-    for k in [None] + digits[:-1]:
-        if k is not None:
-            pt = trianglecf.planar.branch_step(field, k, pt)
-        thetas.append(theta_fn(pt[0], pt[1]))
     tau = field.tau
     if not thetas[0] < tau:
         raise ConsistencyError("theta at the periodic point is not below tau")
@@ -361,6 +360,8 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
 
 def periodic_family_report(field: NumberField, j_max: int = 10) -> dict:
     """theta(P_j) increases strictly towards tau along the family."""
+    if j_max < 2:
+        raise DomainError(f"the family compares its first and last gap: j_max >= 2, got {j_max}")
     pts = [periodic_point(field, j) for j in range(1, j_max + 1)]
     for a, b in zip(pts, pts[1:]):
         if compare_numeric(a.theta_min, b.theta_min) >= 0:
@@ -404,6 +405,10 @@ def transcendence_indicator(
     A finite sample cannot certify a strict limsup inequality, so the
     verdict requires clearing the threshold by `margin` on the tail window.
     """
+    if not math.isfinite(margin):
+        raise DomainError(f"the margin must be a finite number, got {margin}")
+    if degree < 1:
+        raise DomainError(f"the field degree must be at least 1, got {degree}")
     if len(log_qs) < 10:
         raise DomainError("need at least 10 convergents")
     stats = []

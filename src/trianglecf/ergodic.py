@@ -28,6 +28,8 @@ __all__ = [
 def observed_words(field: NumberField, samples: int, length: int, seed: int) -> dict:
     """Soundness experiment: digit words of random orbits all pass the
     published restrictions (and the refined ones)."""
+    if samples < 1:
+        raise DomainError("the experiment needs at least 1 sample")
     digits = digit_matrix_batch(field, samples, length, seed)
     bad = []
     for word in digits.T.tolist():
@@ -82,6 +84,8 @@ def adler_scan(field: NumberField, samples: int, seed: int) -> dict:
 
     Boundary collisions of the float lane are skipped and counted; they have
     probability zero for the sampled points."""
+    if samples < 1:
+        raise DomainError("the scan needs at least 1 sample")
     fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed)
     ys = fs.y_left * rng.random(samples)

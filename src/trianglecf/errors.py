@@ -6,7 +6,8 @@ class TriangleCFError(Exception):
 
 
 class DomainError(TriangleCFError):
-    """An argument lies outside the domain of the requested operation."""
+    """An argument lies outside the domain of the requested operation: the one
+    bad-input exception, raised where the value is read (CLI exit code 2)."""
 
 
 class PrecisionExhausted(TriangleCFError):

@@ -34,8 +34,10 @@ def get_precision_cap() -> int:
 
 
 def set_precision_cap(bits) -> None:
-    """Override the adaptive-precision cap (None restores the default)."""
+    """Set the adaptive-precision cap, >= 64 bits; None restores the default."""
     global _precision_cap
+    if bits is not None and bits < 64:
+        raise DomainError(f"the precision cap must be at least 64 bits, got {bits}")
     _precision_cap = bits
 
 

@@ -184,6 +184,11 @@ def borel_scan(
     """
     if samples < 1:
         raise DomainError("the scan needs at least 1 sample")
+    if steps < 0:
+        raise DomainError(f"steps must be at least 0, got {steps}")
+    # a NaN tol makes every check vacuous, and an infinite one is not JSON
+    if not math.isfinite(tol):
+        raise DomainError(f"the tolerance must be a finite number, got {tol}")
     fs = FloatSystem.for_field(field)
     n = fs.n
     tau = fs.tau
@@ -268,6 +273,8 @@ def convergence_scan(
     """
     if samples < 1:
         raise DomainError("the scan needs at least 1 sample")
+    if steps < 1:
+        raise DomainError("the orbit needs at least 1 step")
     fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed)
     t = sample_interval(fs, rng, samples)
@@ -498,6 +505,8 @@ def uniform_distribution_experiment(
     checkpoints = sorted({min(c, steps) for c in checkpoints})
     if not checkpoints or checkpoints[0] < 1:
         raise DomainError("checkpoints must be at least 1")
+    if cells < 1:
+        raise DomainError(f"the experiment needs at least 1 cell, got {cells}")
     cell_list = build_cells(field, cells)
     ts, vs = orbit_tv_arrays(field, steps, seed, x0)
     mg = mu_gamma(field)

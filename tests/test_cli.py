@@ -1,3 +1,5 @@
+import argparse
+import ast
 import contextlib
 import io
 import json
@@ -321,6 +323,8 @@ def test_precision_flag_validation():
         ("transcendence", "--n", "5", "--x", "-0.7391", "--margin", "nan"),
         ("transcendence", "--n", "5", "--x", "-0.7391", "--margin", "inf"),
         ("scan-borel", "--n", "5", "--samples", "20", "--tol=-inf"),
+        ("transcendence", "--q-file", "{good}", "--d", "0"),
+        ("transcendence", "--q-file", "{good}", "--d", "-1"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
          "convergence-zero-samples", "ergodic-zero-steps", "convergence-zero-steps",
@@ -328,13 +332,16 @@ def test_precision_flag_validation():
          "coeffs-not-rational", "q-file-bad-line", "negative-j-max", "ergodic-zero-cells",
          "zero-precision-cap", "unwritable-out", "one-point-family", "negative-seed",
          "ergodic-one-step", "nan-tolerance", "nan-margin", "infinite-margin",
-         "infinite-tolerance"],
+         "infinite-tolerance", "q-file-degree-zero", "q-file-negative-degree"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, args):
     # exit 1 is reserved for a failed identity; bad input must give 2
     bad = tmp_path / "bad.txt"
     bad.write_text("12\nnot-a-number\n")
-    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad,
+    # enough convergents for the growth screen to take log(2d - 1)
+    good = tmp_path / "good.txt"
+    good.write_text("".join(f"log:{2.0 ** m}\n" for m in range(1, 13)))
+    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad, good=good,
                      unwritable=tmp_path / "no-such-dir" / "x.json") for a in args]
     proc = run_cli(*argv, expect=2)
     assert proc.stderr.startswith("usage error: "), proc.stderr
@@ -346,6 +353,73 @@ def test_removed_truncation_flag_is_a_usage_error():
     assert "Traceback" not in proc.stderr
     assert "unrecognized arguments: --k-fin" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--n", "5", "--steps", "3"),
+        ("expand", "--n", "5", "--x", "-0.7391", "--samples", "2"),
+        ("periodic", "--n", "5", "--samples", "2"),
+        ("region", "--n", "5", "--steps", "3"),
+    ],
+    ids=" ".join,
+)
+def test_flag_the_command_does_not_read_is_a_usage_error(args):
+    proc = run_cli(*args, expect=2)
+    assert "Traceback" not in proc.stderr
+    assert f"unrecognized arguments: {args[-2]}" in proc.stderr
+    assert proc.stdout == ""
+
+
+def _cli_functions():
+    """For each module-level function of cli.py, the attributes it reads off
+    `args` and the module-level functions it calls by name."""
+    from trianglecf import cli
+
+    tree = ast.parse(Path(cli.__file__).read_text())
+    funcs = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    reads, calls = {}, {}
+    for name, f in funcs.items():
+        nodes = list(ast.walk(f))
+        reads[name] = {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                       and isinstance(n.value, ast.Name) and n.value.id == "args"}
+        calls[name] = {n.func.id for n in nodes if isinstance(n, ast.Call)
+                       and isinstance(n.func, ast.Name) and n.func.id in funcs}
+    return reads, calls
+
+
+def test_every_option_is_read_by_its_command():
+    # an option no code reads is accepted and silently ignored; each one
+    # must be read by the subcommand's handler, a helper it calls, or main
+    from trianglecf.cli import build_parser
+
+    reads, calls = _cli_functions()
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices
+    for command, p in sub.choices.items():
+        reached, todo = set(), [p.get_default("func").__name__, "main"]
+        while todo:
+            name = todo.pop()
+            if name not in reached:
+                reached.add(name)
+                todo.extend(calls[name])
+        read = set().union(*(reads[name] for name in reached))
+        options = {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        assert options <= read, (command, sorted(options - read))
+
+
+@pytest.mark.parametrize("x", ["-0.7391", "random:1"])
+def test_expand_checks_the_natural_extension(x, monkeypatch):
+    from trianglecf.planar import PlanarRegion
+
+    monkeypatch.setattr(PlanarRegion, "contains", lambda self, x, y: False)
+    code, out, err = _run_in_process(["expand", "--n", "5", "--x", x, "--steps", "3",
+                                      "--check-ne"])
+    assert code == 1, err
+    assert "left the natural-extension domain" in err
+    assert out == ""
 
 
 # -- the exit-code contract under fuzzed flags --------------------------------
