@@ -6,9 +6,10 @@ invariant measure, approximant/Diophantine machinery, and experiment
 runners for the measure-theoretic and transcendence properties.
 
 The package has two lanes.  The exact lane (`errors`, `field`, `group`,
-`quadratic`, `dynamics`, `planar`, `dioph`, `verify`) never loads numpy;
-`measure` turns its exact regions into the floats of mu and nu, also
-without numpy.  The float lane (`numeric`, `ergodic`) is numpy's only user.
+`quadratic`, `dynamics`, `planar`, `dioph`, `verify`) never loads numpy and
+returns exact values; `measure` turns them into floats (mu, nu, log q_m, the
+growth screen, the periodic family's gaps), also without numpy.  The float
+lane (`numeric`, `ergodic`) is numpy's only user.
 
 Every layer loads on first use.  `import trianglecf` imports no submodule;
 the module `__getattr__` below imports a layer the first time one of its
@@ -36,10 +37,10 @@ _LAYERS = {
                  "is_realizable", "cylinder_interval"),
     "planar": ("Heights", "PlanarRegion", "Rect", "build_heights", "build_omega",
                "build_gamma", "S_step", "T_step", "T_inverse", "verify_bijectivity"),
-    "measure": ("mu_rect", "mu_region", "mu_gamma", "nu_cdf", "nu_density"),
+    "measure": ("mu_rect", "mu_region", "mu_gamma", "nu_cdf", "nu_density",
+                "transcendence_indicator"),
     "dioph": ("ConvergentState", "ExpansionResult", "PeriodicPoint", "expand",
-              "theta_fn", "danger_region_contains", "periodic_point",
-              "transcendence_indicator"),
+              "theta_fn", "danger_region_contains", "periodic_point"),
     "ergodic": ("observed_words", "induced_step_Y", "adler_scan"),
     "numeric": ("uniform_distribution_experiment", "birkhoff_experiment",
                 "borel_scan", "convergence_scan"),

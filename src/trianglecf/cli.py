@@ -191,7 +191,7 @@ def _expand_random(field, args):
         x = random_interval_point(field, rng, 256)
         res = trianglecf.dioph.expand(field, x, args.steps,
                                       check_natural_extension=args.check_ne)
-        thetas = res.theta_floats()
+        thetas = [float(t) for t in res.thetas]
         rows.append(
             {
                 "index": i,
@@ -212,7 +212,7 @@ def cmd_scan_borel(args):
     if args.x is not None:
         x = _parse_x(field, args.x)
         res = trianglecf.dioph.expand(field, x, args.steps)
-        thetas = res.theta_floats()
+        thetas = [float(t) for t in res.thetas]
         tau = float(field.tau)
         rows = []
         for m in range(len(thetas)):
@@ -240,9 +240,9 @@ def cmd_scan_borel(args):
 def cmd_periodic(args):
     field = _field_for(args)
     if args.j_max is not None:
-        fam = trianglecf.dioph.periodic_family_report(field, args.j_max)
+        fam = trianglecf.measure.periodic_family_report(field, args.j_max)
         return (0 if fam["ok"] else 1), _envelope("periodic", field.n, args.seed, fam)
-    pp = trianglecf.dioph.periodic_point(field, args.j)
+    pp = trianglecf.dioph.periodic_point(field, 1 if args.j is None else args.j)
     payload = {
         "j": pp.j,
         "digits": list(pp.digits),
@@ -282,16 +282,13 @@ def cmd_transcendence(args):
                         logs.append(trianglecf.measure._log_big_fraction(q))
             except (ValueError, ZeroDivisionError) as exc:
                 raise DomainError(f"bad --q-file line {line!r}: {exc}") from exc
-        rep = trianglecf.dioph.transcendence_indicator(logs, args.d, margin=args.margin)
+        rep = trianglecf.measure.transcendence_indicator(logs, args.d, margin=args.margin)
         return 0, _envelope("transcendence", args.n, args.seed,
                             {"source": "q-file", **rep})
     field = _field_for(args)
-    if args.x is None:
-        raise DomainError("need --x or --q-file")
-    x = _parse_x(field, args.x)
-    dioph = trianglecf.dioph
-    logs = dioph.log_q_sequence(field, x, args.steps)
-    rep = dioph.transcendence_indicator(logs, field.degree, margin=args.margin)
+    measure = trianglecf.measure
+    logs = measure.log_q_sequence(field, _parse_x(field, args.x), args.steps)
+    rep = measure.transcendence_indicator(logs, field.degree, margin=args.margin)
     return 0, _envelope("transcendence", field.n, args.seed,
                         {"source": "expansion", **rep})
 
@@ -337,26 +334,18 @@ def cmd_convergence(args):
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _flatten_rows(payload):
-    rows = payload.get("rows")
-    if rows is None and "entries" in payload:
-        rows = payload["entries"]
-    return rows
-
-
 def _emit(payload: dict, fmt: str, out_path) -> None:
+    rows = payload.get("rows", payload.get("entries"))
+    # argparse offers csv and jsonl only to the commands that print rows;
+    # scan-borel prints none in its batch mode
+    if fmt != "json" and rows is None:
+        raise DomainError("this run prints no rows; use --format json")
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     elif fmt == "jsonl":
-        lines = payload.get("lines") or _flatten_rows(payload)
-        if lines is None:
-            raise DomainError("this command has no per-step output; use --format json")
         text = "".join(json.dumps(line, sort_keys=True, default=str) + "\n"
-                       for line in lines)
+                       for line in payload.get("lines") or rows)
     else:
-        rows = _flatten_rows(payload)
-        if rows is None:
-            raise DomainError("this command has no tabular output; use --format json")
         buf = io.StringIO()
         fieldnames = list(rows[0].keys()) if rows else []
         writer = trianglecf._csv.DictWriter(buf, fieldnames=fieldnames)
@@ -382,13 +371,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, default=None)
+    row_formats = ("json", "csv", "jsonl")
+
+    # the flags every subcommand reads: csv and jsonl only where rows are
+    # printed, and --n in `n_group` where another flag can stand for it
+    def common(p, formats=("json",), n_group=None):
+        (n_group or p).add_argument("--n", type=int, default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--precision", type=int, default=None,
                        help="adaptive-precision cap in bits")
-        p.add_argument("--format", choices=("json", "csv", "jsonl"),
-                       default="json")
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("field", help="field descriptor")
@@ -400,12 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the full exact identity suite for one n or each n of a range. "
                     "The cost grows steeply with the field degree phi(2n)/2: about 1.5 s "
                     "at n = 60 (degree 16) and under a minute at n = 100 (degree 40).")
-    common(p)
-    p.add_argument("--n-range", default=None, help="inclusive range A:B")
+    one_or_range = p.add_mutually_exclusive_group()
+    common(p, n_group=one_or_range)
+    one_or_range.add_argument("--n-range", default=None, help="inclusive range A:B")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("orbit", help="exact orbit and height tables")
-    common(p)
+    common(p, row_formats)
     p.add_argument("--table", choices=("phi", "eps", "alpha", "heights"),
                    default="phi")
     p.set_defaults(func=cmd_orbit)
@@ -416,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("expand", help="exact expansion of a point")
-    common(p)
+    common(p, row_formats)
     p.add_argument("--steps", type=int, default=40)
     p.add_argument("--x", default=None)
     p.add_argument("--check-ne", action="store_true",
@@ -424,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_expand)
 
     p = sub.add_parser("scan-borel", help="window minima of the theta sequence")
-    common(p)
+    common(p, row_formats)
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--x", default=None)
@@ -433,16 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic", help="periodic points of the planar map")
     common(p)
-    p.add_argument("--j", type=int, default=1)
-    p.add_argument("--j-max", type=int, default=None)
+    one_or_family = p.add_mutually_exclusive_group()
+    one_or_family.add_argument("--j", type=int, default=None, help="default 1")
+    one_or_family.add_argument("--j-max", type=int, default=None)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("transcendence", help="denominator growth screen")
     common(p)
     p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--q-file", default=None)
+    file_or_point = p.add_mutually_exclusive_group(required=True)
+    file_or_point.add_argument("--q-file", default=None)
     p.add_argument("--d", type=int, default=None)
-    p.add_argument("--x", default=None)
+    file_or_point.add_argument("--x", default=None)
     p.add_argument("--margin", type=float, default=0.05)
     p.set_defaults(func=cmd_transcendence)
 

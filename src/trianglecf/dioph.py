@@ -5,6 +5,10 @@ The running product of branch matrices encodes the approximants p_m/q_m;
 theta(x, y) = -x/(1+xy) evaluated along the planar orbit of (x, 0) gives the
 coefficient sequence q_m^2 |x - p_m/q_m| without any subtraction, which keeps
 the exact lane exact and the float lane free of cancellation.
+
+Every result here is exact.  The float reports read from these results
+(log q_m, the growth screen, the periodic family's gaps to tau) live in
+`measure`.
 """
 
 from __future__ import annotations
@@ -13,15 +17,15 @@ import math
 from functools import cached_property
 from operator import add, neg
 
-# the planar and measure layers are reached through the package, which
-# imports each on first use: an expansion without the natural-extension
-# check never loads planar
+# the planar layer is reached through the package, which imports it on
+# first use: an expansion without the natural-extension check never loads
+# planar
 import trianglecf
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField, _element, _new
 from .dynamics import branch, cylinder_of_f, digit_of
 from .group import Mobius
-from .quadratic import QuadExt, compare_numeric, solve_fixed_points
+from .quadratic import QuadExt, solve_fixed_points
 
 
 class ConvergentState:
@@ -91,9 +95,6 @@ class ExpansionResult:
         """v_0 .. v_M, v_m = q_{m-1}/q_m, built on the first read with one
         inversion of q_m per step."""
         return [st.v() for st in self.states]
-
-    def theta_floats(self):
-        return [float(t) for t in self.thetas]
 
 
 # Integer vectors: a coefficient vector of Z[lambda] is a tuple of d ints.  A
@@ -356,76 +357,3 @@ def periodic_point(field: NumberField, j: int) -> PeriodicPoint:
         theta_orbit=tuple(thetas),
         full_run_above_tau=all(th > tau for th in thetas[1:]),
     )
-
-
-def periodic_family_report(field: NumberField, j_max: int = 10) -> dict:
-    """theta(P_j) increases strictly towards tau along the family."""
-    if j_max < 2:
-        raise DomainError(f"the family compares its first and last gap: j_max >= 2, got {j_max}")
-    pts = [periodic_point(field, j) for j in range(1, j_max + 1)]
-    for a, b in zip(pts, pts[1:]):
-        if compare_numeric(a.theta_min, b.theta_min) >= 0:
-            raise ConsistencyError("theta(P_j) failed to increase in j")
-    tau = field.tau
-    gaps = [float(tau.embed(60).mid() - p.theta_min.embed(60).mid()) for p in pts]
-    limit_x = branch(field, 1).hi
-    limit_y = trianglecf.planar.build_heights(field).level(2 * field.n - 5)
-    last = pts[-1]
-    dist = abs(float(last.x) - float(limit_x)) + abs(float(last.y) - float(limit_y))
-    return {
-        "n": field.n,
-        "j_max": j_max,
-        "theta_values": [float(p.theta_min) for p in pts],
-        "tau_gaps": gaps,
-        "limit_distance": dist,
-        "ok": all(g > 0 for g in gaps) and gaps[-1] < gaps[0],
-    }
-
-
-def log_q_sequence(field: NumberField, x, steps: int) -> list:
-    """log |q_m| along an exact expansion (for the growth statistic)."""
-    res = expand(field, x, steps)
-    logs = []
-    for st in res.states[1:]:
-        val = abs(st.q.embed(60).mid())
-        if val == 0:
-            raise ConsistencyError("vanishing q along an expansion")
-        logs.append(trianglecf.measure._log_big_fraction(val))
-    return logs
-
-
-def transcendence_indicator(
-    log_qs,
-    degree: int,
-    margin: float = 0.05,
-    tail_fraction: float = 0.5,
-) -> dict:
-    """Growth screen: flags limsup (log log q_m)/m above log(2d - 1).
-
-    A finite sample cannot certify a strict limsup inequality, so the
-    verdict requires clearing the threshold by `margin` on the tail window.
-    """
-    if not math.isfinite(margin):
-        raise DomainError(f"the margin must be a finite number, got {margin}")
-    if degree < 1:
-        raise DomainError(f"the field degree must be at least 1, got {degree}")
-    if len(log_qs) < 10:
-        raise DomainError("need at least 10 convergents")
-    stats = []
-    for m, lq in enumerate(log_qs, start=1):
-        if lq > 1.0:
-            stats.append((m, math.log(lq) / m))
-    if not stats:
-        statistic = 0.0
-    else:
-        tail_start = stats[-1][0] * (1 - tail_fraction)
-        tail = [s for m, s in stats if m >= tail_start] or [stats[-1][1]]
-        statistic = max(tail)
-    threshold = math.log(2 * degree - 1)
-    return {
-        "statistic": statistic,
-        "threshold": threshold,
-        "margin": margin,
-        "flagged": statistic > threshold + margin,
-        "count": len(log_qs),
-    }

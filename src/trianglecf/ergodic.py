@@ -67,7 +67,6 @@ def induced_step_Y(field: NumberField, y, fs: FloatSystem = None) -> InducedOrbi
     word = []
     deriv = 1.0
     for m in range(1, 10000):
-        digit = None
         deriv_t = t
         t, v, digit = step_scalar(fs, t, v)
         word.append(int(digit))

@@ -1,12 +1,12 @@
-"""The invariant measure dmu = dx dy/(1+xy)^2 and its marginal nu, as floats.
+"""The exact lane's floats: the invariant measure dmu = dx dy/(1+xy)^2, its
+marginal nu, log q_m, the growth screen and the periodic family's gaps.
 
-The exact lane decides every region, map and identity (`planar`); this
-module turns its exact rectangles into numbers at one boundary.  The mass
-of a rectangle is a closed-form logarithm of a ratio of field elements, so
-each float is the logarithm of an exact value.  Numpy is never loaded.
-
-The planar layer is reached through the package, which imports it on first
-use: a logarithm of a rational (`_log_big_fraction`) loads no region.
+The exact lane decides every region, map, expansion and identity; this
+module turns its exact results into numbers at one boundary.  The mass of a
+rectangle is a closed-form logarithm of a ratio of field elements.  Numpy
+is never loaded.  Every other layer is reached through the package, which
+imports it on first use: a logarithm of a rational (`_log_big_fraction`),
+or the growth screen of given logarithms, loads no region and no expansion.
 """
 
 from __future__ import annotations
@@ -17,6 +17,9 @@ from functools import lru_cache
 
 import trianglecf
 from .errors import ConsistencyError, DomainError
+
+# the share of the growth screen's sample, from its end, that it reads
+TAIL_FRACTION = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -131,3 +134,75 @@ def nu_density(field, x) -> float:
     for (y1, y2) in fibers:
         total = total + (y2 - y1) / ((1 + x * y1) * (1 + x * y2))
     return float(total) / mu_gamma(field)
+
+
+# ---------------------------------------------------------------------------
+# reports read from exact expansions and periodic points
+# ---------------------------------------------------------------------------
+
+def periodic_family_report(field, j_max: int = 10) -> dict:
+    """theta(P_j) increases strictly towards tau along the family."""
+    if j_max < 2:
+        raise DomainError(f"the family compares its first and last gap: j_max >= 2, got {j_max}")
+    pts = [trianglecf.dioph.periodic_point(field, j) for j in range(1, j_max + 1)]
+    for a, b in zip(pts, pts[1:]):
+        if trianglecf.quadratic.compare_numeric(a.theta_min, b.theta_min) >= 0:
+            raise ConsistencyError("theta(P_j) failed to increase in j")
+    gaps = [float(field.tau.embed(60).mid() - p.theta_min.embed(60).mid()) for p in pts]
+    limit_x = trianglecf.dynamics.branch(field, 1).hi
+    limit_y = trianglecf.planar.build_heights(field).level(2 * field.n - 5)
+    last = pts[-1]
+    dist = abs(float(last.x) - float(limit_x)) + abs(float(last.y) - float(limit_y))
+    return {
+        "n": field.n,
+        "j_max": j_max,
+        "theta_values": [float(p.theta_min) for p in pts],
+        "tau_gaps": gaps,
+        "limit_distance": dist,
+        "ok": all(g > 0 for g in gaps) and gaps[-1] < gaps[0],
+    }
+
+
+def log_q_sequence(field, x, steps: int) -> list:
+    """log |q_m| along an exact expansion (for the growth statistic)."""
+    res = trianglecf.dioph.expand(field, x, steps)
+    logs = []
+    for st in res.states[1:]:
+        val = abs(st.q.embed(60).mid())
+        if val == 0:
+            raise ConsistencyError("vanishing q along an expansion")
+        logs.append(_log_big_fraction(val))
+    return logs
+
+
+def transcendence_indicator(log_qs, degree: int, margin: float = 0.05) -> dict:
+    """Growth screen: flags limsup (log log q_m)/m above log(2d - 1).
+
+    A finite sample cannot certify a strict limsup inequality, so the
+    verdict requires clearing the threshold by `margin` on the tail window,
+    the last TAIL_FRACTION of the sample.
+    """
+    if not math.isfinite(margin):
+        raise DomainError(f"the margin must be a finite number, got {margin}")
+    if degree < 1:
+        raise DomainError(f"the field degree must be at least 1, got {degree}")
+    if len(log_qs) < 10:
+        raise DomainError("need at least 10 convergents")
+    stats = []
+    for m, lq in enumerate(log_qs, start=1):
+        if lq > 1.0:
+            stats.append((m, math.log(lq) / m))
+    if not stats:
+        statistic = 0.0
+    else:
+        tail_start = stats[-1][0] * (1 - TAIL_FRACTION)
+        tail = [s for m, s in stats if m >= tail_start] or [stats[-1][1]]
+        statistic = max(tail)
+    threshold = math.log(2 * degree - 1)
+    return {
+        "statistic": statistic,
+        "threshold": threshold,
+        "margin": margin,
+        "flagged": statistic > threshold + margin,
+        "count": len(log_qs),
+    }

@@ -22,6 +22,8 @@ from .planar import Rect, acceleration_fiber_top, build_gamma
 
 # samples per block in `cell_counts`
 CELL_CHUNK = 1 << 15
+# convergence_scan's bound on |x - p_m/q_m|
+CONVERGENCE_TARGET = 1e-10
 
 
 class FloatSystem:
@@ -262,7 +264,6 @@ def convergence_scan(
     samples: int,
     steps: int,
     seed: int,
-    target: float = 1e-10,
 ) -> dict:
     """Approximant convergence statistics along random orbits.
 
@@ -286,7 +287,7 @@ def convergence_scan(
     min_margin_pos = np.inf      # 1 - |t v| over continued-fraction steps
     max_ratio_acc = 0.0          # |t v| over acceleration steps, bounded by 1
     v_above_one = 0
-    log_target = math.log(target)
+    log_target = math.log(CONVERGENCE_TARGET)
     tv = np.empty(samples)
     one_plus_tv = np.empty(samples)
     for m in range(1, steps + 1):
@@ -313,7 +314,7 @@ def convergence_scan(
         "samples": samples,
         "steps": steps,
         "seed": seed,
-        "target": target,
+        "target": CONVERGENCE_TARGET,
         "all_converged": bool(np.all(converged_at > 0)),
         "max_steps_to_converge": int(converged_at.max()),
         "max_v": max_v,

@@ -17,14 +17,15 @@ import pytest
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.verify import verify_one
 from trianglecf.dynamics import cylinder_right_endpoint, eps0
-from trianglecf.dioph import (
-    expand,
+from trianglecf.dioph import expand, periodic_point
+from trianglecf.planar import Rect, build_heights
+from trianglecf.measure import (
     log_q_sequence,
-    periodic_point,
+    mu_gamma,
+    mu_rect,
+    omega_divergence_partial_sums,
     transcendence_indicator,
 )
-from trianglecf.planar import Rect, build_heights
-from trianglecf.measure import mu_gamma, mu_rect, omega_divergence_partial_sums
 from trianglecf.group import digit_matrix, y_matrix
 from trianglecf.quadratic import compare_numeric
 from trianglecf.numeric import (
@@ -176,7 +177,8 @@ def test_criterion_3_run_bound_as_stated():
 
 def test_criterion_4_convergence():
     F = build_field(5)
-    rep = convergence_scan(F, samples=1000, steps=200, seed=41, target=1e-10)
+    rep = convergence_scan(F, samples=1000, steps=200, seed=41)
+    assert rep["target"] == 1e-10
     ok = (
         rep["all_converged"]
         and rep["max_steps_to_converge"] <= 200

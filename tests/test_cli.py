@@ -372,6 +372,44 @@ def test_flag_the_command_does_not_read_is_a_usage_error(args):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "--n", "5", "--n-range", "4:6"),
+        ("periodic", "--n", "5", "--j", "3", "--j-max", "2"),
+        # 1 is the family's first point, and still not allowed with --j-max
+        ("periodic", "--n", "5", "--j", "1", "--j-max", "2"),
+        ("transcendence", "--q-file", "{good}", "--d", "2", "--x", "-0.5"),
+    ],
+    ids=" ".join,
+)
+def test_flags_of_two_modes_together_are_a_usage_error(tmp_path, args):
+    # each pair picks one mode of the command; the other flag would be
+    # silently ignored
+    good = tmp_path / "good.txt"
+    good.write_text("".join(f"log:{2.0 ** m}\n" for m in range(1, 13)))
+    proc = run_cli(*(a.format(good=good) for a in args), expect=2)
+    assert "Traceback" not in proc.stderr
+    assert "not allowed with argument" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("fmt", ("csv", "jsonl"))
+@pytest.mark.parametrize("command", ("field", "verify", "region", "periodic",
+                                     "transcendence", "ergodic-test", "convergence"))
+def test_a_command_without_rows_refuses_csv_and_jsonl_before_any_work(command, fmt,
+                                                                      monkeypatch):
+    # argparse refuses the format, so not even the identity suite runs
+    def fail(n):
+        raise AssertionError("verify_one ran")
+
+    monkeypatch.setattr("trianglecf.verify.verify_one", fail)
+    code, out, err = _run_in_process([command, "--n", "5", "--format", fmt])
+    assert code == 2, err
+    assert "argument --format: invalid choice" in err
+    assert out == ""
+
+
 def _cli_functions():
     """For each module-level function of cli.py, the attributes it reads off
     `args` and the module-level functions it calls by name."""
@@ -445,6 +483,9 @@ _COMMON = {
     "--precision": [64, 63, 0, -1, 4096, HUGE],
     "--format": ["json", "csv", "jsonl", "x"],
 }
+# a drawn flag and the base flag it is not allowed with: the draw drops
+# the base flag, so the drawn values still reach the command
+_REPLACES = {"--n-range": "--n", "--j-max": "--j"}
 # the valid starting command and the values each of its own flags may take
 _COMMANDS = {
     "field": ({"--n": 5}, {}),
@@ -472,9 +513,12 @@ def argvs(draw):
     base, own = _COMMANDS[command]
     pools = {**_COMMON, **own}
     flags = dict(base)
-    for flag in draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=3,
-                              unique=True)):
+    drawn = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=3,
+                          unique=True))
+    for flag in drawn:
         flags[flag] = draw(st.sampled_from([None, *pools[flag]]))
+        if flags[flag] is not None and _REPLACES.get(flag) in flags.keys() - drawn:
+            del flags[_REPLACES[flag]]
     return [command] + [f"{f}={v}" for f, v in flags.items() if v is not None]
 
 

@@ -15,12 +15,10 @@ from trianglecf.dioph import (
     danger_curves_exceeded,
     danger_region_contains,
     expand,
-    log_q_sequence,
-    periodic_family_report,
     periodic_point,
     theta_fn,
-    transcendence_indicator,
 )
+from trianglecf.measure import log_q_sequence, periodic_family_report, transcendence_indicator
 
 
 def test_theta_examples():
@@ -90,7 +88,7 @@ def test_window_mins_below_tau():
     res = expand(F, x, 60)
     tau = float(F.tau)
     # min over Theta_{m-1..m+n-1} for m = 1..M-n+1 (n+1 values each)
-    th = res.theta_floats()
+    th = [float(t) for t in res.thetas]
     window_mins = [min(th[m - 1 : m + F.n]) for m in range(1, len(th) - F.n)]
     for wm in window_mins:
         assert wm <= tau + 1e-12

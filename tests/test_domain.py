@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from trianglecf import dioph, ergodic, numeric
+from trianglecf import dioph, ergodic, measure, numeric
 from trianglecf.errors import DomainError
 from trianglecf.field import build_field, set_precision_cap
 
@@ -25,12 +25,12 @@ CASES = {
     "adler-zero-samples": lambda F: ergodic.adler_scan(F, 0, 1),
     "observed-words-zero-samples": lambda F: ergodic.observed_words(F, 0, 50, 0),
     "uniform-zero-cells": lambda F: numeric.uniform_distribution_experiment(F, 100, 0),
-    "family-of-one-point": lambda F: dioph.periodic_family_report(F, 1),
+    "family-of-one-point": lambda F: measure.periodic_family_report(F, 1),
     "transcendence-nan-margin":
-        lambda F: dioph.transcendence_indicator(LOGS, 2, margin=math.nan),
+        lambda F: measure.transcendence_indicator(LOGS, 2, margin=math.nan),
     "transcendence-infinite-margin":
-        lambda F: dioph.transcendence_indicator(LOGS, 2, margin=math.inf),
-    "transcendence-degree-zero": lambda F: dioph.transcendence_indicator(LOGS, 0),
+        lambda F: measure.transcendence_indicator(LOGS, 2, margin=math.inf),
+    "transcendence-degree-zero": lambda F: measure.transcendence_indicator(LOGS, 0),
 }
 
 

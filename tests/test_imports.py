@@ -1,6 +1,6 @@
 """Every import in the library sits at the top of its module, the library
-loads no test-only package, and the exact lane imports nothing of the
-float lane.
+loads no test-only package, the exact lane imports nothing of the float
+lane, and it makes a float only at a few listed sites.
 
 An import inside a function runs its lookup on every call, which costs
 more than the rest of a small hot function such as the float lane's step.
@@ -88,24 +88,95 @@ def test_every_module_is_in_a_lane():
     assert {path.stem for path in SOURCES} == {*EXACT_LANE, *FLOAT_LANE, "__init__", "cli"}
 
 
+# the math functions that are exact on integers
+EXACT_MATH = {"gcd", "lcm", "isqrt"}
+# the only places the exact lane makes a float: lambda's first bracket and
+# the conjugates' (from 2cos(k pi/n)), the bracket of a root, a printed
+# value, the sign filter's estimates, and the first guess of a digit
+FLOAT_SITES = {
+    ("field", "NumberField.__init__"),
+    ("field", "NumberField.conjugate_enclosures"),
+    ("field", "_bracket_root_near"),
+    ("field", "_ExactReal.__float__"),
+    ("field", "FieldElement._float_estimate"),
+    ("quadratic", "QuadExt._float_estimate"),
+    ("dynamics", "_guess_position"),
+}
+
+
+def _makes_a_float(node):
+    """A float call, a float literal, or a use of math beyond EXACT_MATH."""
+    if isinstance(node, ast.Call):
+        return isinstance(node.func, ast.Name) and node.func.id == "float"
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    if isinstance(node, ast.Attribute):
+        return (isinstance(node.value, ast.Name) and node.value.id == "math"
+                and node.attr not in EXACT_MATH)
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and bool({a.name for a in node.names} - EXACT_MATH)
+    return False
+
+
 def _float_work(path):
-    """Imports of math or fractions, and calls of float, in `path`."""
+    """(module, qualified name of the enclosing def or class, line) of each
+    node of `path` that makes a float; the name is "" at module level."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    found = _imports(path, lambda m: m.split(".")[0] in ("math", "fractions"))
-    found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id == "float"]
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if _makes_a_float(child):
+                found.append((path.stem, ".".join(scope), child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+            else:
+                visit(child, scope)
+
+    visit(tree, ())
     return found
 
 
-def test_planar_computes_no_float(tmp_path):
-    # regions, maps and tilings are exact; their masses are measure's
+def _site(module, scope):
+    """The entry of FLOAT_SITES whose def encloses `scope`, or None."""
+    parts = scope.split(".")
+    for i in range(1, len(parts) + 1):
+        if (module, ".".join(parts[:i])) in FLOAT_SITES:
+            return module, ".".join(parts[:i])
+    return None
+
+
+def _unlisted(found):
+    return [hit for hit in found if _site(*hit[:2]) is None]
+
+
+def test_exact_lane_makes_floats_only_where_listed(tmp_path):
+    # regions, maps, expansions and identities are exact; their floats are
+    # made in measure, the CLI or the float lane
     package = Path(trianglecf.__file__).parent
-    assert _float_work(package / "planar.py") == []
-    # the check itself sees each form
-    probe = tmp_path / "probe.py"
-    probe.write_text("import math\nfrom fractions import Fraction\nx = float(1)\n")
-    assert _float_work(probe) == ["probe.py:1", "probe.py:2", "probe.py:3"]
+    found = [hit for m in EXACT_LANE if m != "measure"
+             for hit in _float_work(package / f"{m}.py")]
+    assert _unlisted(found) == []
+    # every listed site still makes a float: the list names no dead place
+    assert {_site(module, scope) for module, scope, _ in found} == FLOAT_SITES
+    # the check itself sees each form, and lets exact math and the listed
+    # sites, with the defs nested in them, through
+    probe = tmp_path / "field.py"
+    probe.write_text("import math\n"
+                     "from math import log, gcd\n"
+                     "x = float(1)\n"
+                     "y = 0.5\n"
+                     "z = math.sqrt(2) + math.isqrt(2) + math.gcd(4, 6)\n"
+                     "from math import lcm\n"
+                     "class NumberField:\n"
+                     "    def __init__(self):\n"
+                     "        def inner():\n"
+                     "            return math.cos(1.0)\n"
+                     "    def other(self):\n"
+                     "        return float(self)\n")
+    assert _unlisted(_float_work(probe)) == [
+        ("field", "", 2), ("field", "", 3), ("field", "", 4), ("field", "", 5),
+        ("field", "NumberField.other", 12)]
 
 
 def _dataclasses(module):

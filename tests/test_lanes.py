@@ -41,6 +41,7 @@ def test_import_does_not_load_numpy():
     ["verify", "--n", "5"],
     ["expand", "--n", "5", "--x", "random:2", "--steps", "5"],
     ["periodic", "--n", "5", "--j", "2"],
+    ["periodic", "--n", "5", "--j-max", "10"],
 ], ids=" ".join)
 def test_exact_commands_do_not_load_numpy(argv):
     _run("import contextlib, io, sys\n"
@@ -138,6 +139,21 @@ def test_a_command_loads_only_the_layers_it_runs(argv, loads, skips):
         f"    assert cli.main({argv!r}) == 0\n")
     assert loads <= loaded
     assert not loaded & skips
+
+
+def test_growth_screen_of_a_q_file_loads_no_exact_layer(tmp_path):
+    # the screen only takes logarithms of the file's integers: past the
+    # package, the CLI and the field it parses with, only measure loads
+    q_file = tmp_path / "q.txt"
+    q_file.write_text("".join(f"{2 ** (2 * m)}\n" for m in range(1, 25)))
+    argv = ["transcendence", "--q-file", str(q_file), "--d", "2"]
+    loaded = _loaded_after(
+        "import contextlib, io\n"
+        "from trianglecf import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == 0\n")
+    assert loaded == {"trianglecf.cli", "trianglecf.errors", "trianglecf.field",
+                      "trianglecf.measure"}
 
 
 def test_every_public_name_resolves_to_its_definition():
