@@ -3,8 +3,10 @@
 Exit codes: 0 success, 1 identity/verification failure, 2 usage error,
 3 precision exhausted.  All reports embed {version, n, seed, precision_cap}
 and identical configuration + seed produces byte-identical output.  This
-module only parses text: the library function that reads a value checks
-its bounds and raises DomainError, which main reports as a usage error.
+module only parses text: one table, COMMANDS, says which flags each mode of
+a command reads and which formats it prints, and main checks the command
+line against it before any work.  The library function that reads a value
+checks its bounds and raises DomainError, which main reports as a usage error.
 """
 
 from __future__ import annotations
@@ -48,18 +50,12 @@ def _parse_x(field, spec: str):
     return x
 
 
-def _field_for(args) -> object:
-    if args.n is None:
-        raise DomainError("--n is required")
-    return build_field(args.n)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_field(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     payload = {
         "degree": field.degree,
         "min_poly": list(field.min_poly),
@@ -72,7 +68,7 @@ def cmd_field(args):
 
 
 def cmd_verify(args):
-    if args.n_range:
+    if args.n_range is not None:
         try:
             lo, hi = (int(p) for p in args.n_range.split(":"))
         except ValueError as exc:
@@ -81,13 +77,9 @@ def cmd_verify(args):
             raise DomainError(f"--n-range {args.n_range} is empty")
         ns = list(range(lo, hi + 1))
     else:
-        ns = [_field_for(args).n]
-    results = {}
-    ok = True
-    for n in ns:
-        rep = trianglecf.verify.verify_one(n)
-        results[str(n)] = rep
-        ok = ok and rep["ok"]
+        ns = [args.n]
+    results = {str(n): trianglecf.verify.verify_one(n) for n in ns}
+    ok = all(rep["ok"] for rep in results.values())
     payload = {"results": results, "ok": ok}
     return (0 if ok else 1), _envelope("verify", ns[0] if len(ns) == 1 else None,
                                        args.seed, payload)
@@ -99,7 +91,7 @@ def _table_rows(indexed_values) -> list:
 
 
 def cmd_orbit(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     tables = trianglecf.dynamics.build_orbit_tables(field)
     heights = trianglecf.planar.build_heights(field)
     which = args.table
@@ -120,7 +112,7 @@ def cmd_orbit(args):
 
 
 def cmd_region(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     planar = trianglecf.planar
     region = planar.build_omega(field) if args.which == "omega" else planar.build_gamma(field)
     data = region.to_json()
@@ -134,9 +126,7 @@ def cmd_region(args):
 
 
 def cmd_expand(args):
-    field = _field_for(args)
-    if args.x is None:
-        raise DomainError("--x is required for expand")
+    field = build_field(args.n)
     if args.x.startswith("random:"):
         return _expand_random(field, args)
     x = _parse_x(field, args.x)
@@ -207,7 +197,7 @@ def _expand_random(field, args):
 
 
 def cmd_scan_borel(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     n = field.n
     if args.x is not None:
         x = _parse_x(field, args.x)
@@ -231,18 +221,18 @@ def cmd_scan_borel(args):
         payload = {"mode": "single", "x": args.x, "rows": rows,
                    "f_rational": res.f_rational}
         return 0, _envelope("scan-borel", n, args.seed, payload)
-    rep = trianglecf.borel_scan(field, args.samples, args.steps, args.seed, args.tol)
+    rep = trianglecf.numeric.borel_scan(field, args.samples, args.steps, args.seed, args.tol)
     ok = rep["violations"] == 0
     return (0 if ok else 1), _envelope("scan-borel", n, args.seed,
                                        {"mode": "batch", **rep, "ok": ok})
 
 
 def cmd_periodic(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     if args.j_max is not None:
         fam = trianglecf.measure.periodic_family_report(field, args.j_max)
         return (0 if fam["ok"] else 1), _envelope("periodic", field.n, args.seed, fam)
-    pp = trianglecf.dioph.periodic_point(field, 1 if args.j is None else args.j)
+    pp = trianglecf.dioph.periodic_point(field, args.j)
     payload = {
         "j": pp.j,
         "digits": list(pp.digits),
@@ -263,9 +253,7 @@ def cmd_periodic(args):
 
 
 def cmd_transcendence(args):
-    if args.q_file:
-        if args.d is None:
-            raise DomainError("--d (field degree) is required with --q-file")
+    if args.q_file is not None:
         try:
             with open(args.q_file) as fh:
                 lines = [line.strip() for line in fh]
@@ -285,7 +273,7 @@ def cmd_transcendence(args):
         rep = trianglecf.measure.transcendence_indicator(logs, args.d, margin=args.margin)
         return 0, _envelope("transcendence", args.n, args.seed,
                             {"source": "q-file", **rep})
-    field = _field_for(args)
+    field = build_field(args.n)
     measure = trianglecf.measure
     logs = measure.log_q_sequence(field, _parse_x(field, args.x), args.steps)
     rep = measure.transcendence_indicator(logs, field.degree, margin=args.margin)
@@ -294,7 +282,7 @@ def cmd_transcendence(args):
 
 
 def cmd_ergodic_test(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     uni = trianglecf.uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
     adler = trianglecf.adler_scan(field, args.samples, args.seed + 1)
     birk = trianglecf.birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
@@ -321,7 +309,7 @@ def cmd_ergodic_test(args):
 
 
 def cmd_convergence(args):
-    field = _field_for(args)
+    field = build_field(args.n)
     rep = trianglecf.convergence_scan(field, args.samples, args.steps, args.seed)
     # with no continued-fraction step there is no margin to bound
     delta_ok = rep["delta"] is None or rep["delta"] > 0
@@ -336,10 +324,6 @@ def cmd_convergence(args):
 
 def _emit(payload: dict, fmt: str, out_path) -> None:
     rows = payload.get("rows", payload.get("entries"))
-    # argparse offers csv and jsonl only to the commands that print rows;
-    # scan-borel prints none in its batch mode
-    if fmt != "json" and rows is None:
-        raise DomainError("this run prints no rows; use --format json")
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     elif fmt == "jsonl":
@@ -363,104 +347,116 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+# ---------------------------------------------------------------------------
+# the table of modes
+# ---------------------------------------------------------------------------
+
+REQUIRED = "required"
+JSON, ROWS = ("json",), ("json", "csv", "jsonl")
+
+# Each command with its help line and its modes; `cmd_<command>` runs it.
+# A mode is the flags it reads, each with its default or REQUIRED, and the
+# formats it prints.  The first flag of each mode but the last picks that
+# mode; a command line that gives none of them runs the last mode.  Every
+# mode also reads --seed, --precision, --format and --out.
+COMMANDS = {
+    "field": ("field descriptor", [({"--n": REQUIRED}, JSON)]),
+    "verify": ("full exact identity suite", [
+        ({"--n-range": REQUIRED}, JSON),
+        ({"--n": REQUIRED}, JSON)]),
+    "orbit": ("exact orbit and height tables", [
+        ({"--n": REQUIRED, "--table": "phi"}, ROWS)]),
+    "region": ("rectangle dump of Omega or Gamma", [
+        ({"--n": REQUIRED, "--which": "gamma"}, JSON)]),
+    "expand": ("exact expansion of a point", [
+        ({"--n": REQUIRED, "--x": REQUIRED, "--steps": 40, "--check-ne": False}, ROWS)]),
+    "scan-borel": ("window minima of the theta sequence", [
+        ({"--x": REQUIRED, "--n": REQUIRED, "--steps": 500}, ROWS),
+        ({"--n": REQUIRED, "--steps": 500, "--samples": 1000, "--tol": 1e-10}, JSON)]),
+    "periodic": ("periodic points of the planar map", [
+        ({"--j-max": REQUIRED, "--n": REQUIRED}, JSON),
+        ({"--n": REQUIRED, "--j": 1}, JSON)]),
+    "transcendence": ("denominator growth screen", [
+        ({"--q-file": REQUIRED, "--d": REQUIRED, "--n": None, "--margin": 0.05}, JSON),
+        ({"--x": REQUIRED, "--n": REQUIRED, "--steps": 100, "--margin": 0.05}, JSON)]),
+    "ergodic-test": ("equidistribution and expansivity", [
+        ({"--n": REQUIRED, "--steps": 100000, "--samples": 1000, "--cells": 100}, JSON)]),
+    "convergence": ("approximant convergence statistics", [
+        ({"--n": REQUIRED, "--steps": 200, "--samples": 1000}, JSON)]),
+}
+
+# the argparse keywords of each flag in the table, in the order --help lists them
+_FLAG_KWARGS = {
+    "--n": {"type": int}, "--n-range": {"help": "inclusive range A:B"},
+    "--table": {"choices": ("phi", "eps", "alpha", "heights")},
+    "--which": {"choices": ("omega", "gamma")},
+    "--steps": {"type": int}, "--samples": {"type": int}, "--x": {},
+    "--check-ne": {"action": "store_true", "help": "assert (t, v) stays in Gamma at every step"},
+    "--tol": {"type": float}, "--j": {"type": int, "help": "default 1"}, "--j-max": {"type": int},
+    "--q-file": {}, "--d": {"type": int}, "--margin": {"type": float}, "--cells": {"type": int},
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _flags(modes) -> list:
+    """Every flag that some mode of a command reads."""
+    return [flag for flag in _FLAG_KWARGS if any(flag in flags for flags, _ in modes)]
+
+
+def pick_mode(args) -> None:
+    """Pick the mode of `args.command` from the flags given, and refuse a
+    given flag the mode does not read, a required flag not given and a
+    format the mode does not print.  Then set every flag of the command not
+    given: to the mode's default, or to None where the mode does not read it."""
+    modes = COMMANDS[args.command][1]
+    given = [flag for flag in _flags(modes) if hasattr(args, _dest(flag))]
+    flags, formats = next((mode for mode in modes[:-1] if next(iter(mode[0])) in given),
+                          modes[-1])
+    for flag in given:
+        if flag not in flags:
+            raise DomainError(f"argument {flag}: not allowed with argument {next(iter(flags))}")
+    missing = [flag for flag, default in flags.items() if default == REQUIRED and flag not in given]
+    if missing:
+        raise DomainError(f"the following arguments are required: {', '.join(missing)}")
+    if args.format not in formats:
+        raise DomainError(f"argument --format: invalid choice: {args.format!r} "
+                          f"(choose from {', '.join(map(repr, formats))})")
+    for flag in _flags(modes):
+        if flag not in given:
+            setattr(args, _dest(flag), flags.get(flag))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="trianglecf",
-        description="Continued fractions for the (3, n, oo) triangle groups",
-    )
+        prog="trianglecf", description="Continued fractions for the (3, n, oo) triangle groups")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    row_formats = ("json", "csv", "jsonl")
-
-    # the flags every subcommand reads: csv and jsonl only where rows are
-    # printed, and --n in `n_group` where another flag can stand for it
-    def common(p, formats=("json",), n_group=None):
-        (n_group or p).add_argument("--n", type=int, default=None)
+    for command, (help_line, modes) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        # unset unless given, so that pick_mode tells a given flag from a default
+        for flag in _flags(modes):
+            p.add_argument(flag, default=argparse.SUPPRESS, **_FLAG_KWARGS[flag])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--precision", type=int, default=None,
                        help="adaptive-precision cap in bits")
-        p.add_argument("--format", choices=formats, default="json")
+        p.add_argument("--format", default="json",
+                       choices=[f for f in ROWS if any(f in fmts for _, fmts in modes)])
         p.add_argument("--out", default=None)
-
-    p = sub.add_parser("field", help="field descriptor")
-    common(p)
-    p.set_defaults(func=cmd_field)
-
-    p = sub.add_parser(
-        "verify", help="full exact identity suite",
-        description="Run the full exact identity suite for one n or each n of a range. "
-                    "The cost grows steeply with the field degree phi(2n)/2: about 1.5 s "
-                    "at n = 60 (degree 16) and under a minute at n = 100 (degree 40).")
-    one_or_range = p.add_mutually_exclusive_group()
-    common(p, n_group=one_or_range)
-    one_or_range.add_argument("--n-range", default=None, help="inclusive range A:B")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("orbit", help="exact orbit and height tables")
-    common(p, row_formats)
-    p.add_argument("--table", choices=("phi", "eps", "alpha", "heights"),
-                   default="phi")
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("region", help="rectangle dump of Omega or Gamma")
-    common(p)
-    p.add_argument("--which", choices=("omega", "gamma"), default="gamma")
-    p.set_defaults(func=cmd_region)
-
-    p = sub.add_parser("expand", help="exact expansion of a point")
-    common(p, row_formats)
-    p.add_argument("--steps", type=int, default=40)
-    p.add_argument("--x", default=None)
-    p.add_argument("--check-ne", action="store_true",
-                   help="assert (t, v) stays in Gamma at every step")
-    p.set_defaults(func=cmd_expand)
-
-    p = sub.add_parser("scan-borel", help="window minima of the theta sequence")
-    common(p, row_formats)
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--x", default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_scan_borel)
-
-    p = sub.add_parser("periodic", help="periodic points of the planar map")
-    common(p)
-    one_or_family = p.add_mutually_exclusive_group()
-    one_or_family.add_argument("--j", type=int, default=None, help="default 1")
-    one_or_family.add_argument("--j-max", type=int, default=None)
-    p.set_defaults(func=cmd_periodic)
-
-    p = sub.add_parser("transcendence", help="denominator growth screen")
-    common(p)
-    p.add_argument("--steps", type=int, default=100)
-    file_or_point = p.add_mutually_exclusive_group(required=True)
-    file_or_point.add_argument("--q-file", default=None)
-    p.add_argument("--d", type=int, default=None)
-    file_or_point.add_argument("--x", default=None)
-    p.add_argument("--margin", type=float, default=0.05)
-    p.set_defaults(func=cmd_transcendence)
-
-    p = sub.add_parser("ergodic-test", help="equidistribution and expansivity")
-    common(p)
-    p.add_argument("--steps", type=int, default=100000)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--cells", type=int, default=100)
-    p.set_defaults(func=cmd_ergodic_test)
-
-    p = sub.add_parser("convergence", help="approximant convergence statistics")
-    common(p)
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--samples", type=int, default=1000)
-    p.set_defaults(func=cmd_convergence)
-
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
+    sub.choices["verify"].description = (
+        "Run the full exact identity suite for one n or each n of a range. "
+        "The cost grows steeply with the field degree phi(2n)/2: about 1.5 s "
+        "at n = 60 (degree 16) and under a minute at n = 100 (degree 40).")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        pick_mode(args)
         set_precision_cap(args.precision)
         # every command echoes the seed, and numpy's generators take only
         # non-negative ones

@@ -17,13 +17,6 @@ from .field import NumberField
 from .dynamics import is_realizable
 from .numeric import FloatSystem, derivative_factor, digit_matrix_batch, step_scalar
 
-__all__ = [
-    "observed_words",
-    "InducedOrbitRecord",
-    "induced_step_Y",
-    "adler_scan",
-]
-
 
 def observed_words(field: NumberField, samples: int, length: int, seed: int) -> dict:
     """Soundness experiment: digit words of random orbits all pass the

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -325,6 +327,7 @@ def test_precision_flag_validation():
         ("scan-borel", "--n", "5", "--samples", "20", "--tol=-inf"),
         ("transcendence", "--q-file", "{good}", "--d", "0"),
         ("transcendence", "--q-file", "{good}", "--d", "-1"),
+        ("transcendence", "--n", "5", "--q-file", "", "--d", "2"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
          "convergence-zero-samples", "ergodic-zero-steps", "convergence-zero-steps",
@@ -332,7 +335,8 @@ def test_precision_flag_validation():
          "coeffs-not-rational", "q-file-bad-line", "negative-j-max", "ergodic-zero-cells",
          "zero-precision-cap", "unwritable-out", "one-point-family", "negative-seed",
          "ergodic-one-step", "nan-tolerance", "nan-margin", "infinite-margin",
-         "infinite-tolerance", "q-file-degree-zero", "q-file-negative-degree"],
+         "infinite-tolerance", "q-file-degree-zero", "q-file-negative-degree",
+         "empty-q-file-path"],
 )
 def test_bad_input_is_a_usage_error(tmp_path, args):
     # exit 1 is reserved for a failed identity; bad input must give 2
@@ -380,6 +384,10 @@ def test_flag_the_command_does_not_read_is_a_usage_error(args):
         # 1 is the family's first point, and still not allowed with --j-max
         ("periodic", "--n", "5", "--j", "1", "--j-max", "2"),
         ("transcendence", "--q-file", "{good}", "--d", "2", "--x", "-0.5"),
+        ("scan-borel", "--n", "5", "--x", "-0.7391", "--samples", "3"),
+        ("scan-borel", "--n", "5", "--x", "-0.7391", "--tol", "0.1"),
+        ("transcendence", "--q-file", "{good}", "--d", "2", "--steps", "5"),
+        ("transcendence", "--n", "5", "--x", "-0.7391", "--d", "3"),
     ],
     ids=" ".join,
 )
@@ -396,14 +404,17 @@ def test_flags_of_two_modes_together_are_a_usage_error(tmp_path, args):
 
 @pytest.mark.parametrize("fmt", ("csv", "jsonl"))
 @pytest.mark.parametrize("command", ("field", "verify", "region", "periodic",
-                                     "transcendence", "ergodic-test", "convergence"))
+                                     "transcendence", "ergodic-test", "convergence",
+                                     "scan-borel"))
 def test_a_command_without_rows_refuses_csv_and_jsonl_before_any_work(command, fmt,
                                                                       monkeypatch):
-    # argparse refuses the format, so not even the identity suite runs
-    def fail(n):
-        raise AssertionError("verify_one ran")
+    # the format is refused before the work: not even the identity suite or,
+    # in scan-borel's batch mode, the scan runs
+    def fail(*args):
+        raise AssertionError("the work ran")
 
     monkeypatch.setattr("trianglecf.verify.verify_one", fail)
+    monkeypatch.setattr("trianglecf.numeric.borel_scan", fail)
     code, out, err = _run_in_process([command, "--n", "5", "--format", fmt])
     assert code == 2, err
     assert "argument --format: invalid choice" in err
@@ -448,6 +459,150 @@ def test_every_option_is_read_by_its_command():
         assert options <= read, (command, sorted(options - read))
 
 
+# -- the table of modes ---------------------------------------------------------
+#
+# Built from cli.COMMANDS, so these tests follow every edit of the table.
+
+# a small valid value of each flag of the table, None for a switch; {good}
+# is the path of a q-file long enough for the growth screen
+_SMALL = {
+    "--n": "5", "--n-range": "4:5", "--table": "eps", "--which": "omega",
+    "--steps": "30", "--samples": "20", "--x": "-0.7391", "--check-ne": None,
+    "--tol": "1e-9", "--j": "2", "--j-max": "2", "--q-file": "{good}", "--d": "2",
+    "--margin": "0.1", "--cells": "5",
+}
+
+
+@pytest.fixture(scope="module")
+def good_q_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("q") / "good.txt"
+    path.write_text("".join(f"log:{2.0 ** m}\n" for m in range(1, 13)))
+    return str(path)
+
+
+def _modes():
+    from trianglecf.cli import COMMANDS
+
+    return [(command, i) for command, (_, modes) in COMMANDS.items()
+            for i in range(len(modes))]
+
+
+def _flag_argv(flag, q_file):
+    value = _SMALL[flag]
+    return [flag] if value is None else [flag, value.format(good=q_file)]
+
+
+def _smallest(command, row, q_file):
+    """The command line of one mode with each flag of its row at a small value."""
+    return [command] + [a for flag in row for a in _flag_argv(flag, q_file)]
+
+
+class _RecordingArgs(argparse.Namespace):
+    """A namespace that records in `read` the name of each attribute read off it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.read = set()
+
+    def __getattribute__(self, name):
+        if name != "read":
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command,i", _modes())
+def test_each_mode_reads_every_flag_of_its_row(command, i, good_q_file):
+    from trianglecf import cli
+
+    modes = cli.COMMANDS[command][1]
+    row, _ = modes[i]
+    # the first flag of a mode picks it and is in no other mode's row
+    pickers = [next(iter(flags)) for flags, _ in modes[:-1]]
+    assert [p for p in pickers if p in row] == pickers[i:i + 1]
+    args = cli.build_parser().parse_args(_smallest(command, row, good_q_file))
+    cli.pick_mode(args)
+    recording = _RecordingArgs(**vars(args))
+    args.func(recording)
+    assert {flag[2:].replace("-", "_") for flag in row} <= recording.read
+
+
+@pytest.mark.parametrize("command,i", _modes())
+def test_each_mode_refuses_what_it_does_not_read_or_print_before_any_work(
+        command, i, good_q_file, monkeypatch):
+    from trianglecf import cli
+
+    def never(args):
+        raise AssertionError("the command ran")
+
+    build = cli.build_parser
+
+    def parser_whose_commands_never_run():
+        parser = build()
+        for p in _subparsers(parser).values():
+            p.set_defaults(func=never)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", parser_whose_commands_never_run)
+    modes = cli.COMMANDS[command][1]
+    row, formats = modes[i]
+    base = _smallest(command, row, good_q_file)
+    refused = [(base + _flag_argv(flag, good_q_file), "not allowed with argument")
+               for flag in cli._flags(modes) if flag not in row]
+    # a required flag left out, where that does not pick another mode
+    for flag, default in row.items():
+        if default == cli.REQUIRED and (flag != next(iter(row)) or i == len(modes) - 1):
+            argv = _smallest(command, {f: d for f, d in row.items() if f != flag},
+                             good_q_file)
+            refused.append((argv, f"the following arguments are required: {flag}"))
+    refused += [(base + ["--format", fmt], "argument --format: invalid choice")
+                for fmt in ("json", "csv", "jsonl") if fmt not in formats]
+    for argv, message in refused:
+        code, out, err = _run_in_process(argv)
+        assert code == 2, (argv, err)
+        assert message in err, (argv, err)
+        assert out == ""
+
+
+def _readme_command_line_section():
+    readme = (REPO / "README.md").read_text()
+    return readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_pass_the_mode_check():
+    # every documented example parses and picks a mode; none is run
+    from trianglecf import cli
+
+    block = _readme_command_line_section().split("```\n")[1]
+    lines = [line for line in block.splitlines() if line.startswith("trianglecf ")]
+    assert len(lines) >= 10
+    for line in lines:
+        args = cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        cli.pick_mode(args)
+
+
+def test_readme_lists_the_table_of_modes():
+    # one line per mode: its flags in table order, each default in
+    # parentheses (none for a required flag), and its formats
+    from trianglecf import cli
+
+    documented, command = {}, None
+    for line in _readme_command_line_section().splitlines():
+        if line.startswith(("| `", "| |")):
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            command = cells[0].strip("`") or command
+            flags = re.findall(r"`(--[\w-]+)`(?: \(([^)]*)\))?", cells[2])
+            documented.setdefault(command, []).append((flags, tuple(cells[3].split(", "))))
+    table = {command: [([(flag, "" if default == cli.REQUIRED else str(default))
+                         for flag, default in row.items()], formats)
+                        for row, formats in modes]
+             for command, (_, modes) in cli.COMMANDS.items()}
+    assert documented == table
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 @pytest.mark.parametrize("x", ["-0.7391", "random:1"])
 def test_expand_checks_the_natural_extension(x, monkeypatch):
     from trianglecf.planar import PlanarRegion
@@ -462,8 +617,10 @@ def test_expand_checks_the_natural_extension(x, monkeypatch):
 
 # -- the exit-code contract under fuzzed flags --------------------------------
 #
-# Each example starts from a small valid command and redraws one to three of
-# its flags: zero, negative, huge or malformed, or dropped.  Flags whose value
+# Each example starts from the smallest command of one mode of the table and
+# redraws one to three of its flags: zero, negative, huge or malformed, or
+# dropped.  It may add one flag of another mode of the command, and a flag
+# that the picked mode does not read must give exit 2.  Flags whose value
 # sets the amount of work (--n, --steps, --samples, --cells, --j, --j-max) are
 # never drawn huge and positive, so every run stays small.
 
@@ -478,48 +635,56 @@ _X = [
     "random:x", "random:1.5",
 ]
 _COMMON = {
-    "--n": [4, 5, 8, 0, 3, -1, -HUGE, "x"],
     "--seed": [0, 1, -1, 2 ** 64, HUGE, -HUGE, "x"],
     "--precision": [64, 63, 0, -1, 4096, HUGE],
     "--format": ["json", "csv", "jsonl", "x"],
 }
-# a drawn flag and the base flag it is not allowed with: the draw drops
-# the base flag, so the drawn values still reach the command
-_REPLACES = {"--n-range": "--n", "--j-max": "--j"}
-# the valid starting command and the values each of its own flags may take
-_COMMANDS = {
-    "field": ({"--n": 5}, {}),
-    "verify": ({"--n": 5},
-               {"--n-range": ["4:5", "5:4", "3:4", "a:b", "5", ":", "4:5:6"]}),
-    "orbit": ({"--n": 5, "--table": "phi"}, {"--table": ["eps", "heights", "x"]}),
-    "region": ({"--n": 5, "--which": "gamma"}, {"--which": ["omega", "x"]}),
-    "expand": ({"--n": 5, "--x": "-0.7391", "--steps": 10},
-               {"--x": _X, "--steps": _SIZE}),
-    "scan-borel": ({"--n": 5, "--samples": 20, "--steps": 30},
-                   {"--x": _X, "--steps": _SIZE, "--samples": _SIZE, "--tol": _REAL}),
-    "periodic": ({"--n": 5, "--j": 2}, {"--j": _SIZE, "--j-max": _SIZE}),
-    "transcendence": ({"--n": 5, "--x": "-0.7391", "--steps": 30},
-                      {"--x": _X, "--steps": _SIZE, "--margin": _REAL}),
-    "ergodic-test": ({"--n": 5, "--steps": 200, "--samples": 20, "--cells": 5},
-                     {"--steps": _SIZE, "--samples": _SIZE, "--cells": _SIZE}),
-    "convergence": ({"--n": 5, "--samples": 20, "--steps": 30},
-                    {"--steps": _SIZE, "--samples": _SIZE}),
+# the values each flag of the table may take
+_VALUES = {
+    "--n": [4, 5, 8, 0, 3, -1, -HUGE, "x"],
+    "--n-range": ["4:5", "5:4", "3:4", "a:b", "5", ":", "4:5:6"],
+    "--table": ["eps", "heights", "x"],
+    "--which": ["omega", "x"],
+    "--x": _X,
+    "--tol": _REAL,
+    "--margin": _REAL,
+    **dict.fromkeys(("--steps", "--samples", "--cells", "--j", "--j-max", "--d"), _SIZE),
 }
 
 
 @st.composite
 def argvs(draw):
-    command = draw(st.sampled_from(sorted(_COMMANDS)))
-    base, own = _COMMANDS[command]
-    pools = {**_COMMON, **own}
-    flags = dict(base)
+    """A command line that starts from one mode's smallest command, redraws
+    one to three of its flags and may add one flag of another mode."""
+    from trianglecf.cli import COMMANDS, _flags
+
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    modes = COMMANDS[command][1]
+    row, _ = draw(st.sampled_from(modes))
+    # a switch is left off: the fuzz writes every flag as --flag=value
+    flags = {flag: _SMALL[flag] for flag in row if _SMALL[flag] is not None}
+    pools = {**_COMMON, **{flag: _VALUES[flag] for flag in row if flag in _VALUES}}
     drawn = draw(st.lists(st.sampled_from(sorted(pools)), min_size=1, max_size=3,
                           unique=True))
     for flag in drawn:
         flags[flag] = draw(st.sampled_from([None, *pools[flag]]))
-        if flags[flag] is not None and _REPLACES.get(flag) in flags.keys() - drawn:
-            del flags[_REPLACES[flag]]
+    other = [flag for flag in _flags(modes) if flag not in row and _SMALL[flag] is not None]
+    extra = draw(st.sampled_from([None, *other]))
+    if extra is not None:
+        flags[extra] = draw(st.sampled_from(_VALUES.get(extra, [_SMALL[extra]])))
     return [command] + [f"{f}={v}" for f, v in flags.items() if v is not None]
+
+
+def _given_outside_its_mode(argv):
+    """Whether argv gives a flag that the mode its flags pick does not read:
+    the first flag of each mode but the last picks it, and none picks the last."""
+    from trianglecf.cli import COMMANDS
+
+    modes = COMMANDS[argv[0]][1]
+    given = {a.split("=", 1)[0] for a in argv[1:]} - _COMMON.keys()
+    row = next((flags for flags, _ in modes[:-1] if next(iter(flags)) in given),
+               modes[-1][0])
+    return not given <= row.keys()
 
 
 def _run_in_process(argv):
@@ -536,10 +701,13 @@ def _run_in_process(argv):
 
 @settings(max_examples=120, deadline=None)
 @given(argv=argvs())
-def test_exit_code_contract_under_fuzzed_flags(argv):
+def test_exit_code_contract_under_fuzzed_flags(argv, good_q_file):
+    argv = [a.format(good=good_q_file) for a in argv]
     # an exception escaping main() is the traceback the CLI would print
     code, out, err = _run_in_process(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)
+    if _given_outside_its_mode(argv):
+        assert code == 2, (argv, code, err)
     assert "Traceback" not in err
     json_out = not any(a.startswith("--format=") and a != "--format=json" for a in argv)
     if code in (0, 1) and json_out:
