@@ -271,8 +271,7 @@ def cmd_transcendence(args):
             except (ValueError, ZeroDivisionError) as exc:
                 raise DomainError(f"bad --q-file line {line!r}: {exc}") from exc
         rep = trianglecf.measure.transcendence_indicator(logs, args.d, margin=args.margin)
-        return 0, _envelope("transcendence", args.n, args.seed,
-                            {"source": "q-file", **rep})
+        return 0, _envelope("transcendence", None, args.seed, {"source": "q-file", **rep})
     field = build_field(args.n)
     measure = trianglecf.measure
     logs = measure.log_q_sequence(field, _parse_x(field, args.x), args.steps)
@@ -377,7 +376,7 @@ COMMANDS = {
         ({"--j-max": REQUIRED, "--n": REQUIRED}, JSON),
         ({"--n": REQUIRED, "--j": 1}, JSON)]),
     "transcendence": ("denominator growth screen", [
-        ({"--q-file": REQUIRED, "--d": REQUIRED, "--n": None, "--margin": 0.05}, JSON),
+        ({"--q-file": REQUIRED, "--d": REQUIRED, "--margin": 0.05}, JSON),
         ({"--x": REQUIRED, "--n": REQUIRED, "--steps": 100, "--margin": 0.05}, JSON)]),
     "ergodic-test": ("equidistribution and expansivity", [
         ({"--n": REQUIRED, "--steps": 100000, "--samples": 1000, "--cells": 100}, JSON)]),
@@ -448,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     sub.choices["verify"].description = (
         "Run the full exact identity suite for one n or each n of a range. "
-        "The cost grows steeply with the field degree phi(2n)/2: about 1.5 s "
-        "at n = 60 (degree 16) and under a minute at n = 100 (degree 40).")
+        "The cost grows steeply with the field degree phi(2n)/2: about 1 s "
+        "at n = 60 (degree 16) and about half a minute at n = 100 (degree 40).")
     return parser
 
 

@@ -243,19 +243,19 @@ def expand(
     return res
 
 
-def danger_region_contains(field: NumberField, point, validate: bool = True) -> bool:
+def danger_region_contains(field: NumberField, point) -> bool:
     """Both theta(P) > tau and theta(T^-1 P) > tau.
 
     Where the predecessor is a continued-fraction branch this is equivalent
     to lying above both curves y = -1/x - 1/tau and y = tau/(1 - tau x).
     """
     x, y = point
-    if validate and not trianglecf.planar.build_gamma(field).contains(x, y):
+    if not trianglecf.planar.build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
     tau = field.tau
     if not theta_fn(x, y) > tau:
         return False
-    pre = trianglecf.planar.T_inverse(field, point, validate=False)
+    pre = trianglecf.planar.T_inverse(field, point)
     return theta_fn(pre[0], pre[1]) > tau
 
 

@@ -22,13 +22,6 @@ from .group import Mobius, digit_matrix, generators, y_matrix
 BRANCH_CACHE_SIZE = 1024
 
 
-def cylinder_right_endpoint(field: NumberField, k: int) -> FieldElement:
-    """Right endpoint 1/(1 - k tau) of the slow-map cylinder with digit k."""
-    if k < 1:
-        raise DomainError("slow-map cylinders have positive digits")
-    return (field.one - field.tau * k).inverse()
-
-
 @lru_cache(maxsize=None)
 def eps0(field: NumberField) -> FieldElement:
     """Left endpoint of the non-accelerated region: W^-1 . 0 = -tau^3/(1+tau^2)."""
@@ -58,7 +51,7 @@ def cylinder_lo(field: NumberField, k: int) -> FieldElement:
     1/(1 - (k - 1) tau) for k >= 2, eps0 for k = 1, and
     -tau + tau/((j + 1) tau^2 + 1) for k = -j."""
     if k >= 2:
-        return cylinder_right_endpoint(field, k - 1)
+        return (field.one - field.tau * (k - 1)).inverse()
     if k == 1:
         return eps0(field)
     tau = field.tau
@@ -378,15 +371,6 @@ def full_cylinder_check(field: NumberField) -> dict:
     if any(branch(field, k).image_lo != -field.tau for k in range(2, k_max + 1)):
         raise ConsistencyError("full cylinder check failed")
     return {"n": field.n, "k_max": k_max, "ok": True}
-
-
-def acceleration_cylinder_bounds(field: NumberField, j: int):
-    """Half-open x-range of the j-th acceleration cylinder (digit -j):
-    [-tau + tau/((j+1) tau^2 + 1), -tau + tau/(j tau^2 + 1)); its right end
-    is the next cylinder's left end, eps0 for j = 1."""
-    if j < 1:
-        raise DomainError("acceleration index must be >= 1")
-    return cylinder_lo(field, -j), cylinder_lo(field, 1 - j or 1)
 
 
 # ---------------------------------------------------------------------------

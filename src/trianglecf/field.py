@@ -270,9 +270,10 @@ class _RootBracket:
         return _enclosure(lo, hi, den)
 
 
-def _bracket_root_near(poly, approx: float, slack: float = 3e-9) -> _RootBracket:
+def _bracket_root_near(poly, approx: float) -> _RootBracket:
     # the floats approx -+ slack are dyadic rationals; put them over one
     # power-of-two denominator and widen symmetrically until they bracket
+    slack = 3e-9
     lo, lo_den = (approx - slack).as_integer_ratio()
     hi, hi_den = (approx + slack).as_integer_ratio()
     den = max(lo_den, hi_den)
@@ -328,7 +329,6 @@ class NumberField:
         approx = 2.0 * math.cos(math.pi / n)
         self._lambda_bracket = _bracket_root_near(self.min_poly, approx)
         self._lambda_pows_float = [approx ** i for i in range(self.degree)]
-        self._conjugate_brackets = None
         self._conjugation_rows = None
         self.zero = self.from_fraction(0)
         self.one = self.from_fraction(1)
@@ -373,20 +373,6 @@ class NumberField:
         """
         return self._lambda_bracket._narrow(1, 1 << precision)
 
-    def conjugate_enclosures(self, precision: int):
-        """Enclosures of all real embeddings of lambda: 2cos(k pi/n),
-        gcd(k, 2n) = 1, 1 <= k < n."""
-        if self._conjugate_brackets is None:
-            ks = _embedding_indices(self.n)
-            if len(ks) != self.degree:
-                raise ArithmeticError("embedding count does not match degree")
-            self._conjugate_brackets = [
-                _bracket_root_near(self.min_poly, 2.0 * math.cos(math.pi * k / self.n))
-                for k in ks
-            ]
-        w_den = 1 << precision
-        return [b._narrow(1, w_den) for b in self._conjugate_brackets]
-
     def __getstate__(self):
         # the generated kernel cannot be pickled; the first product after
         # unpickling generates it again
@@ -403,8 +389,9 @@ class NumberField:
 
     def _conjugations(self):
         """The d - 1 embeddings lambda -> 2cos(k pi/n), k > 1, as integer
-        matrices in rows: sigma_k(a)[j] = sum_i rows[j][i] a[i].  Built on
-        the first call, since only inverse() needs them."""
+        matrices in rows: sigma_k(a)[j] = sum_i rows[j][i] a[i], k in the
+        order of _embedding_indices.  Built on the first call, since only
+        inverse() and galois_conjugate_values need them."""
         if self._conjugation_rows is None:
             d = self.degree
             # sigma_k(lambda) = V_k(lambda), by the Chebyshev recurrence in K
@@ -641,8 +628,7 @@ class FieldElement(_ExactReal):
             return _element(field, (self.den,) + (0,) * (field.degree - 1), self.num[0])
         a = self.num
         prod = None
-        for rows in field._conjugations():
-            conj = tuple(sum(map(mul, row, a)) for row in rows)
+        for conj in _conjugate_vectors(field, a):
             prod = conj if prod is None else field._mul(prod, conj)
         norm = field._mul(a, prod)
         if any(norm[1:]):
@@ -783,10 +769,22 @@ def _new(field: NumberField, num: tuple, den: int) -> FieldElement:
     return e
 
 
+def _conjugate_vectors(field: NumberField, a: tuple):
+    """sigma_k(a) for each nontrivial embedding, as integer coefficient
+    vectors: the rows of field._conjugations() times a."""
+    for rows in field._conjugations():
+        yield tuple(sum(map(mul, row, a)) for row in rows)
+
+
 def galois_conjugate_values(a: FieldElement, precision: int = 53):
-    """Values of an element under all d real embeddings, as enclosures."""
+    """Values of an element under all d real embeddings, as enclosures,
+    identity first: each conjugate vector sigma_k(a) evaluated on lambda's
+    one bracket."""
+    vectors = [a.num, *_conjugate_vectors(a.field, a.num)]
+
     def decide(p):
-        encs = [_eval_interval(a.num, a.den, box) for box in a.field.conjugate_enclosures(p)]
+        box = a.field.lambda_enclosure(p)
+        encs = [_eval_interval(v, a.den, box) for v in vectors]
         return (encs if all(_is_tight(e, precision) for e in encs) else None), None
 
     return _refine(decide, max(precision, 53), "conjugate embeddings did not converge")

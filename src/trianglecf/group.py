@@ -100,16 +100,9 @@ class Mobius:
     def det(self) -> FieldElement:
         return self.a * self.d - self.b * self.c
 
-    def canonical(self) -> "Mobius":
-        """Projective normal form: first nonzero entry has positive sign."""
-        for e in (self.a, self.b, self.c, self.d):
-            s = e.sign()
-            if s:
-                return -self if s < 0 else self
-        raise ValueError("zero matrix cannot be normalized")
-
     def proj_eq(self, other: "Mobius") -> bool:
-        return self.canonical() == other.canonical()
+        """Equal in PSL(2): the same matrix up to a sign."""
+        return self == other or self == -other
 
     def __eq__(self, other):
         if not isinstance(other, Mobius):

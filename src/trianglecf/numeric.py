@@ -17,7 +17,7 @@ from .errors import DomainError, PrecisionExhausted
 from .field import NumberField
 from .dynamics import eps0
 from .measure import mu_gamma, mu_rect, nu_cdf
-from .planar import Rect, acceleration_fiber_top, build_gamma
+from .planar import Rect, build_gamma
 
 
 # samples per block in `cell_counts`
@@ -29,12 +29,11 @@ CONVERGENCE_TARGET = 1e-10
 class FloatSystem:
     """Float shadows of the constants the maps branch on."""
 
-    def __init__(self, n: int, tau: float, eps0: float, y_left: float, acc_top: float):
+    def __init__(self, n: int, tau: float, eps0: float, y_left: float):
         self.n = n
         self.tau = tau
         self.eps0 = eps0
         self.y_left = y_left    # 1/(1 - 2 tau), left endpoint of the return set Y
-        self.acc_top = acc_top  # tau/(tau^2 + 1)
 
     @staticmethod
     def for_field(field: NumberField) -> "FloatSystem":
@@ -43,7 +42,6 @@ class FloatSystem:
             tau=float(field.tau),
             eps0=float(eps0(field)),
             y_left=float((1 - 2 * field.tau).inverse()),
-            acc_top=float(acceleration_fiber_top(field)),
         )
 
 
@@ -494,7 +492,6 @@ def uniform_distribution_experiment(
     steps: int,
     cells: int = 100,
     seed: int = 1,
-    x0: float = None,
     checkpoints=None,
 ) -> dict:
     """Empirical cell frequencies of the (t, v) orbit against mu(cell)/mu(Gamma),
@@ -509,7 +506,7 @@ def uniform_distribution_experiment(
     if cells < 1:
         raise DomainError(f"the experiment needs at least 1 cell, got {cells}")
     cell_list = build_cells(field, cells)
-    ts, vs = orbit_tv_arrays(field, steps, seed, x0)
+    ts, vs = orbit_tv_arrays(field, steps, seed)
     mg = mu_gamma(field)
 
     def discrepancy(upto: int, row) -> float:

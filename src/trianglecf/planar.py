@@ -69,11 +69,9 @@ def build_heights(field: NumberField) -> Heights:
         prod = prod * h
     if prod != 1:
         raise ConsistencyError("height product R * prod(L_j) != 1")
-    # N_1^{n-2} . (1/tau) = tau and the wrap-around N_2 . L_{2n-4} = L_1
-    acc = tau.inverse()
-    for _ in range(n - 2):
-        acc = N1.apply(acc)
-    if acc != tau:
+    # N_1^{n-2} . (1/tau) = tau, one step past odd[-1] = N_1^{n-3} . (1/tau),
+    # and the wrap-around N_2 . L_{2n-4} = L_1
+    if N1.apply(odd[-1]) != tau:
         raise ConsistencyError("N_1^{n-2}(1/tau) != tau")
     if heights.L[-1] != tau - 1:
         raise ConsistencyError("L_{2n-4} != tau - 1")
@@ -272,18 +270,18 @@ def branch_step(field: NumberField, k: int, point):
     return b.M.apply(x), b.N.apply(y)
 
 
-def S_step(field: NumberField, point, validate: bool = True):
+def S_step(field: NumberField, point):
     """Slow planar map on Omega: (x, y) -> (M_k x, N_k y) by the g-digit of x."""
     x, y = point
-    if validate and not build_omega(field).contains(x, y):
+    if not build_omega(field).contains(x, y):
         raise DomainError("point outside Omega")
     return branch_step(field, cylinder_of_g(field, x), point)
 
 
-def T_step(field: NumberField, point, validate: bool = True):
+def T_step(field: NumberField, point):
     """Accelerated planar map on Gamma, including the W^j branches."""
     x, y = point
-    if validate and not build_gamma(field).contains(x, y):
+    if not build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
     return branch_step(field, cylinder_of_f(field, x), point)
 
@@ -302,18 +300,13 @@ def T_digit_of_y(field: NumberField, y) -> int:
     if y < c1:
         if y.sign() <= 0:
             raise DomainError("y outside the image bands")
-        k = ((1 + 1 / y) / tau).ceil()
-        if k < 3:
-            k = 3
-        return k
+        # y < 1/(2 tau - 1) makes (1 + 1/y)/tau > 2, so k >= 3
+        return ((1 + 1 / y) / tau).ceil()
     if y < c:
         return 2
     if y < L1:
-        ratio = y / (tau - tau * tau * y)
-        j = ratio.floor()
-        if j < 1:
-            j = 1
-        return -j
+        # the ratio increases in y and is 1 at y = c, so j >= 1
+        return -(y / (tau - tau * tau * y)).floor()
     if y < L2:
         return 2
     if y <= tau:
@@ -321,13 +314,13 @@ def T_digit_of_y(field: NumberField, y) -> int:
     raise DomainError("y above every image band")
 
 
-def T_inverse(field: NumberField, point, validate: bool = True):
+def T_inverse(field: NumberField, point):
     x, y = point
-    if validate and not build_gamma(field).contains(x, y):
+    if not build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
     b = branch(field, T_digit_of_y(field, y))
     pre = (b.M.inverse().apply(x), b.N.inverse().apply(y))
-    if validate and not build_gamma(field).contains(pre[0], pre[1]):
+    if not build_gamma(field).contains(pre[0], pre[1]):
         raise DomainError("decoded preimage not in Gamma")
     return pre
 

@@ -40,9 +40,6 @@ class QuadExt(_ExactReal):
         self.v = field.coerce(v)
         self.disc = field.coerce(disc)
 
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.field, self.u, -self.v, self.disc)
-
     def is_zero(self) -> bool:
         # D is not a square in K, so u + v sqrt(D) = 0 iff u = v = 0
         return self.u.is_zero() and self.v.is_zero()

@@ -16,7 +16,7 @@ import pytest
 
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.verify import verify_one
-from trianglecf.dynamics import cylinder_right_endpoint, eps0
+from trianglecf.dynamics import cylinder_lo, eps0
 from trianglecf.dioph import expand, periodic_point
 from trianglecf.planar import Rect, build_heights
 from trianglecf.measure import (
@@ -59,18 +59,16 @@ def test_criterion_1_exact_identity_suite():
 
 
 def _random_band_rect(F, rng):
-    from trianglecf.dynamics import acceleration_cylinder_bounds
-
     h = build_heights(F)
     k = rng.choice([1, 2, 3, 4, -1, -2])
     if k >= 2:
-        lo, hi = cylinder_right_endpoint(F, k - 1), cylinder_right_endpoint(F, k)
+        lo, hi = cylinder_lo(F, k), cylinder_lo(F, k + 1)
         top = F.tau if k >= 3 else h.level(2 * F.n - 5)
     elif k == 1:
-        lo, hi = eps0(F), cylinder_right_endpoint(F, 1)
+        lo, hi = eps0(F), cylinder_lo(F, 2)
         top = h.level(1)
     else:
-        lo, hi = acceleration_cylinder_bounds(F, -k)
+        lo, hi = cylinder_lo(F, k), cylinder_lo(F, k + 1 or 1)
         from trianglecf.planar import acceleration_fiber_top
 
         top = acceleration_fiber_top(F)

@@ -165,6 +165,9 @@ def test_transcendence_q_file(tmp_path):
     data = json.loads(proc.stdout)
     assert data["flagged"] is True
     load_schema()(data)
+    # the mode reads no field, so it echoes no n and refuses one
+    assert data["n"] is None
+    run_cli("transcendence", "--q-file", str(fast), "--d", "2", "--n", "3", expect=2)
 
     slow = tmp_path / "slow.txt"
     slow.write_text("".join(f"{2 ** (2 * m)}\n" for m in range(1, 25)))
@@ -242,10 +245,10 @@ def test_precision_exhausted_exit_code():
     from fractions import Fraction
 
     from trianglecf.field import build_field
-    from trianglecf.dynamics import cylinder_right_endpoint
+    from trianglecf.dynamics import cylinder_lo
 
     F = build_field(5)
-    boundary = cylinder_right_endpoint(F, 1)
+    boundary = cylinder_lo(F, 2)
     enc = boundary.embed(160)
     x_spec = str(enc.lo)  # a dyadic 2^-150-close to the boundary
     assert Fraction(x_spec) != 0
@@ -327,7 +330,7 @@ def test_precision_flag_validation():
         ("scan-borel", "--n", "5", "--samples", "20", "--tol=-inf"),
         ("transcendence", "--q-file", "{good}", "--d", "0"),
         ("transcendence", "--q-file", "{good}", "--d", "-1"),
-        ("transcendence", "--n", "5", "--q-file", "", "--d", "2"),
+        ("transcendence", "--q-file", "", "--d", "2"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
          "convergence-zero-samples", "ergodic-zero-steps", "convergence-zero-steps",

@@ -8,7 +8,7 @@ from trianglecf import dioph
 from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.group import Mobius
-from trianglecf.dynamics import branch, build_orbit_tables, cylinder_right_endpoint
+from trianglecf.dynamics import branch, build_orbit_tables, cylinder_lo
 from trianglecf.planar import T_digit_of_y, build_gamma, build_heights, gamma_hyperbola_gap
 from trianglecf.dioph import (
     ConvergentState,
@@ -25,7 +25,7 @@ def test_theta_examples():
     F = build_field(5)
     assert theta_fn(-F.tau, F.zero) == F.tau
     # the limit point (1/(1-tau), L_{2n-5}) sits on theta = tau
-    x = cylinder_right_endpoint(F, 1)
+    x = cylinder_lo(F, 2)
     y = build_heights(F).level(2 * F.n - 5)
     assert (theta_fn(x, y) - F.tau).is_zero()
     with pytest.raises(DomainError):
@@ -106,7 +106,7 @@ def test_danger_region_examples():
     y = fibers[0][1] * Fraction(1, 2)
     assert not danger_region_contains(F, (lo, y))
     # x-coordinate at or beyond 1/(1-tau) is outside
-    x = cylinder_right_endpoint(F, 1) * Fraction(99, 100)
+    x = cylinder_lo(F, 2) * Fraction(99, 100)
     if build_gamma(F).contains(x, F.zero):
         assert not danger_region_contains(F, (x, F.zero))
 

@@ -7,13 +7,11 @@ from trianglecf.errors import DomainError
 from trianglecf.field import FieldElement, build_field, random_interval_point
 from trianglecf.group import digit_matrix, generators, y_matrix
 from trianglecf.dynamics import (
-    acceleration_cylinder_bounds,
     branch,
     build_orbit_tables,
     cylinder_of_f,
     cylinder_of_g,
     cylinder_lo,
-    cylinder_right_endpoint,
     digit_of,
     eps0,
     f_step,
@@ -92,7 +90,7 @@ def test_phi_landmarks():
     for n in (4, 5, 6):
         F = build_field(n)
         t = build_orbit_tables(F)
-        assert t.phi[2 * n - 4] == cylinder_right_endpoint(F, 1)
+        assert t.phi[2 * n - 4] == cylinder_lo(F, 2)
 
 
 def test_eps_identities():
@@ -116,7 +114,7 @@ def test_eps0_formula():
 
 def test_j_of_examples():
     F = build_field(4)
-    lo1, hi1 = acceleration_cylinder_bounds(F, 1)
+    lo1, hi1 = cylinder_lo(F, -1), cylinder_lo(F, 1)
     assert hi1 == eps0(F)
     mid = (lo1 + hi1) / 2
     assert j_of(F, mid) == 1
@@ -198,7 +196,7 @@ def test_cylinder_of_f_examples():
     F = build_field(5)
     e0 = eps0(F)
     assert cylinder_of_f(F, e0) == 1
-    lo1, hi1 = acceleration_cylinder_bounds(F, 1)
+    lo1, hi1 = cylinder_lo(F, -1), cylinder_lo(F, 1)
     mid = (lo1 + hi1) / 2
     assert cylinder_of_f(F, mid) == -1
     W = generators(F).W
@@ -218,7 +216,7 @@ def test_f_step_matches_g_above_eps0():
 
 def test_f_step_acceleration_exact():
     F = build_field(5)
-    lo, hi = acceleration_cylinder_bounds(F, 1)
+    lo, hi = cylinder_lo(F, -1), cylinder_lo(F, 1)
     x = (lo + hi) / 2
     x_new, k, M = f_step(F, x)
     assert k == -1
@@ -270,7 +268,7 @@ def test_delta1_image():
     F = build_field(5)
     M1 = digit_matrix(F, 1)
     assert M1.apply(-F.tau) == 1 - F.tau + F.tau.inverse()
-    assert M1.apply(cylinder_right_endpoint(F, 1)).is_zero()
+    assert M1.apply(cylinder_lo(F, 2)).is_zero()
 
 
 def test_steps_stay_in_interval():
@@ -297,12 +295,12 @@ def test_acceleration_cylinders_partition():
     F = build_field(5)
     prev_hi = None
     for j in range(1, 8):
-        lo, hi = acceleration_cylinder_bounds(F, j)
+        lo, hi = cylinder_lo(F, -j), cylinder_lo(F, 1 - j or 1)
         assert lo < hi
         if prev_hi is not None:
             assert hi == prev_lo
         prev_lo, prev_hi = lo, hi
-    assert acceleration_cylinder_bounds(F, 1)[1] == eps0(F)
+    assert cylinder_lo(F, 1) == eps0(F)
 
 
 def test_acceleration_cylinder_end_costs_one_inversion(monkeypatch):
@@ -325,7 +323,7 @@ def test_acceleration_cylinder_end_costs_one_inversion(monkeypatch):
         assert lo == -tau + tau / (t2 * (j + 1) + 1)
     # the right end is the next cylinder's left end, in closed form too
     for j in (1, 2, 3):
-        assert acceleration_cylinder_bounds(F, j)[1] == -tau + tau / (t2 * j + 1)
+        assert cylinder_lo(F, 1 - j or 1) == -tau + tau / (t2 * j + 1)
 
 
 @pytest.mark.parametrize("n", (4, 5, 8))

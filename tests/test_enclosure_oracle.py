@@ -6,7 +6,10 @@ _is_tight, _sqrt_enclosure, QuadExt.embed_raw, compare_numeric and
 _ExactReal.embed/floor/__float__, kept verbatim apart from taking their
 lambda brackets and embed_raw from an oracle object, and apart from
 Enclosure.__repr__, which prints an end beyond the double range as its
-exact ratio where the Fraction implementation raised OverflowError.  Each
+exact ratio where the Fraction implementation raised OverflowError.  The
+oracle of galois_conjugate_values builds its own conjugate vectors, by
+polynomial arithmetic modulo the minimal polynomial, and evaluates them on
+lambda's one bracket, as the library does.  Each
 decision must give the same result and the same enclosure endpoints, and
 leave lambda's bracket with the same history, so every printed float and
 every precision-exhausted report stays byte for byte what it was.
@@ -186,26 +189,15 @@ def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
 
 
 class OracleField:
-    """The Fraction brackets of lambda and its conjugates for one field."""
+    """The Fraction bracket of lambda for one field."""
 
     def __init__(self, field):
         self.field = field
         approx = 2.0 * math.cos(math.pi / field.n)
         self.lambda_bracket = _oracle_bracket_root_near(field.min_poly, approx)
-        self.conjugate_brackets = None
 
     def lambda_enclosure(self, precision):
         return self.lambda_bracket.refine_to(Fraction(1, 2 ** precision))
-
-    def conjugate_enclosures(self, precision):
-        if self.conjugate_brackets is None:
-            n = self.field.n
-            self.conjugate_brackets = [
-                _oracle_bracket_root_near(self.field.min_poly, 2.0 * math.cos(math.pi * k / n))
-                for k in _embedding_indices(n)
-            ]
-        w = Fraction(1, 2 ** precision)
-        return [b.refine_to(w) for b in self.conjugate_brackets]
 
 
 class OracleReal:
@@ -260,9 +252,47 @@ class OracleReal:
         return _refine(decide, 64, "sign undecided at {bits} bits")
 
 
+def _poly_mulmod(p, q, mod):
+    """p * q modulo the monic integer polynomial mod, all ascending lists."""
+    d = len(mod) - 1
+    out = [0] * (2 * d - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    for m in range(2 * d - 2, d - 1, -1):
+        c = out[m]
+        for j in range(d + 1):
+            out[m - d + j] -= c * mod[j]
+    return out[:d]
+
+
+def oracle_conjugate_vectors(a):
+    """sigma_k(a) for k in _embedding_indices(n), identity first: a's
+    coefficients as a polynomial in V_k(lambda) = 2cos(k pi/n), by Horner
+    modulo the minimal polynomial, with V_0 = 2, V_1 = lambda and
+    V_{k+1} = lambda V_k - V_{k-1}."""
+    field = a.field
+    d, mod = field.degree, field.min_poly
+    lam = [0, 1] + [0] * (d - 2)
+    vs = [[2] + [0] * (d - 1), lam]
+    while len(vs) < field.n:
+        vs.append([x - y for x, y in zip(_poly_mulmod(lam, vs[-1], mod), vs[-2])])
+    vectors = []
+    for k in _embedding_indices(field.n):
+        acc = [0] * d
+        for c in reversed(a.num):
+            acc = _poly_mulmod(acc, vs[k], mod)
+            acc[0] += c
+        vectors.append(acc)
+    return vectors
+
+
 def oracle_galois_conjugate_values(oracle, a, precision: int = 53):
+    vectors = oracle_conjugate_vectors(a)
+
     def decide(p):
-        encs = [_eval_interval(a.num, a.den, box) for box in oracle.conjugate_enclosures(p)]
+        box = oracle.lambda_enclosure(p)
+        encs = [_eval_interval(v, a.den, box) for v in vectors]
         return (encs if all(_is_tight(e, precision) for e in encs) else None), None
 
     return _refine(decide, max(precision, 53), "conjugate embeddings did not converge")

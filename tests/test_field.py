@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trianglecf import field as field_mod
 from trianglecf.errors import DomainError, PrecisionExhausted
 from trianglecf.field import (
     Enclosure,
@@ -320,6 +321,52 @@ def test_galois_conjugates_tau_n4():
     vals = sorted(float(e) for e in galois_conjugate_values(F.tau))
     assert abs(vals[0] - (1 - math.sqrt(2))) < 1e-9
     assert abs(vals[1] - (1 + math.sqrt(2))) < 1e-9
+
+
+def test_galois_conjugates_isolate_no_second_root(monkeypatch):
+    # the conjugates come from the conjugation matrices, evaluated on
+    # lambda's one bracket, so no root of the minimal polynomial is
+    # bracketed again
+    F = NumberField(13)
+    built = 0
+    init = field_mod._RootBracket.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(field_mod._RootBracket, "__init__", counted)
+    galois_conjugate_values(F.lam / 3 + F.tau ** 4)
+    assert built == 0
+
+
+@pytest.mark.parametrize("n", (5, 7, 12, 13, 16, 20))
+def test_galois_conjugates_contain_the_embeddings(n):
+    # sigma_k(a) = sum_i a_i (2cos(k pi/n))^i at 300 bits, k in the order
+    # of _embedding_indices, identity first; the Galois group is not
+    # cyclic at n = 12 and 20
+    import mpmath
+
+    F = NumberField(n)
+    rng = random.Random(n)
+    elements = [F.lam, F.tau.inverse()] + [
+        F.element([Fraction(rng.randint(-2 ** 40, 2 ** 40), rng.randint(1, 2 ** 20))
+                   for _ in range(F.degree)])
+        for _ in range(4)]
+    with mpmath.workprec(300):
+        for a in elements:
+            for precision in (53, 120):
+                encs = galois_conjugate_values(a, precision)
+                assert len(encs) == F.degree
+                for k, enc in zip(field_mod._embedding_indices(n), encs):
+                    lam_k = 2 * mpmath.cos(mpmath.pi * k / n)
+                    value = sum(mpmath.mpf(c.numerator) / c.denominator * lam_k ** i
+                                for i, c in enumerate(a.coeffs))
+                    lo = mpmath.mpf(enc.lo.numerator) / enc.lo.denominator
+                    hi = mpmath.mpf(enc.hi.numerator) / enc.hi.denominator
+                    assert lo <= value <= hi
+                    assert field_mod._is_tight(enc, precision)
 
 
 def test_floor_and_ceil():

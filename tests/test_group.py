@@ -6,7 +6,7 @@ import pytest
 
 from trianglecf import group
 from trianglecf.errors import ConsistencyError
-from trianglecf.field import build_field
+from trianglecf.field import FieldElement, build_field
 from trianglecf.group import (
     INFINITY,
     Mobius,
@@ -129,9 +129,7 @@ def test_half_turn_even_n(n):
     cot = 1 / math.tan(math.pi / n)
     csc = 1 / math.sin(math.pi / n)
     num = [[-cot, -csc], [csc, cot]]
-    can = Bh.canonical()
-    target = Mobius.identity(F)  # placeholder for structure
-    vals = [float(e) for e in can.entries()]
+    vals = [float(e) for e in Bh.entries()]
     flat = [num[0][0], num[0][1], num[1][0], num[1][1]]
     sign = 1.0 if (vals[0] * flat[0] >= 0 or abs(flat[0]) < 1e-12) else -1.0
     # compare up to a global sign
@@ -241,4 +239,18 @@ def test_canonical_projective_equality():
     F = build_field(5)
     g = generators(F)
     assert (-g.B).proj_eq(g.B)
+    assert not g.B.proj_eq(g.C)
+
+
+def test_projective_equality_decides_no_sign(monkeypatch):
+    # equality up to a sign compares entries; no entry's sign is decided
+    F = build_field(5)
+    g = generators(F)
+
+    def refuse(self):
+        raise AssertionError("proj_eq decided a sign")
+
+    monkeypatch.setattr(FieldElement, "sign", refuse)
+    assert (-g.B).proj_eq(g.B)
+    assert g.B.proj_eq(g.B)
     assert not g.B.proj_eq(g.C)

@@ -90,12 +90,11 @@ def test_every_module_is_in_a_lane():
 
 # the math functions that are exact on integers
 EXACT_MATH = {"gcd", "lcm", "isqrt"}
-# the only places the exact lane makes a float: lambda's first bracket and
-# the conjugates' (from 2cos(k pi/n)), the bracket of a root, a printed
-# value, the sign filter's estimates, and the first guess of a digit
+# the only places the exact lane makes a float: lambda's first bracket
+# (from 2cos(pi/n)), the bracket of a root, a printed value, the sign
+# filter's estimates, and the first guess of a digit
 FLOAT_SITES = {
     ("field", "NumberField.__init__"),
-    ("field", "NumberField.conjugate_enclosures"),
     ("field", "_bracket_root_near"),
     ("field", "_ExactReal.__float__"),
     ("field", "FieldElement._float_estimate"),

@@ -66,6 +66,26 @@ def test_n4_heights_frozen():
     assert h.level(4) == F.lam
 
 
+def test_heights_walk_the_n1_chain_once(monkeypatch):
+    # 2n - 6 steps build the two chains; N_1^{n-2}(1/tau) = tau is one more
+    # step past the odd chain, and N_2 L_{2n-4} = L_1 one more again
+    F = build_field(16)
+    # the tables and branches it reads are cached; build them beforehand
+    build_orbit_tables(F), branch(F, 1), branch(F, 2)
+    calls = 0
+    apply = Mobius.apply
+
+    def counted(self, x):
+        nonlocal calls
+        calls += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(Mobius, "apply", counted)
+    heights = build_heights.__wrapped__(F)
+    assert calls == 2 * F.n - 4
+    assert heights == build_heights(F)
+
+
 def test_height_monotonicity_and_product():
     for n in (4, 5, 6, 7, 8):
         F = build_field(n)
