@@ -282,11 +282,13 @@ def cmd_transcendence(args):
 
 def cmd_ergodic_test(args):
     field = build_field(args.n)
-    uni = trianglecf.uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
+    # the two functions that read --samples run first, so a bad value is
+    # refused before the long orbits
     adler = trianglecf.adler_scan(field, args.samples, args.seed + 1)
-    birk = trianglecf.birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
     words = trianglecf.observed_words(field, samples=min(args.samples, 2000), length=50,
                                       seed=args.seed + 3)
+    uni = trianglecf.uniform_distribution_experiment(field, args.steps, args.cells, args.seed)
+    birk = trianglecf.birkhoff_experiment(field, min(args.steps, 200000), seed=args.seed + 2)
     payload = {
         "N": args.steps,
         "cells": uni["cells"],

@@ -255,7 +255,7 @@ def danger_region_contains(field: NumberField, point) -> bool:
     tau = field.tau
     if not theta_fn(x, y) > tau:
         return False
-    pre = trianglecf.planar.T_inverse(field, point)
+    pre = trianglecf.planar._preimage(field, x, y)
     return theta_fn(pre[0], pre[1]) > tau
 
 

@@ -20,7 +20,7 @@ from .measure import mu_gamma, mu_rect, nu_cdf
 from .planar import Rect, build_gamma
 
 
-# samples per block in `cell_counts`
+# steps per block of the equidistribution and Birkhoff orbits
 CELL_CHUNK = 1 << 15
 # convergence_scan's bound on |x - p_m/q_m|
 CONVERGENCE_TARGET = 1e-10
@@ -324,22 +324,21 @@ def convergence_scan(
     }
 
 
-def _scalar_orbit(field: NumberField, steps: int, seed: int, x0: float, with_v: bool):
-    """The orbit of (x0, 0) under `step_scalar` as float64 arrays (ts, vs);
-    vs is None without `with_v`.  x0 defaults to a point drawn from `seed`.
+def _start_point(fs: FloatSystem, seed: int) -> float:
+    return float(sample_interval(fs, np.random.default_rng(seed), 1)[0])
+
+
+def _fill_orbit(fs: FloatSystem, t: float, v: float, ts: np.ndarray, vs):
+    """Fill ts (and vs, unless it is None) with the next len(ts) iterates of
+    (t, v) under `step_scalar`; returns the (t, v) it ends in.
 
     The step is inlined with `step_scalar`'s IEEE operation sequence, so
     every entry is bitwise its iterate, and a boundary collision raises
     PrecisionExhausted at the same step with the same message and boundary.
-    t never depends on v, so without v the loop skips the v update and
+    t never depends on v, so without vs the loop skips the v update and
     fills the same ts.
     """
-    fs = FloatSystem.for_field(field)
-    if x0 is None:
-        rng = np.random.default_rng(seed)
-        x0 = float(sample_interval(fs, rng, 1)[0])
-    ts = np.empty(steps)
-    vs = np.empty(steps) if with_v else None
+    with_v = vs is not None
     t_out = memoryview(ts)
     v_out = memoryview(vs) if with_v else None
     tau = fs.tau
@@ -350,8 +349,7 @@ def _scalar_orbit(field: NumberField, steps: int, seed: int, x0: float, with_v: 
     neg_inv_tau2 = -1.0 / tau2
     floor = math.floor
     ceil = math.ceil
-    t, v = x0, 0.0
-    for i in range(steps):
+    for i in range(len(t_out)):
         if t < eps0:
             u = t + tau
             if u < 1e-300:
@@ -384,12 +382,42 @@ def _scalar_orbit(field: NumberField, steps: int, seed: int, x0: float, with_v: 
         t_out[i] = t
         if with_v:
             v_out[i] = v
-    return ts, vs
+    return t, v
+
+
+def _orbit_blocks(fs: FloatSystem, seed: int, steps: int, with_v: bool, cuts=()):
+    """The orbit of (x, 0), x drawn from `seed`, as (done, ts, vs) blocks:
+    iterates done - len(ts) + 1 .. done, vs None without `with_v`.
+
+    A block ends at each of `cuts` (all within 1..steps), at `steps` and
+    after CELL_CHUNK steps, and every block reuses the same buffers, so a
+    caller must count a block before asking for the next.
+    """
+    t, v = _start_point(fs, seed), 0.0
+    size = min(steps, CELL_CHUNK)
+    t_buf = np.empty(size)
+    v_buf = np.empty(size) if with_v else None
+    done = 0
+    for stop in sorted({*cuts, steps}):
+        while done < stop:
+            m = min(CELL_CHUNK, stop - done)
+            ts = t_buf[:m]
+            vs = v_buf[:m] if with_v else None
+            t, v = _fill_orbit(fs, t, v, ts, vs)
+            done += m
+            yield done, ts, vs
 
 
 def orbit_tv_arrays(field: NumberField, steps: int, seed: int, x0: float = None):
-    """A single (t, v) orbit of (x, 0), stored densely for statistics."""
-    return _scalar_orbit(field, steps, seed, x0, with_v=True)
+    """A single (t, v) orbit of (x0, 0), stored densely for statistics;
+    x0 defaults to a point drawn from `seed`."""
+    fs = FloatSystem.for_field(field)
+    if x0 is None:
+        x0 = _start_point(fs, seed)
+    ts = np.empty(steps)
+    vs = np.empty(steps)
+    _fill_orbit(fs, x0, 0.0, ts, vs)
+    return ts, vs
 
 
 def digit_matrix_batch(field: NumberField, samples: int, length: int, seed: int) -> np.ndarray:
@@ -456,34 +484,23 @@ def _cell_runs(cells):
     return runs
 
 
-def cell_counts(cells, ts: np.ndarray, vs: np.ndarray, checkpoints) -> np.ndarray:
-    """counts[i, j]: samples among ts[:c], vs[:c] in cells[j], c = checkpoints[i].
+def cell_counts(cells, ts: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """counts[j]: the samples of ts, vs in cells[j].
 
     A cell holds x_lo <= t < x_hi and y_lo <= v <= y_hi, so a sample on a
     y-edge that two stacked cells share counts in both.  Each run of cells
     that share one y-range and continue each other in x is binned in one
-    pass: one y/x mask, then a bisection among the run's x-cuts.  The
-    checkpoints ascend within 1..len(ts); each one's counts are the
-    cumulative sums of the segments between checkpoints, which are binned
-    in chunks of CELL_CHUNK samples to keep the temporaries small.
+    pass: one y/x mask, then a bisection among the run's x-cuts.
     """
-    runs = _cell_runs(cells)
-    counts = np.zeros((len(checkpoints), len(cells)), dtype=np.int64)
-    lo = 0
-    for row, hi in zip(counts, checkpoints):
-        for a in range(lo, hi, CELL_CHUNK):
-            t = ts[a:min(a + CELL_CHUNK, hi)]
-            v = vs[a:min(a + CELL_CHUNK, hi)]
-            for start, stop, y_lo, y_hi, cuts in runs:
-                inside = v >= y_lo
-                inside &= v <= y_hi
-                inside &= t >= cuts[0]
-                inside &= t < cuts[-1]
-                # bins 1..stop-start: the last cut <= t
-                cell = np.searchsorted(cuts, t[inside], side="right")
-                row[start:stop] += np.bincount(cell, minlength=stop - start + 1)[1:]
-        lo = hi
-    np.cumsum(counts, axis=0, out=counts)
+    counts = np.zeros(len(cells), dtype=np.int64)
+    for start, stop, y_lo, y_hi, cuts in _cell_runs(cells):
+        inside = vs >= y_lo
+        inside &= vs <= y_hi
+        inside &= ts >= cuts[0]
+        inside &= ts < cuts[-1]
+        # bins 1..stop-start: the last cut <= t
+        cell = np.searchsorted(cuts, ts[inside], side="right")
+        counts[start:stop] += np.bincount(cell, minlength=stop - start + 1)[1:]
     return counts
 
 
@@ -495,7 +512,11 @@ def uniform_distribution_experiment(
     checkpoints=None,
 ) -> dict:
     """Empirical cell frequencies of the (t, v) orbit against mu(cell)/mu(Gamma),
-    reported at intermediate checkpoints to show decay."""
+    reported at intermediate checkpoints to show decay.
+
+    The orbit is counted block by block (`_orbit_blocks`), so the memory
+    does not grow with `steps`.
+    """
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     if checkpoints is None:
@@ -505,9 +526,13 @@ def uniform_distribution_experiment(
         raise DomainError("checkpoints must be at least 1")
     if cells < 1:
         raise DomainError(f"the experiment needs at least 1 cell, got {cells}")
+    # lambda's bracket is narrowed in place, so the exact-to-float
+    # conversions keep one order: cells, float system, mu(Gamma), box
     cell_list = build_cells(field, cells)
-    ts, vs = orbit_tv_arrays(field, steps, seed)
+    fs = FloatSystem.for_field(field)
     mg = mu_gamma(field)
+    t_lo = -float(field.tau)
+    v_hi = float(field.tau) + 1e-12
 
     def discrepancy(upto: int, row) -> float:
         worst = 0.0
@@ -516,15 +541,18 @@ def uniform_distribution_experiment(
             worst = max(worst, abs(freq - c["mass"] / mg))
         return worst
 
-    counts = cell_counts(cell_list, ts, vs, checkpoints).tolist()
-    discrepancies = {c: discrepancy(c, row) for c, row in zip(checkpoints, counts)}
+    counts = np.zeros(len(cell_list), dtype=np.int64)
+    discrepancies = {}
+    outside = 0
+    for done, ts, vs in _orbit_blocks(fs, seed, steps, True, checkpoints):
+        counts += cell_counts(cell_list, ts, vs)
+        outside += int(
+            np.count_nonzero(~((ts >= t_lo) & (ts < 0.0) & (vs >= 0.0) & (vs <= v_hi)))
+        )
+        if done in checkpoints:
+            discrepancies[done] = discrepancy(done, counts.tolist())
     d_first = discrepancies[checkpoints[0]]
     d_full = discrepancies[checkpoints[-1]]
-    outside = int(
-        np.count_nonzero(
-            ~((ts >= -float(field.tau)) & (ts < 0.0) & (vs >= 0.0) & (vs <= float(field.tau) + 1e-12))
-        )
-    )
     return {
         "n": field.n,
         "N": steps,
@@ -547,10 +575,9 @@ def birkhoff_experiment(
     """Time averages of interval indicators along an f-orbit vs nu-masses."""
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
-    ts, _ = _scalar_orbit(field, steps, seed, None, with_v=False)
+    fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed + 1)
-    worst = 0.0
-    rows = []
+    masses, bounds = [], []
     for _ in range(intervals):
         a, b = sorted(rng.random(2))
         if b - a < 0.05:
@@ -559,8 +586,16 @@ def birkhoff_experiment(
         fb = Fraction(b).limit_denominator(1 << 30)
         lo = -field.tau * fb
         hi = -field.tau * fa
-        mass = nu_cdf(field, lo, hi)
-        freq = float(np.count_nonzero((ts >= float(lo)) & (ts < float(hi)))) / steps
+        masses.append(nu_cdf(field, lo, hi))
+        bounds.append((float(lo), float(hi)))
+    hits = [0] * intervals
+    for _, ts, _ in _orbit_blocks(fs, seed, steps, False):
+        for i, (lo, hi) in enumerate(bounds):
+            hits[i] += int(np.count_nonzero((ts >= lo) & (ts < hi)))
+    worst = 0.0
+    rows = []
+    for mass, hit in zip(masses, hits):
+        freq = float(hit) / steps
         rows.append({"nu": mass, "frequency": freq})
         worst = max(worst, abs(mass - freq))
     return {

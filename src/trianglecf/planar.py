@@ -318,6 +318,12 @@ def T_inverse(field: NumberField, point):
     x, y = point
     if not build_gamma(field).contains(x, y):
         raise DomainError("point outside Gamma")
+    return _preimage(field, x, y)
+
+
+def _preimage(field: NumberField, x, y):
+    """T^-1 of a point (x, y) already known to lie in Gamma: the digit
+    decoded from y, the branch inverted, and the preimage checked."""
     b = branch(field, T_digit_of_y(field, y))
     pre = (b.M.inverse().apply(x), b.N.inverse().apply(y))
     if not build_gamma(field).contains(pre[0], pre[1]):

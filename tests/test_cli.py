@@ -190,6 +190,19 @@ def test_ergodic_test_command():
     load_schema()(data)
 
 
+def test_ergodic_test_refuses_bad_samples_before_any_orbit(monkeypatch):
+    # --samples is read by adler_scan and observed_words, which run before
+    # the equidistribution and Birkhoff orbits
+    def fail(*args, **kwargs):
+        raise AssertionError("an orbit ran")
+
+    monkeypatch.setattr("trianglecf.uniform_distribution_experiment", fail)
+    monkeypatch.setattr("trianglecf.birkhoff_experiment", fail)
+    code, out, err = _run_in_process(["ergodic-test", "--n", "5", "--steps", "300000",
+                                      "--samples", "0"])
+    assert code == 2, err
+    assert out == ""
+
 def _strict_json(text):
     """json.loads that refuses NaN, Infinity and -Infinity, which Python
     prints but JSON does not have."""

@@ -84,6 +84,9 @@ COMMANDS += [
     # and the random:K rows
     ("orbit", "--n", "8", "--table", "heights", "--format", "csv"),
     ("expand", "--n", "5", "--x", "random:2", "--steps", "30", "--format", "csv"),
+    # an ergodic orbit that crosses two block boundaries, with a halfway
+    # checkpoint (35 000) that is not a block multiple
+    ("ergodic-test", "--n", "5", "--steps", "70001", "--samples", "200", "--cells", "20"),
 ]
 
 

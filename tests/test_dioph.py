@@ -9,7 +9,9 @@ from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.group import Mobius
 from trianglecf.dynamics import branch, build_orbit_tables, cylinder_lo
-from trianglecf.planar import T_digit_of_y, build_gamma, build_heights, gamma_hyperbola_gap
+from trianglecf.planar import (
+    PlanarRegion, T_digit_of_y, build_gamma, build_heights, gamma_hyperbola_gap,
+)
 from trianglecf.dioph import (
     ConvergentState,
     danger_curves_exceeded,
@@ -310,6 +312,24 @@ def test_danger_membership_matches_theta_pairs():
         point = (res.ts[m], res.vs[m])
         assert danger_region_contains(F, point) == pair_above
 
+
+def test_danger_region_decides_gamma_membership_once_per_point(monkeypatch):
+    # theta > tau near Gamma's upper-left corner, so the preimage is taken:
+    # one membership decision for the point and one for its preimage
+    F = build_field(5)
+    corner = build_gamma(F).rects()[0]
+    point = (corner.x_lo + Fraction(1, 1000), corner.y_hi - Fraction(1, 1000))
+    assert theta_fn(*point) > F.tau
+    calls = []
+    contains = PlanarRegion.contains
+
+    def counted(self, x, y):
+        calls.append((x, y))
+        return contains(self, x, y)
+
+    monkeypatch.setattr(PlanarRegion, "contains", counted)
+    danger_region_contains(F, point)
+    assert len(calls) == 2
 
 def test_theta_bounded_by_gamma_sup():
     from trianglecf.dioph import sup_theta_gamma

@@ -1,13 +1,18 @@
 """The float lane's statistics loops against the loops they replaced.
 
-`orbit_tv_arrays` and `birkhoff_experiment` run `step_scalar`'s operation
-sequence inlined in one loop, `uniform_distribution_experiment` bins the
-orbit once per run of cells (`cell_counts`), `borel_scan` takes its window
-minimum from block prefix and suffix minima, and `observed_words` reads its
-digit words with one `tolist`.  The oracles below are the previous loops,
-kept as they were.  Arrays are compared by their bytes and reports by
-their repr, so every float must be bitwise the same.
+`orbit_tv_arrays` and the Birkhoff orbit run `step_scalar`'s operation
+sequence inlined in one loop (`_fill_orbit`), `uniform_distribution_experiment`
+and `birkhoff_experiment` count their orbit block by block instead of
+storing it, the first binning each block once per run of cells
+(`cell_counts`), `borel_scan` takes its window minimum from block prefix and
+suffix minima, and `observed_words` reads its digit words with one `tolist`.
+The oracles below are the previous loops, kept as they were.  Arrays are
+compared by their bytes and reports by their repr, so every float must be
+bitwise the same.
 """
+
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,9 +23,11 @@ from trianglecf.errors import PrecisionExhausted
 from trianglecf.dynamics import is_realizable
 from trianglecf.ergodic import observed_words
 from trianglecf.field import build_field
+from trianglecf.measure import mu_gamma, nu_cdf
 from trianglecf.numeric import (
     FloatSystem,
-    _scalar_orbit,
+    _fill_orbit,
+    birkhoff_experiment,
     borel_scan,
     build_cells,
     cell_counts,
@@ -28,6 +35,7 @@ from trianglecf.numeric import (
     sample_interval,
     step_scalar,
     step_tv,
+    uniform_distribution_experiment,
 )
 
 FIELDS = {n: build_field(n) for n in range(4, 10)}
@@ -115,6 +123,71 @@ def oracle_cell_counts(cells, ts, vs, checkpoints):
     return counts
 
 
+def oracle_uniform_distribution_experiment(field, steps, cells=100, seed=1,
+                                           checkpoints=None):
+    if checkpoints is None:
+        checkpoints = (steps // 2, steps)
+    checkpoints = sorted({min(c, steps) for c in checkpoints})
+    cell_list = build_cells(field, cells)
+    ts, vs = oracle_orbit_tv_arrays(field, steps, seed)
+    mg = mu_gamma(field)
+
+    def discrepancy(upto, row):
+        worst = 0.0
+        for c, count in zip(cell_list, row):
+            freq = float(count) / upto
+            worst = max(worst, abs(freq - c["mass"] / mg))
+        return worst
+
+    counts = oracle_cell_counts(cell_list, ts, vs, checkpoints).tolist()
+    discrepancies = {c: discrepancy(c, row) for c, row in zip(checkpoints, counts)}
+    d_first = discrepancies[checkpoints[0]]
+    d_full = discrepancies[checkpoints[-1]]
+    outside = int(
+        np.count_nonzero(
+            ~((ts >= -float(field.tau)) & (ts < 0.0) & (vs >= 0.0) & (vs <= float(field.tau) + 1e-12))
+        )
+    )
+    return {
+        "n": field.n,
+        "N": steps,
+        "cells": len(cell_list),
+        "seed": seed,
+        "checkpoints": {str(k): v for k, v in discrepancies.items()},
+        "max_discrepancy_half": d_first,
+        "max_discrepancy": d_full,
+        "decreasing": d_full <= d_first,
+        "outside_box_count": outside,
+    }
+
+
+def oracle_birkhoff_experiment(field, steps, intervals=10, seed=2):
+    ts, _ = oracle_orbit_tv_arrays(field, steps, seed)
+    rng = np.random.default_rng(seed + 1)
+    worst = 0.0
+    rows = []
+    for _ in range(intervals):
+        a, b = sorted(rng.random(2))
+        if b - a < 0.05:
+            b = min(1.0, a + 0.05)
+        fa = Fraction(a).limit_denominator(1 << 30)
+        fb = Fraction(b).limit_denominator(1 << 30)
+        lo = -field.tau * fb
+        hi = -field.tau * fa
+        mass = nu_cdf(field, lo, hi)
+        freq = float(np.count_nonzero((ts >= float(lo)) & (ts < float(hi)))) / steps
+        rows.append({"nu": mass, "frequency": freq})
+        worst = max(worst, abs(mass - freq))
+    return {
+        "n": field.n,
+        "N": steps,
+        "intervals": intervals,
+        "seed": seed,
+        "max_deviation": worst,
+        "rows": rows,
+    }
+
+
 def oracle_witnesses(digits, n):
     bad = []
     for col in range(digits.shape[1]):
@@ -135,6 +208,16 @@ def outcome(fn, *args):
         return ("ok",) + tuple(a.tobytes() for a in fn(*args) if a is not None)
     except (PrecisionExhausted, ArithmeticError) as exc:
         return ("raise", type(exc), str(exc), repr(getattr(exc, "boundary", None)))
+
+
+def t_only_orbit(field, steps, seed, x0=None):
+    """The Birkhoff orbit: `_fill_orbit` without v."""
+    fs = FloatSystem.for_field(field)
+    if x0 is None:
+        x0 = float(sample_interval(fs, np.random.default_rng(seed), 1)[0])
+    ts = np.empty(steps)
+    _fill_orbit(fs, x0, 0.0, ts, None)
+    return (ts,)
 
 
 def failing_step(fs, x0, steps):
@@ -190,7 +273,7 @@ def test_inlined_orbit_matches_the_step_scalar_loop(point, steps):
     want = outcome(oracle_orbit_tv_arrays, F, steps, 0, x0)
     assert outcome(orbit_tv_arrays, F, steps, 0, x0) == want
     # birkhoff's orbit skips v and keeps t
-    t_only = outcome(_scalar_orbit, F, steps, 0, x0, False)
+    t_only = outcome(t_only_orbit, F, steps, 0, x0)
     assert t_only == want[:2] if want[0] == "ok" else t_only == want
     k = failing_step(SYSTEMS[n], x0, steps)
     assert (k is None) == (want[0] == "ok")
@@ -207,7 +290,15 @@ def test_seeded_orbit_matches_the_step_scalar_loop(n):
     want = oracle_orbit_tv_arrays(F, 20000, 3)
     got = orbit_tv_arrays(F, 20000, 3)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert _scalar_orbit(F, 20000, 3, None, False)[0].tobytes() == want[0].tobytes()
+    assert t_only_orbit(F, 20000, 3)[0].tobytes() == want[0].tobytes()
+    # walked in pieces, each starting from the state the last one ended in
+    fs = SYSTEMS[n]
+    t, v = float(sample_interval(fs, np.random.default_rng(3), 1)[0]), 0.0
+    ts, vs = np.empty(20000), np.empty(20000)
+    for a in range(0, 20000, 6113):
+        t, v = _fill_orbit(fs, t, v, ts[a:a + 6113], vs[a:a + 6113])
+    assert (t, v) == (want[0][-1], want[1][-1])
+    assert [ts.tobytes(), vs.tobytes()] == [a.tobytes() for a in want]
 
 
 def test_the_examples_reach_each_exception():
@@ -240,6 +331,23 @@ def test_borel_window_matches_the_full_minimum(n):
 
 
 # -- one-pass cell binning ------------------------------------------------------
+
+def blocked_cell_counts(cells, ts, vs, checkpoints):
+    """counts[i, j]: samples among ts[:c], vs[:c] in cells[j], c =
+    checkpoints[i], summed from `cell_counts` over blocks cut as the
+    equidistribution walk cuts them: at every checkpoint and after
+    CELL_CHUNK samples."""
+    counts = np.zeros((len(checkpoints), len(cells)), dtype=np.int64)
+    total = np.zeros(len(cells), dtype=np.int64)
+    done = 0
+    for row, stop in zip(counts, checkpoints):
+        while done < stop:
+            m = min(numeric.CELL_CHUNK, stop - done)
+            total += cell_counts(cells, ts[done:done + m], vs[done:done + m])
+            done += m
+        row[:] = total
+    return counts
+
 
 def probe_points(fs, cells, rng):
     """Points on every cell's edges and corners, points outside the box,
@@ -277,7 +385,7 @@ def test_cell_counts_match_the_four_mask_loop(n, target, chunk, monkeypatch):
     ts, vs = probe_points(fs, cells, np.random.default_rng(n * 1000 + target))
     size = ts.size
     for checkpoints in ([size], [1, size // 3, size // 2, size], [7, size - 1]):
-        got = cell_counts(cells, ts, vs, checkpoints)
+        got = blocked_cell_counts(cells, ts, vs, checkpoints)
         want = oracle_cell_counts(cells, ts, vs, checkpoints)
         assert got.dtype == want.dtype and np.array_equal(got, want), checkpoints
 
@@ -306,10 +414,49 @@ def test_shared_edges_count_in_both_cells():
     ]
     ts = np.array([-1.0, -1.0, -0.5, -2.0, -0.6, -0.7, -0.1, -1.5])
     vs = np.array([0.5, 0.2, 0.5, 1.0, 0.7, 0.5, 0.6, 0.5])
-    got = cell_counts(cells, ts, vs, [4, 8])
+    got = blocked_cell_counts(cells, ts, vs, [4, 8])
     want = oracle_cell_counts(cells, ts, vs, [4, 8])
     assert np.array_equal(got, want)
     assert got.tolist() == [[0, 2, 0, 2, 2, 0, 1], [1, 3, 0, 3, 5, 0, 3]]
+    assert cell_counts(cells, ts[4:], vs[4:]).tolist() == [1, 1, 0, 1, 3, 0, 2]
+
+
+# -- the block walk of the equidistribution and Birkhoff experiments -------------
+
+@pytest.mark.parametrize("n", range(4, 10))
+@pytest.mark.parametrize("chunk", (numeric.CELL_CHUNK, 61))
+def test_block_walk_matches_the_dense_experiments(n, chunk, monkeypatch):
+    # below one block, exactly one block and several; checkpoints inside a
+    # block, on a block multiple, and one short of the end
+    monkeypatch.setattr(numeric, "CELL_CHUNK", chunk)
+    F = FIELDS[n]
+    for steps in (chunk // 2 + 1, chunk, 2 * chunk + 17):
+        for checkpoints in (None, (1, chunk + 3, 2 * chunk, steps - 1)):
+            got = uniform_distribution_experiment(F, steps, 37, n, checkpoints)
+            want = oracle_uniform_distribution_experiment(F, steps, 37, n, checkpoints)
+            assert repr(got) == repr(want), (steps, checkpoints)
+        got = birkhoff_experiment(F, steps, seed=n)
+        want = oracle_birkhoff_experiment(F, steps, seed=n)
+        assert repr(got) == repr(want), steps
+
+
+@pytest.mark.parametrize("experiment, bound", (
+    (uniform_distribution_experiment, 1 << 20),
+    (birkhoff_experiment, 1 << 19),
+))
+def test_block_walk_memory_does_not_grow_with_steps(experiment, bound):
+    # the dense orbit of 10**6 steps alone would take 16 MB (8 MB for t);
+    # a short run first fills the exact lane's caches, which do not grow
+    # with the steps
+    F = FIELDS[5]
+    experiment(F, 1000)
+    tracemalloc.start()
+    try:
+        experiment(F, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # -- observed words -------------------------------------------------------------
