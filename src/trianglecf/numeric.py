@@ -9,19 +9,34 @@ measure-zero misclassification at cylinder boundaries is harmless.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
+# `planar` and `measure` are reached through the package, which imports
+# them on first use: the scans never compile them
+import trianglecf
 from .errors import DomainError, PrecisionExhausted
 from .field import NumberField
 from .dynamics import eps0
-from .measure import mu_gamma, mu_rect, nu_cdf
-from .planar import Rect, build_gamma
 
 
 # steps per block of the equidistribution and Birkhoff orbits
 CELL_CHUNK = 1 << 15
+# The fewest vector orbit steps worth a process of their own.  On a 2-core
+# x86_64 host a fork and the reaping of its child took 3-12 ms in a CLI
+# process, and a slice slows down while the other core is busy: two slices
+# of a 10**6-step convergence scan ran no faster than one (median of 20
+# alternating runs 0.269 -> 0.284 s), of 2 * 10**6 steps saved 11 ms, and
+# of 2 * 10**7 steps of scan-borel 250 ms.
+MIN_SLICE_STEPS = 1_000_000
+# a scalar orbit step (`_fill_orbit`, about 340 ns with v) weighs as much
+# as ten vector orbit steps (20-45 ns) against MIN_SLICE_STEPS
+SCALAR_STEP_WORK = 10
 # convergence_scan's bound on |x - p_m/q_m|
 CONVERGENCE_TARGET = 1e-10
 
@@ -163,6 +178,94 @@ def derivative_factor(fs: FloatSystem, t: float, digit: float) -> float:
     return 1.0 / (den * den)
 
 
+def _slice_count(parts: int, work: int) -> int:
+    """How many processes share `work` orbit steps made of `parts`
+    independent parts: one per CPU this process may run on, at most one per
+    part and at most one per MIN_SLICE_STEPS steps, and at least one."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, parts, work // MIN_SLICE_STEPS))
+
+
+def _run_jobs(jobs, work: int) -> list:
+    """The results of `jobs`, zero-argument functions, in order, as if each
+    ran in turn in this process: the first exception in job order is raised.
+
+    Unless `_slice_count` gives each job a process of its own, they do run
+    in turn here.  Otherwise the first runs here and each other in a forked
+    child, which pickles back its result or its exception and exits with
+    os._exit; every child is read and reaped, and when this process's own
+    job raises, killed first.  The first job runs here in either case, so
+    it may convert exact values, which narrows lambda's bracket in place;
+    every other job must read floats only, so that a child returns what it
+    would have returned here.
+
+    The children are forked, not spawned: a spawned worker would import
+    numpy again (about 0.17 s).  numpy's import starts an idle BLAS thread,
+    which a fork does not copy; the jobs run elementwise loops, no BLAS.
+    """
+    if _slice_count(len(jobs), work) < len(jobs):
+        return [job() for job in jobs]
+    children = []
+    try:
+        for job in jobs[1:]:
+            children.append(_fork(job))
+        results = [jobs[0]()]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        outcomes = [_reap(pid, fd) for pid, fd in children]
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
+def _fork(job):
+    """Start `job` in a forked child; returns (pid, the read end of the
+    pipe that carries its pickled (ok, result or exception))."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, job())
+        except BaseException as exc:
+            outcome = (False, exc)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as exc:
+            data = pickle.dumps((False, RuntimeError(f"a forked job's outcome: {exc!r}")))
+        with os.fdopen(write_fd, "wb") as out:
+            out.write(data)
+    finally:
+        os._exit(0)
+
+
+def _reap(pid: int, read_fd: int):
+    """Read a forked job's (ok, value) and wait for its process."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        data = pipe.read()
+    os.waitpid(pid, 0)
+    if not data:
+        return False, RuntimeError(f"forked job {pid} ended without a result")
+    return pickle.loads(data)
+
+
+def _sliced(loop, t: np.ndarray, steps: int) -> list:
+    """loop(part) of each contiguous part of the samples t, in order, one
+    part per slice of `_slice_count` (see `_run_jobs`)."""
+    k = _slice_count(t.size, t.size * steps)
+    cuts = [t.size * i // k for i in range(k + 1)]
+    return _run_jobs([partial(loop, t[a:b]) for a, b in zip(cuts, cuts[1:])],
+                     t.size * steps)
+
+
 def borel_scan(
     field: NumberField,
     samples: int,
@@ -175,12 +278,12 @@ def borel_scan(
     Checks min{Theta_{m-1}, ..., Theta_{m+n-1}} <= tau + tol for every m and
     reports the longest observed run of consecutive Theta > tau.
 
-    The window minimum costs about three np.minimum calls per step whatever
-    n is (van Herk 1992; Gil and Werman 1993): the steps fall into blocks
-    of n + 1, `prefix` holds the running minimum of the current block, and
-    when a block completes its rows are turned in place into suffix minima.
-    The window ending r rows into a block is then the previous block's
-    suffix from row r + 1 together with the current prefix.
+    The samples are drawn here and scanned in contiguous slices
+    (`_borel_slice`, side by side where `_run_jobs` forks).  Each slice's
+    window maximum per step is combined with np.maximum, which keeps a NaN,
+    and the steps are then folded in order, so the report is the one scan
+    of all samples at once would give, the first step of the largest window
+    minimum included.
     """
     if samples < 1:
         raise DomainError("the scan needs at least 1 sample")
@@ -191,10 +294,44 @@ def borel_scan(
         raise DomainError(f"the tolerance must be a finite number, got {tol}")
     fs = FloatSystem.for_field(field)
     n = fs.n
+    t = sample_interval(fs, np.random.default_rng(seed), samples)
+    parts = _sliced(partial(_borel_slice, fs, steps, fs.tau + tol), t, steps)
+    window_max = np.maximum.reduce([part[0] for part in parts])
+    max_window_min = 0.0
+    worst_m = None
+    for m, wm in enumerate(window_max.tolist(), start=n):
+        if wm > max_window_min:
+            max_window_min = wm
+            worst_m = m - n + 1
+    return {
+        "n": n,
+        "samples": samples,
+        "steps": steps,
+        "seed": seed,
+        "tolerance": tol,
+        "violations": sum(part[1] for part in parts),
+        "max_window_min": max_window_min,
+        "worst_window_at": worst_m,
+        "max_theta_run": max(part[2] for part in parts),
+        "tau": fs.tau,
+    }
+
+
+def _borel_slice(fs: FloatSystem, steps: int, bound: float, t: np.ndarray):
+    """Scan the orbits of (t, 0): the largest window minimum of each step
+    m >= n, the windows whose minimum passes `bound` and the longest run
+    of Theta > tau.
+
+    The window minimum costs about three np.minimum calls per step whatever
+    n is (van Herk 1992; Gil and Werman 1993): the steps fall into blocks
+    of n + 1, `prefix` holds the running minimum of the current block, and
+    when a block completes its rows are turned in place into suffix minima.
+    The window ending r rows into a block is then the previous block's
+    suffix from row r + 1 together with the current prefix.
+    """
+    n = fs.n
     tau = fs.tau
-    bound = tau + tol
-    rng = np.random.default_rng(seed)
-    t = sample_interval(fs, rng, samples)
+    samples = t.size
     v = np.zeros(samples)
     window = np.empty((n + 1, samples))
     window[0] = np.abs(t / (1.0 + t * v))  # Theta_0 = |x|
@@ -203,8 +340,7 @@ def borel_scan(
     run = (window[0] > tau).astype(np.int32 if steps < 2 ** 31 - 1 else np.int64)
     max_run = int(run.max())
     violations = 0
-    max_window_min = 0.0
-    worst_m = None
+    window_max = np.empty(max(steps - n + 1, 0))
     above = np.empty(samples, dtype=bool)
     wmin_buf = np.empty(samples)
     for m in range(1, steps + 1):
@@ -231,10 +367,7 @@ def borel_scan(
                 wmin = np.minimum(window[r + 1], prefix, out=wmin_buf)
             else:
                 wmin = prefix
-            wm = float(wmin.max())
-            if wm > max_window_min:
-                max_window_min = wm
-                worst_m = m - n + 1
+            wm = window_max[m - n] = wmin.max()
             # a NaN makes wm NaN, so `not wm <= bound` still counts the rest
             if not wm <= bound:
                 np.greater(wmin, bound, out=above)
@@ -243,18 +376,7 @@ def borel_scan(
             # row 0's suffix would be the whole block, which no window reads
             for i in range(n - 1, 0, -1):
                 np.minimum(window[i], window[i + 1], out=window[i])
-    return {
-        "n": n,
-        "samples": samples,
-        "steps": steps,
-        "seed": seed,
-        "tolerance": tol,
-        "violations": violations,
-        "max_window_min": max_window_min,
-        "worst_window_at": worst_m,
-        "max_theta_run": max_run,
-        "tau": tau,
-    }
+    return window_max, violations, max_run
 
 
 def convergence_scan(
@@ -269,21 +391,66 @@ def convergence_scan(
     overflow doubles), so the convergence threshold is exact in log space.
     delta, the least 1 - |t v| over continued-fraction steps, is None when
     every step taken was an acceleration step.
+
+    The samples are scanned in contiguous slices, as in `borel_scan`: each
+    slice's extremes per step are combined with np.maximum and np.minimum,
+    which keep a NaN, and then folded over the steps in order.
     """
     if samples < 1:
         raise DomainError("the scan needs at least 1 sample")
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     fs = FloatSystem.for_field(field)
-    rng = np.random.default_rng(seed)
-    t = sample_interval(fs, rng, samples)
-    v = np.zeros(samples)
-    log_q = np.zeros(samples)
-    converged_at = np.full(samples, -1, dtype=np.int64)
+    t = sample_interval(fs, np.random.default_rng(seed), samples)
+    parts = _sliced(partial(_convergence_slice, fs, steps), t, steps)
     max_v = 0.0
     min_one_plus_tv = np.inf
     min_margin_pos = np.inf      # 1 - |t v| over continued-fraction steps
     max_ratio_acc = 0.0          # |t v| over acceleration steps, bounded by 1
+
+    def per_step(i, combine):
+        return combine.reduce([part[i] for part in parts]).tolist()
+
+    # a slice with no step of a kind reports inf or -inf there, which the
+    # fold skips as it skips a NaN
+    for v_max, one_plus_tv, margin_pos, ratio_acc in zip(
+            per_step(0, np.maximum), per_step(1, np.minimum),
+            per_step(2, np.minimum), per_step(3, np.maximum)):
+        max_v = max(max_v, v_max)
+        min_one_plus_tv = min(min_one_plus_tv, one_plus_tv)
+        min_margin_pos = min(min_margin_pos, margin_pos)
+        max_ratio_acc = max(max_ratio_acc, ratio_acc)
+    return {
+        "n": fs.n,
+        "samples": samples,
+        "steps": steps,
+        "seed": seed,
+        "target": CONVERGENCE_TARGET,
+        "all_converged": all(part[4] for part in parts),
+        "max_steps_to_converge": max(part[5] for part in parts),
+        "max_v": max_v,
+        "min_one_plus_tv": min_one_plus_tv,
+        "delta": min_margin_pos if min_margin_pos < np.inf else None,
+        "max_acceleration_ratio": max_ratio_acc,
+        "v_above_one_count": sum(part[6] for part in parts),
+        "tau": fs.tau,
+    }
+
+
+def _convergence_slice(fs: FloatSystem, steps: int, t: np.ndarray):
+    """Scan the orbits of (t, 0): per step the largest v, the least 1 + t v,
+    the least 1 - |t v| over continued-fraction steps (inf without one) and
+    the largest |t v| over acceleration steps (-inf without one); then
+    whether every orbit converged, the last step one did, and the count of
+    v > 1 over all steps.  log q_m is followed only until every orbit has
+    converged: after that no step can change converged_at."""
+    samples = t.size
+    unconverged = samples
+    v = np.zeros(samples)
+    log_q = np.zeros(samples)
+    converged_at = np.full(samples, -1, dtype=np.int64)
+    v_max, one_plus_tv_min = np.empty(steps), np.empty(steps)
+    margin_min, ratio_max = np.full(steps, np.inf), np.full(steps, -np.inf)
     v_above_one = 0
     log_target = math.log(CONVERGENCE_TARGET)
     tv = np.empty(samples)
@@ -292,36 +459,25 @@ def convergence_scan(
         t, v, digit = step_tv(fs, t, v)
         np.multiply(t, v, out=tv)
         np.add(tv, 1.0, out=one_plus_tv)
-        theta = np.abs(t / one_plus_tv)
-        log_q -= np.log(np.abs(v))
-        err_log = np.log(theta) - 2.0 * log_q
-        hit = (err_log < log_target) & (converged_at < 0)
-        converged_at[hit] = m
-        max_v = max(max_v, float(v.max()))
-        min_one_plus_tv = min(min_one_plus_tv, float(one_plus_tv.min()))
+        if unconverged:
+            theta = np.abs(t / one_plus_tv)
+            log_q -= np.log(np.abs(v))
+            err_log = np.log(theta) - 2.0 * log_q
+            hit = (err_log < log_target) & (converged_at < 0)
+            converged_at[hit] = m
+            unconverged -= int(np.count_nonzero(hit))
+        v_max[m - 1] = v.max()
+        one_plus_tv_min[m - 1] = one_plus_tv.min()
         pos = digit >= 1.0
         np.abs(tv, out=tv)
         if np.any(pos):
             margin = 1.0 - tv[pos]
-            min_margin_pos = min(min_margin_pos, float(margin.min()))
+            margin_min[m - 1] = margin.min()
         if not np.all(pos):
-            max_ratio_acc = max(max_ratio_acc, float(tv[~pos].max()))
+            ratio_max[m - 1] = tv[~pos].max()
         v_above_one += int(np.count_nonzero(v > 1.0))
-    return {
-        "n": fs.n,
-        "samples": samples,
-        "steps": steps,
-        "seed": seed,
-        "target": CONVERGENCE_TARGET,
-        "all_converged": bool(np.all(converged_at > 0)),
-        "max_steps_to_converge": int(converged_at.max()),
-        "max_v": max_v,
-        "min_one_plus_tv": min_one_plus_tv,
-        "delta": min_margin_pos if min_margin_pos < np.inf else None,
-        "max_acceleration_ratio": max_ratio_acc,
-        "v_above_one_count": v_above_one,
-        "tau": fs.tau,
-    }
+    return (v_max, one_plus_tv_min, margin_min, ratio_max,
+            bool(np.all(converged_at > 0)), int(converged_at.max()), v_above_one)
 
 
 def _start_point(fs: FloatSystem, seed: int) -> float:
@@ -420,9 +576,8 @@ def orbit_tv_arrays(field: NumberField, steps: int, seed: int, x0: float = None)
     return ts, vs
 
 
-def digit_matrix_batch(field: NumberField, samples: int, length: int, seed: int) -> np.ndarray:
+def digit_matrix_batch(fs: FloatSystem, samples: int, length: int, seed: int) -> np.ndarray:
     """Digit words of random orbits, shape (length, samples)."""
-    fs = FloatSystem.for_field(field)
     rng = np.random.default_rng(seed)
     t = sample_interval(fs, rng, samples)
     v = np.zeros(samples)
@@ -435,7 +590,8 @@ def digit_matrix_batch(field: NumberField, samples: int, length: int, seed: int)
 
 def build_cells(field: NumberField, target_cells: int = 100):
     """Partition Gamma into ~target_cells sub-rectangles, weighted by mass."""
-    rects = build_gamma(field).rects()
+    mu_rect = trianglecf.measure.mu_rect
+    rects = trianglecf.planar.build_gamma(field).rects()
     masses = [mu_rect(r) for r in rects]
     total = sum(masses)
     counts = [max(1, round(target_cells * m / total)) for m in masses]
@@ -450,7 +606,7 @@ def build_cells(field: NumberField, target_cells: int = 100):
         for i in range(parts):
             a = x_lo + width * i / parts if i else x_lo
             b = x_lo + width * (i + 1) / parts if i + 1 < parts else x_hi
-            sub = Rect(a, b, r.y_lo, r.y_hi)
+            sub = trianglecf.planar.Rect(a, b, r.y_lo, r.y_hi)
             cells.append(
                 {
                     "x_lo": float(a),
@@ -517,6 +673,14 @@ def uniform_distribution_experiment(
     The orbit is counted block by block (`_orbit_blocks`), so the memory
     does not grow with `steps`.
     """
+    return uniform_distribution_walk(field, steps, cells, seed, checkpoints)()
+
+
+def uniform_distribution_walk(field: NumberField, steps: int, cells: int, seed: int,
+                              checkpoints):
+    """`uniform_distribution_experiment` up to its orbit: checks the
+    arguments, makes every exact-to-float conversion, and returns the rest,
+    which reads floats only, as a function of no arguments."""
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     if checkpoints is None:
@@ -530,7 +694,7 @@ def uniform_distribution_experiment(
     # conversions keep one order: cells, float system, mu(Gamma), box
     cell_list = build_cells(field, cells)
     fs = FloatSystem.for_field(field)
-    mg = mu_gamma(field)
+    mg = trianglecf.measure.mu_gamma(field)
     t_lo = -float(field.tau)
     v_hi = float(field.tau) + 1e-12
 
@@ -541,29 +705,31 @@ def uniform_distribution_experiment(
             worst = max(worst, abs(freq - c["mass"] / mg))
         return worst
 
-    counts = np.zeros(len(cell_list), dtype=np.int64)
-    discrepancies = {}
-    outside = 0
-    for done, ts, vs in _orbit_blocks(fs, seed, steps, True, checkpoints):
-        counts += cell_counts(cell_list, ts, vs)
-        outside += int(
-            np.count_nonzero(~((ts >= t_lo) & (ts < 0.0) & (vs >= 0.0) & (vs <= v_hi)))
-        )
-        if done in checkpoints:
-            discrepancies[done] = discrepancy(done, counts.tolist())
-    d_first = discrepancies[checkpoints[0]]
-    d_full = discrepancies[checkpoints[-1]]
-    return {
-        "n": field.n,
-        "N": steps,
-        "cells": len(cell_list),
-        "seed": seed,
-        "checkpoints": {str(k): v for k, v in discrepancies.items()},
-        "max_discrepancy_half": d_first,
-        "max_discrepancy": d_full,
-        "decreasing": d_full <= d_first,
-        "outside_box_count": outside,
-    }
+    def walk() -> dict:
+        counts = np.zeros(len(cell_list), dtype=np.int64)
+        discrepancies = {}
+        outside = 0
+        for done, ts, vs in _orbit_blocks(fs, seed, steps, True, checkpoints):
+            counts += cell_counts(cell_list, ts, vs)
+            outside += int(np.count_nonzero(
+                ~((ts >= t_lo) & (ts < 0.0) & (vs >= 0.0) & (vs <= v_hi))))
+            if done in checkpoints:
+                discrepancies[done] = discrepancy(done, counts.tolist())
+        d_first = discrepancies[checkpoints[0]]
+        d_full = discrepancies[checkpoints[-1]]
+        return {
+            "n": fs.n,
+            "N": steps,
+            "cells": len(cell_list),
+            "seed": seed,
+            "checkpoints": {str(k): v for k, v in discrepancies.items()},
+            "max_discrepancy_half": d_first,
+            "max_discrepancy": d_full,
+            "decreasing": d_full <= d_first,
+            "outside_box_count": outside,
+        }
+
+    return walk
 
 
 def birkhoff_experiment(
@@ -573,6 +739,13 @@ def birkhoff_experiment(
     seed: int = 2,
 ) -> dict:
     """Time averages of interval indicators along an f-orbit vs nu-masses."""
+    return birkhoff_walk(field, steps, intervals, seed)()
+
+
+def birkhoff_walk(field: NumberField, steps: int, intervals: int, seed: int):
+    """`birkhoff_experiment` up to its orbit: checks the arguments, makes
+    every exact-to-float conversion, and returns the rest, which reads
+    floats only, as a function of no arguments."""
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     fs = FloatSystem.for_field(field)
@@ -586,23 +759,27 @@ def birkhoff_experiment(
         fb = Fraction(b).limit_denominator(1 << 30)
         lo = -field.tau * fb
         hi = -field.tau * fa
-        masses.append(nu_cdf(field, lo, hi))
+        masses.append(trianglecf.measure.nu_cdf(field, lo, hi))
         bounds.append((float(lo), float(hi)))
-    hits = [0] * intervals
-    for _, ts, _ in _orbit_blocks(fs, seed, steps, False):
-        for i, (lo, hi) in enumerate(bounds):
-            hits[i] += int(np.count_nonzero((ts >= lo) & (ts < hi)))
-    worst = 0.0
-    rows = []
-    for mass, hit in zip(masses, hits):
-        freq = float(hit) / steps
-        rows.append({"nu": mass, "frequency": freq})
-        worst = max(worst, abs(mass - freq))
-    return {
-        "n": field.n,
-        "N": steps,
-        "intervals": intervals,
-        "seed": seed,
-        "max_deviation": worst,
-        "rows": rows,
-    }
+
+    def walk() -> dict:
+        hits = [0] * intervals
+        for _, ts, _ in _orbit_blocks(fs, seed, steps, False):
+            for i, (lo, hi) in enumerate(bounds):
+                hits[i] += int(np.count_nonzero((ts >= lo) & (ts < hi)))
+        worst = 0.0
+        rows = []
+        for mass, hit in zip(masses, hits):
+            freq = float(hit) / steps
+            rows.append({"nu": mass, "frequency": freq})
+            worst = max(worst, abs(mass - freq))
+        return {
+            "n": fs.n,
+            "N": steps,
+            "intervals": intervals,
+            "seed": seed,
+            "max_deviation": worst,
+            "rows": rows,
+        }
+
+    return walk

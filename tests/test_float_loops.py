@@ -444,10 +444,11 @@ def test_block_walk_matches_the_dense_experiments(n, chunk, monkeypatch):
     (uniform_distribution_experiment, 1 << 20),
     (birkhoff_experiment, 1 << 19),
 ))
-def test_block_walk_memory_does_not_grow_with_steps(experiment, bound):
+def test_block_walk_memory_does_not_grow_with_steps(experiment, bound, monkeypatch):
     # the dense orbit of 10**6 steps alone would take 16 MB (8 MB for t);
     # a short run first fills the exact lane's caches, which do not grow
-    # with the steps
+    # with the steps.  One slice: tracemalloc does not see a forked child.
+    monkeypatch.setattr(numeric, "_slice_count", lambda parts, work: 1)
     F = FIELDS[5]
     experiment(F, 1000)
     tracemalloc.start()
@@ -479,6 +480,6 @@ def test_observed_words_reports_the_same_witnesses(monkeypatch):
 
 def test_observed_words_match_on_real_orbits():
     F = FIELDS[6]
-    digits = ergodic.digit_matrix_batch(F, 500, 40, 2)
+    digits = ergodic.digit_matrix_batch(SYSTEMS[6], 500, 40, 2)
     rep = observed_words(F, 500, 40, 2)
     assert rep["witnesses"] == oracle_witnesses(digits, 6) == []

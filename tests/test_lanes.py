@@ -114,6 +114,8 @@ def test_admissibility_loads_no_numpy():
 PAST_FIELD = {f"trianglecf.{m}" for m in
               ("group", "quadratic", "dynamics", "planar", "measure", "dioph", "verify")}
 
+FLOAT_SCANS_SKIP = {f"trianglecf.{m}" for m in ("planar", "measure", "ergodic", "dioph", "verify")}
+
 
 # (command, modules it must load, modules it must not load)
 COMMAND_LOADS = [
@@ -126,6 +128,12 @@ COMMAND_LOADS = [
     (["transcendence", "--n", "5", "--x", "-0.7391", "--steps", "20"],
      {"trianglecf.measure"}, {"trianglecf.planar", "numpy"}),
     (["region", "--n", "5"], {"trianglecf.measure"}, {"numpy"}),
+    # the scans need only the float system: numeric reaches planar and
+    # measure through the package, for the orbit experiments' cells and masses
+    (["scan-borel", "--n", "5", "--samples", "20", "--steps", "5"],
+     {"numpy", "trianglecf.numeric"}, FLOAT_SCANS_SKIP),
+    (["convergence", "--n", "5", "--samples", "20", "--steps", "100"],
+     {"numpy", "trianglecf.numeric"}, FLOAT_SCANS_SKIP),
 ]
 
 
