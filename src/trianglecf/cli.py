@@ -17,6 +17,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import partial
 
 # every layer past `field`, and the csv module, is reached through the
 # package, which imports it on first use: a command loads only the layers
@@ -283,30 +284,15 @@ def cmd_transcendence(args):
 def cmd_ergodic_test(args):
     field = build_field(args.n)
     numeric, ergodic = trianglecf.numeric, trianglecf.ergodic
-    # Every exact-to-float conversion is made in this process, in one order,
-    # because lambda's bracket is narrowed in place: first the two readers
-    # of --samples, so a bad value is refused before any walk, then the
-    # equidistribution experiment, whose float-only walk may run in a forked
-    # child, and last Birkhoff's, in the first job, which runs here.
-    adler_walk = ergodic.adler_walk(field, args.samples, args.seed + 1)
-    words_walk = ergodic.observed_words_walk(field, min(args.samples, 2000), 50, args.seed + 3)
-    uniform_walk = numeric.uniform_distribution_walk(field, args.steps, args.cells, args.seed,
-                                                     checkpoints=None)
-
-    def short_walks():
-        birkhoff_walk = numeric.birkhoff_walk(field, min(args.steps, 200000), 10, args.seed + 2)
-        adler, words = adler_walk(), words_walk()
-        # run in turn, the equidistribution walk would raise before Birkhoff's
-        try:
-            return adler, words, birkhoff_walk()
-        except PrecisionExhausted as exc:
-            return adler, words, exc
-
-    # the equidistribution walk beside the three short ones
-    (adler, words, birk), uni = numeric._run_jobs(
-        [short_walks, uniform_walk], numeric.SCALAR_STEP_WORK * args.steps)
-    if isinstance(birk, PrecisionExhausted):
-        raise birk
+    # the two readers of --samples first, so a bad value is refused before
+    # the long orbits, which may then run side by side
+    adler = ergodic.adler_scan(field, args.samples, args.seed + 1)
+    words = ergodic.observed_words(field, min(args.samples, 2000), 50, args.seed + 3)
+    uni, birk = numeric._run_jobs(
+        [partial(numeric.uniform_distribution_experiment, field, args.steps, args.cells,
+                 args.seed),
+         partial(numeric.birkhoff_experiment, field, min(args.steps, 200000), 10, args.seed + 2)],
+        numeric.SCALAR_STEP_WORK * args.steps)
     payload = {
         "N": args.steps,
         "cells": uni["cells"],

@@ -21,37 +21,26 @@ from .numeric import FloatSystem, derivative_factor, digit_matrix_batch, step_sc
 def observed_words(field: NumberField, samples: int, length: int, seed: int) -> dict:
     """Soundness experiment: digit words of random orbits all pass the
     published restrictions (and the refined ones)."""
-    return observed_words_walk(field, samples, length, seed)()
-
-
-def observed_words_walk(field: NumberField, samples: int, length: int, seed: int):
-    """`observed_words` up to its orbits: checks the arguments, makes the
-    float system, and returns the rest, which reads floats only, as a
-    function of no arguments."""
     if samples < 1:
         raise DomainError("the experiment needs at least 1 sample")
     fs = FloatSystem.for_field(field)
-
-    def walk() -> dict:
-        digits = digit_matrix_batch(fs, samples, length, seed)
-        bad = []
-        for word in digits.T.tolist():
-            res = is_realizable(word, fs.n)
-            if not res:
-                bad.append({"word": word, "rule": res.rule, "position": res.position})
-                if len(bad) >= 5:
-                    break
-        return {
-            "n": fs.n,
-            "samples": samples,
-            "length": length,
-            "seed": seed,
-            "inadmissible_count": len(bad),
-            "witnesses": bad,
-            "ok": not bad,
-        }
-
-    return walk
+    digits = digit_matrix_batch(fs, samples, length, seed)
+    bad = []
+    for word in digits.T.tolist():
+        res = is_realizable(word, fs.n)
+        if not res:
+            bad.append({"word": word, "rule": res.rule, "position": res.position})
+            if len(bad) >= 5:
+                break
+    return {
+        "n": fs.n,
+        "samples": samples,
+        "length": length,
+        "seed": seed,
+        "inadmissible_count": len(bad),
+        "witnesses": bad,
+        "ok": not bad,
+    }
 
 
 class InducedOrbitRecord:
@@ -88,43 +77,32 @@ def adler_scan(field: NumberField, samples: int, seed: int) -> dict:
 
     Boundary collisions of the float lane are skipped and counted; they have
     probability zero for the sampled points."""
-    return adler_walk(field, samples, seed)()
-
-
-def adler_walk(field: NumberField, samples: int, seed: int):
-    """`adler_scan` up to its orbits: checks the arguments, makes the float
-    system, and returns the rest, which reads floats only, as a function of
-    no arguments."""
     if samples < 1:
         raise DomainError("the scan needs at least 1 sample")
     fs = FloatSystem.for_field(field)
-
-    def walk() -> dict:
-        rng = np.random.default_rng(seed)
-        ys = fs.y_left * rng.random(samples)
-        ys = np.minimum(ys, -1e-12)
-        min_deriv = math.inf
-        max_return = 0
-        skipped = 0
-        return_hist = {}
-        for y in ys:
-            try:
-                rec = induced_step_Y(field, float(y), fs)
-            except PrecisionExhausted:
-                skipped += 1
-                continue
-            min_deriv = min(min_deriv, rec.derivative)
-            max_return = max(max_return, rec.return_time)
-            return_hist[rec.return_time] = return_hist.get(rec.return_time, 0) + 1
-        return {
-            "n": fs.n,
-            "samples": samples,
-            "seed": seed,
-            "min_derivative": min_deriv,
-            "max_return_time": max_return,
-            "return_histogram": dict(sorted(return_hist.items())),
-            "skipped_boundary_collisions": skipped,
-            "ok": min_deriv > 1.0,
-        }
-
-    return walk
+    rng = np.random.default_rng(seed)
+    ys = fs.y_left * rng.random(samples)
+    ys = np.minimum(ys, -1e-12)
+    min_deriv = math.inf
+    max_return = 0
+    skipped = 0
+    return_hist = {}
+    for y in ys:
+        try:
+            rec = induced_step_Y(field, float(y), fs)
+        except PrecisionExhausted:
+            skipped += 1
+            continue
+        min_deriv = min(min_deriv, rec.derivative)
+        max_return = max(max_return, rec.return_time)
+        return_hist[rec.return_time] = return_hist.get(rec.return_time, 0) + 1
+    return {
+        "n": fs.n,
+        "samples": samples,
+        "seed": seed,
+        "min_derivative": min_deriv,
+        "max_return_time": max_return,
+        "return_histogram": dict(sorted(return_hist.items())),
+        "skipped_boundary_collisions": skipped,
+        "ok": min_deriv > 1.0,
+    }

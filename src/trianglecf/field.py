@@ -229,10 +229,16 @@ def _enclosure(lo_num: int, hi_num: int, den: int) -> Enclosure:
 
 class _RootBracket:
     """A sign-change bracket [lo, hi] / den around one real root of an
-    integer polynomial, den a power of two, refined on demand by exact
-    dyadic bisection."""
+    integer polynomial, den a power of two, and the fixed sequence of its
+    exact dyadic bisections: each bracket is the half of the one before
+    that keeps the sign change.
 
-    __slots__ = ("poly", "_lo", "_hi", "_den", "sign_lo")
+    enclosure(p) is the first bracket of the sequence whose width is at
+    most 2^-p, so it depends on p alone.  Each one returned is kept, and a
+    later request bisects on from the kept one of the largest p below its
+    own, which is a bracket of the same sequence."""
+
+    __slots__ = ("poly", "sign_lo", "first", "_kept")
 
     def __init__(self, poly, lo: int, hi: int, den: int):
         self.poly = poly
@@ -240,21 +246,20 @@ class _RootBracket:
         s_hi = _int_poly_sign_at(poly, hi, den)
         if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
             raise ArithmeticError("bracket does not isolate a simple root")
-        self._lo, self._hi, self._den, self.sign_lo = lo, hi, den, s_lo
+        self.sign_lo = s_lo
+        self.first = _enclosure(lo, hi, den)
+        self._kept = {}
 
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self._lo, self._den)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self._hi, self._den)
-
-    def _narrow(self, w_num: int, w_den: int) -> Enclosure:
-        # bisect while (hi - lo) / den > w_num / w_den
-        lo, hi, den = self._lo, self._hi, self._den
+    def enclosure(self, p: int) -> Enclosure:
+        enc = self._kept.get(p)
+        if enc is not None:
+            return enc
+        below = [q for q in self._kept if q < p]
+        start = self._kept[max(below)] if below else self.first
+        lo, hi, den = start.lo_num, start.hi_num, start.den
         sign_lo = self.sign_lo
-        while (hi - lo) * w_den > w_num * den:
+        # bisect while (hi - lo) / den > 2^-p
+        while (hi - lo) << p > den:
             mid = lo + hi
             lo, hi, den = lo << 1, hi << 1, den << 1
             s = _int_poly_sign_at(self.poly, mid, den)
@@ -266,8 +271,8 @@ class _RootBracket:
                 lo = mid
             else:
                 hi = mid
-        self._lo, self._hi, self._den = lo, hi, den
-        return _enclosure(lo, hi, den)
+        enc = self._kept[p] = _enclosure(lo, hi, den)
+        return enc
 
 
 def _bracket_root_near(poly, approx: float) -> _RootBracket:
@@ -365,13 +370,10 @@ class NumberField:
         raise TypeError(f"cannot coerce {type(value).__name__} into {self!r}")
 
     def lambda_enclosure(self, precision: int) -> Enclosure:
-        """Enclosure of lambda of width at most 2^-precision.
-
-        The bracket is narrowed in place and never widened again, so the
-        result is the narrowest bracket any earlier call on this field asked
-        for: it depends on the calls made before it in the process.
-        """
-        return self._lambda_bracket._narrow(1, 1 << precision)
+        """The first bracket of lambda's fixed bisection sequence whose
+        width is at most 2^-precision: a function of precision alone,
+        whatever was asked of the field before."""
+        return self._lambda_bracket.enclosure(precision)
 
     def __getstate__(self):
         # the generated kernel cannot be pickled; the first product after
@@ -449,7 +451,7 @@ class _ExactReal:
     embed_raw(p), a certified enclosure whose width shrinks as p grows.
     The order is the one pulled back from the real embedding, decided by
     the exact sign of the difference.  embed, floor and float refine
-    embed_raw in one _refine run each.
+    embed_raw in one _refine run each, so each is a function of the value.
     """
 
     __slots__ = ()
@@ -505,7 +507,17 @@ class _ExactReal:
                        "embedding did not converge at {bits} bits")
 
     def __float__(self):
-        return float(self.embed(53))
+        """The double nearest the value, found when both ends of
+        embed_raw(p) round to it; a rational is a point and rounds at once."""
+        def decide(p):
+            enc = self.embed_raw(p)
+            # int true division rounds correctly; -0.0 == 0.0, so a zero
+            # needs both ends on one side
+            lo, hi = enc.lo_num / enc.den, enc.hi_num / enc.den
+            same = lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi)
+            return (lo if same else None), enc
+
+        return _refine(decide, 64, "embedding did not converge at {bits} bits")
 
     def floor(self) -> int:
         # the value is an integer only if it is rational, and then
@@ -718,14 +730,10 @@ class FieldElement(_ExactReal):
         return _refine(decide, 64, "sign undecided at {bits} bits")
 
     def embed_raw(self, precision: int) -> Enclosure:
-        """Evaluate at a lambda-enclosure of the given width exponent, as
-        integers over one positive denominator (see _eval_interval); a
-        rational is its own point enclosure and leaves lambda untouched.
-
-        The result width scales with the coefficients.  The lambda
-        enclosure is shared and narrowed in place (see lambda_enclosure),
-        so the result for a given precision depends on earlier calls on
-        this field in the process.
+        """Evaluate at lambda_enclosure(precision), as integers over one
+        positive denominator (see _eval_interval); a rational is its own
+        point enclosure.  The result width scales with the coefficients,
+        and the result depends on the element and precision alone.
         """
         if self.is_rational():
             c = self.num[0]

@@ -194,10 +194,9 @@ def _run_jobs(jobs, work: int) -> list:
     in turn here.  Otherwise the first runs here and each other in a forked
     child, which pickles back its result or its exception and exits with
     os._exit; every child is read and reaped, and when this process's own
-    job raises, killed first.  The first job runs here in either case, so
-    it may convert exact values, which narrows lambda's bracket in place;
-    every other job must read floats only, so that a child returns what it
-    would have returned here.
+    job raises, killed first.  A job may convert exact values, since every
+    conversion is a function of the value alone, so a child returns what
+    the job would have returned here.
 
     The children are forked, not spawned: a spawned worker would import
     numpy again (about 0.17 s).  numpy's import starts an idle BLAS thread,
@@ -673,14 +672,6 @@ def uniform_distribution_experiment(
     The orbit is counted block by block (`_orbit_blocks`), so the memory
     does not grow with `steps`.
     """
-    return uniform_distribution_walk(field, steps, cells, seed, checkpoints)()
-
-
-def uniform_distribution_walk(field: NumberField, steps: int, cells: int, seed: int,
-                              checkpoints):
-    """`uniform_distribution_experiment` up to its orbit: checks the
-    arguments, makes every exact-to-float conversion, and returns the rest,
-    which reads floats only, as a function of no arguments."""
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     if checkpoints is None:
@@ -690,13 +681,11 @@ def uniform_distribution_walk(field: NumberField, steps: int, cells: int, seed: 
         raise DomainError("checkpoints must be at least 1")
     if cells < 1:
         raise DomainError(f"the experiment needs at least 1 cell, got {cells}")
-    # lambda's bracket is narrowed in place, so the exact-to-float
-    # conversions keep one order: cells, float system, mu(Gamma), box
     cell_list = build_cells(field, cells)
     fs = FloatSystem.for_field(field)
     mg = trianglecf.measure.mu_gamma(field)
-    t_lo = -float(field.tau)
-    v_hi = float(field.tau) + 1e-12
+    t_lo = -fs.tau
+    v_hi = fs.tau + 1e-12
 
     def discrepancy(upto: int, row) -> float:
         worst = 0.0
@@ -705,31 +694,28 @@ def uniform_distribution_walk(field: NumberField, steps: int, cells: int, seed: 
             worst = max(worst, abs(freq - c["mass"] / mg))
         return worst
 
-    def walk() -> dict:
-        counts = np.zeros(len(cell_list), dtype=np.int64)
-        discrepancies = {}
-        outside = 0
-        for done, ts, vs in _orbit_blocks(fs, seed, steps, True, checkpoints):
-            counts += cell_counts(cell_list, ts, vs)
-            outside += int(np.count_nonzero(
-                ~((ts >= t_lo) & (ts < 0.0) & (vs >= 0.0) & (vs <= v_hi))))
-            if done in checkpoints:
-                discrepancies[done] = discrepancy(done, counts.tolist())
-        d_first = discrepancies[checkpoints[0]]
-        d_full = discrepancies[checkpoints[-1]]
-        return {
-            "n": fs.n,
-            "N": steps,
-            "cells": len(cell_list),
-            "seed": seed,
-            "checkpoints": {str(k): v for k, v in discrepancies.items()},
-            "max_discrepancy_half": d_first,
-            "max_discrepancy": d_full,
-            "decreasing": d_full <= d_first,
-            "outside_box_count": outside,
-        }
-
-    return walk
+    counts = np.zeros(len(cell_list), dtype=np.int64)
+    discrepancies = {}
+    outside = 0
+    for done, ts, vs in _orbit_blocks(fs, seed, steps, True, checkpoints):
+        counts += cell_counts(cell_list, ts, vs)
+        outside += int(np.count_nonzero(
+            ~((ts >= t_lo) & (ts < 0.0) & (vs >= 0.0) & (vs <= v_hi))))
+        if done in checkpoints:
+            discrepancies[done] = discrepancy(done, counts.tolist())
+    d_first = discrepancies[checkpoints[0]]
+    d_full = discrepancies[checkpoints[-1]]
+    return {
+        "n": fs.n,
+        "N": steps,
+        "cells": len(cell_list),
+        "seed": seed,
+        "checkpoints": {str(k): v for k, v in discrepancies.items()},
+        "max_discrepancy_half": d_first,
+        "max_discrepancy": d_full,
+        "decreasing": d_full <= d_first,
+        "outside_box_count": outside,
+    }
 
 
 def birkhoff_experiment(
@@ -739,13 +725,6 @@ def birkhoff_experiment(
     seed: int = 2,
 ) -> dict:
     """Time averages of interval indicators along an f-orbit vs nu-masses."""
-    return birkhoff_walk(field, steps, intervals, seed)()
-
-
-def birkhoff_walk(field: NumberField, steps: int, intervals: int, seed: int):
-    """`birkhoff_experiment` up to its orbit: checks the arguments, makes
-    every exact-to-float conversion, and returns the rest, which reads
-    floats only, as a function of no arguments."""
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     fs = FloatSystem.for_field(field)
@@ -762,24 +741,21 @@ def birkhoff_walk(field: NumberField, steps: int, intervals: int, seed: int):
         masses.append(trianglecf.measure.nu_cdf(field, lo, hi))
         bounds.append((float(lo), float(hi)))
 
-    def walk() -> dict:
-        hits = [0] * intervals
-        for _, ts, _ in _orbit_blocks(fs, seed, steps, False):
-            for i, (lo, hi) in enumerate(bounds):
-                hits[i] += int(np.count_nonzero((ts >= lo) & (ts < hi)))
-        worst = 0.0
-        rows = []
-        for mass, hit in zip(masses, hits):
-            freq = float(hit) / steps
-            rows.append({"nu": mass, "frequency": freq})
-            worst = max(worst, abs(mass - freq))
-        return {
-            "n": fs.n,
-            "N": steps,
-            "intervals": intervals,
-            "seed": seed,
-            "max_deviation": worst,
-            "rows": rows,
-        }
-
-    return walk
+    hits = [0] * intervals
+    for _, ts, _ in _orbit_blocks(fs, seed, steps, False):
+        for i, (lo, hi) in enumerate(bounds):
+            hits[i] += int(np.count_nonzero((ts >= lo) & (ts < hi)))
+    worst = 0.0
+    rows = []
+    for mass, hit in zip(masses, hits):
+        freq = float(hit) / steps
+        rows.append({"nu": mass, "frequency": freq})
+        worst = max(worst, abs(mass - freq))
+    return {
+        "n": fs.n,
+        "N": steps,
+        "intervals": intervals,
+        "seed": seed,
+        "max_deviation": worst,
+        "rows": rows,
+    }

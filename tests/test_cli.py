@@ -191,15 +191,13 @@ def test_ergodic_test_command():
 
 
 def test_ergodic_test_refuses_bad_samples_before_any_orbit(monkeypatch):
-    # --samples is read by adler_scan and observed_words, which are
-    # prepared before the equidistribution and Birkhoff orbits
+    # --samples is read by adler_scan and observed_words, which run before
+    # the equidistribution and Birkhoff experiments
     def fail(*args, **kwargs):
         raise AssertionError("an orbit ran")
 
-    monkeypatch.setattr("trianglecf.uniform_distribution_experiment", fail)
-    monkeypatch.setattr("trianglecf.birkhoff_experiment", fail)
-    monkeypatch.setattr("trianglecf.numeric.uniform_distribution_walk", fail)
-    monkeypatch.setattr("trianglecf.numeric.birkhoff_walk", fail)
+    monkeypatch.setattr("trianglecf.numeric.uniform_distribution_experiment", fail)
+    monkeypatch.setattr("trianglecf.numeric.birkhoff_experiment", fail)
     code, out, err = _run_in_process(["ergodic-test", "--n", "5", "--steps", "300000",
                                       "--samples", "0"])
     assert code == 2, err

@@ -2,8 +2,8 @@
 
 For each command, tests/golden_cli.json holds the SHA-256 digests of
 stdout and stderr and the exit code.  Each command runs in its own
-interpreter: lambda's enclosure is narrowed in place, so output printed
-later in one process could depend on the calls made before it.
+interpreter, as a user runs it: the output then also covers start-up, the
+lazy imports of the package and the exit path.
 
 After an intended output change, re-record the digests with
 

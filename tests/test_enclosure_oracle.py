@@ -3,16 +3,20 @@
 The oracles below are the Fraction implementations of Enclosure,
 _int_poly_sign_at, _RootBracket, _bracket_root_near, _eval_interval,
 _is_tight, _sqrt_enclosure, QuadExt.embed_raw, compare_numeric and
-_ExactReal.embed/floor/__float__, kept verbatim apart from taking their
-lambda brackets and embed_raw from an oracle object, and apart from
+_ExactReal.embed/floor, kept verbatim apart from taking their lambda
+brackets and embed_raw from an oracle object, and apart from
 Enclosure.__repr__, which prints an end beyond the double range as its
 exact ratio where the Fraction implementation raised OverflowError.  The
-oracle of galois_conjugate_values builds its own conjugate vectors, by
-polynomial arithmetic modulo the minimal polynomial, and evaluates them on
-lambda's one bracket, as the library does.  Each
+oracle's lambda bracket keeps every bracket of its bisection sequence and
+answers a precision with the first one narrow enough, and the oracle's
+float is the double both ends of an enclosure round to, so neither has a
+history.  The oracle of galois_conjugate_values builds its own conjugate
+vectors, by polynomial arithmetic modulo the minimal polynomial, and
+evaluates them on lambda's one bracket, as the library does.  Each
 decision must give the same result and the same enclosure endpoints, and
-leave lambda's bracket with the same history, so every printed float and
-every precision-exhausted report stays byte for byte what it was.
+every lambda bracket the library keeps must be the oracle's at the same
+precision, whatever the library was asked before, so every printed float
+and every precision-exhausted report is a function of the value alone.
 """
 
 import math
@@ -112,10 +116,10 @@ def _end_repr(q: Fraction) -> str:
 
 
 class _RootBracket:
-    """A sign-change bracket around one real root of an integer polynomial,
-    refined on demand by exact dyadic bisection."""
+    """A sign-change bracket around one real root of an integer polynomial
+    and every bracket of its exact dyadic bisection sequence so far."""
 
-    __slots__ = ("poly", "lo", "hi", "sign_lo")
+    __slots__ = ("poly", "sequence", "sign_lo")
 
     def __init__(self, poly, lo: Fraction, hi: Fraction):
         self.poly = poly
@@ -123,21 +127,27 @@ class _RootBracket:
         s_hi = _int_poly_sign_at(poly, hi)
         if s_lo == 0 or s_hi == 0 or s_lo == s_hi:
             raise ArithmeticError("bracket does not isolate a simple root")
-        self.lo, self.hi, self.sign_lo = lo, hi, s_lo
+        self.sequence, self.sign_lo = [Enclosure(lo, hi)], s_lo
 
     def refine_to(self, width: Fraction) -> Enclosure:
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
+        """The first bracket of the sequence of width at most `width`."""
+        for enc in self.sequence:
+            if enc.width() <= width:
+                return enc
+        while True:
+            lo, hi = self.sequence[-1].lo, self.sequence[-1].hi
+            mid = (lo + hi) / 2
             s = _int_poly_sign_at(self.poly, mid)
             if s == 0:
                 # rational root: collapse to a point
-                self.lo = self.hi = mid
-                break
-            if s == self.sign_lo:
-                self.lo = mid
+                lo = hi = mid
+            elif s == self.sign_lo:
+                lo = mid
             else:
-                self.hi = mid
-        return Enclosure(self.lo, self.hi)
+                hi = mid
+            self.sequence.append(Enclosure(lo, hi))
+            if hi - lo <= width:
+                return self.sequence[-1]
 
 
 def _oracle_bracket_root_near(poly, approx: float, slack: float = 3e-9) -> _RootBracket:
@@ -234,7 +244,14 @@ class OracleReal:
                        "embedding did not converge at {bits} bits")
 
     def __float__(self):
-        return float(self.embed(53))
+        """The double both ends of an enclosure round to, with one sign."""
+        def decide(p):
+            enc = self.embed_raw(p)
+            lo, hi = float(enc.lo), float(enc.hi)
+            same = lo.hex() == hi.hex()
+            return (lo if same else None), enc
+
+        return _refine(decide, 64, "embedding did not converge at {bits} bits")
 
     def floor(self) -> int:
         def decide(p):
@@ -320,8 +337,7 @@ _LAMBDA_LO = {}
 
 
 def _below_lambda(n, bits):
-    """floor(2^bits lambda) / 2^bits, from a field of its own, so no tested
-    field's bracket moves."""
+    """floor(2^bits lambda) / 2^bits."""
     if n not in _LAMBDA_LO:
         _LAMBDA_LO[n] = NumberField(n).lambda_enclosure(700).lo
     lo = _LAMBDA_LO[n]
@@ -396,13 +412,18 @@ def outcome(call):
 
 
 def same_fields(n, warm):
-    """A fresh field and its oracle, with lambda's bracket first narrowed
-    to each precision in warm on both."""
+    """A fresh field, with lambda first refined to each precision in warm,
+    and its oracle, asked nothing yet."""
     field = NumberField(n)
-    oracle = OracleField(field)
     for p in warm:
-        assert endpoints(field.lambda_enclosure(p)) == endpoints(oracle.lambda_enclosure(p))
-    return field, oracle
+        field.lambda_enclosure(p)
+    return field, OracleField(field)
+
+
+def assert_same_brackets(field, oracle):
+    """Every lambda bracket the field keeps is the oracle's at its precision."""
+    for p, enc in field._lambda_bracket._kept.items():
+        assert endpoints(enc) == endpoints(oracle.lambda_enclosure(p))
 
 
 warm_ups = st.lists(st.sampled_from([16, 40, 64, 100, 128, 300, 1024]), max_size=3)
@@ -448,7 +469,7 @@ def test_field_element_decisions_match_the_fraction_oracle(n, spec, warm, precis
     both(lambda: [endpoints(e) for e in galois_conjugate_values(x, precision)],
          lambda: [endpoints(e) for e in oracle_galois_conjugate_values(oracle, x, precision)])
     both(lambda: repr(x.embed(precision)), lambda: repr(ox.embed(precision)))
-    assert endpoints(field.lambda_enclosure(8)) == endpoints(oracle.lambda_enclosure(8))
+    assert_same_brackets(field, oracle)
 
 
 @settings(max_examples=25, deadline=None)
@@ -467,26 +488,32 @@ def test_quadratic_decisions_match_the_fraction_oracle(n, specs, warm, precision
     assert outcome(q.floor) == outcome(oq.floor)
     assert outcome(lambda: compare_numeric(q, u)) == outcome(
         lambda: oracle_compare_numeric(oracle, q, u))
-    assert endpoints(field.lambda_enclosure(8)) == endpoints(oracle.lambda_enclosure(8))
+    assert_same_brackets(field, oracle)
 
 
 @settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from(DEGREES),
-       widths=st.lists(st.none() | st.fractions(min_value=Fraction(1, 2 ** 400),
-                                                 max_value=Fraction(1, 10),
-                                                 max_denominator=2 ** 420),
-                       min_size=1, max_size=12))
-def test_root_bracket_replays_the_fraction_bisection(n, widths):
+@given(n=st.sampled_from(DEGREES), precisions=st.lists(st.integers(0, 420), min_size=1,
+                                                       max_size=12))
+def test_root_bracket_replays_the_fraction_bisection(n, precisions):
     poly = NumberField(n).min_poly
     approx = 2.0 * math.cos(math.pi / n)
     new = _bracket_root_near(poly, approx)
-    old = _oracle_bracket_root_near(poly, approx)
-    assert (new.lo, new.hi) == (old.lo, old.hi)
-    for w in widths:
-        if w is None:  # exactly half the current width, which one bisection meets
-            w = (old.hi - old.lo) / 2
-        assert endpoints(new._narrow(w.numerator, w.denominator)) == endpoints(old.refine_to(w))
-        assert (new.lo, new.hi) == (old.lo, old.hi)
+    assert endpoints(new.first) == endpoints(_oracle_bracket_root_near(poly, approx).sequence[0])
+    for p in precisions:
+        # a new oracle each time: the answer may not depend on the requests before
+        old = _oracle_bracket_root_near(poly, approx)
+        assert endpoints(new.enclosure(p)) == endpoints(old.refine_to(Fraction(1, 2 ** p)))
+
+
+def test_root_bracket_width_exactly_two_to_the_minus_p():
+    # sqrt(2) in [1, 2]: the k-th bisection has width exactly 2^-k, which
+    # answers precision k, and no wider bracket does
+    poly = NumberField(4).min_poly
+    new = integer._RootBracket(poly, 1, 2, 1)
+    for p in (5, 0, 3, 40, 1, 12):
+        want = _RootBracket(poly, Fraction(1), Fraction(2)).refine_to(Fraction(1, 2 ** p))
+        got = new.enclosure(p)
+        assert endpoints(got) == endpoints(want) and got.width() == Fraction(1, 2 ** p)
 
 
 CAP_DECISIONS = {

@@ -6,8 +6,8 @@ from ConvergentState.advance(M), since deleted, written out as
 ConvergentState(M * state.matrix): every value is a reduced FieldElement
 or QuadExt, every product divides out its content gcd, and each digit is
 decided on the reduced q-scaled forms qA and qB.  Both loops run from cold caches on
-fresh fields, so lambda's bracket afterwards records every exact
-refinement either of them made.
+fresh fields, so the lambda brackets a field keeps afterwards, one per
+precision asked for, record every exact refinement either of them made.
 """
 
 from fractions import Fraction
@@ -184,7 +184,7 @@ def _clear_caches():
 
 def _run(expander, n, data, steps, check_ne):
     """Run expander on a fresh field from cold caches; return what it found
-    as plain data and lambda's bracket afterwards."""
+    as plain data and the lambda brackets the field keeps afterwards."""
     _clear_caches()
     try:
         F = NumberField(n)
@@ -197,8 +197,12 @@ def _run(expander, n, data, steps, check_ne):
         }
     finally:
         _clear_caches()
-    b = F._lambda_bracket
-    return found, (b._lo, b._hi, b._den)
+    return found, _kept_brackets(F)
+
+
+def _kept_brackets(F):
+    """{precision: (lo_num, hi_num, den)} of each lambda bracket F keeps."""
+    return {p: (e.lo_num, e.hi_num, e.den) for p, e in F._lambda_bracket._kept.items()}
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -226,8 +230,8 @@ def test_expand_matches_the_element_loop_on_long_orbits(n):
     narrowed = False
     for x in points:
         assert _in_interval(n, x)
-        found, bracket = _run(expand, n, x, 300, False)
-        assert (found, bracket) == _run(oracle_expand, n, x, 300, False)
-        narrowed |= bracket[2] > 1 << 64
+        found, brackets = _run(expand, n, x, 300, False)
+        assert (found, brackets) == _run(oracle_expand, n, x, 300, False)
+        narrowed |= max(brackets, default=0) > 64
     # the orbits refined lambda, or the brackets would show nothing
     assert narrowed

@@ -449,10 +449,12 @@ CAP_CASES = {
 
 @pytest.mark.parametrize("entry", sorted(CAP_CASES))
 def test_every_refinement_respects_the_cap(entry):
-    # a fresh field, so no earlier test has already narrowed the lambda
-    # bracket; for the same reason nothing here may decide d before the call
-    F = NumberField(5)
+    # the shared field, with lambda's brackets already refined past the cap
+    # by a sign of d at the default cap: an enclosure at p bits depends on p
+    # alone, so the refinements below still cannot decide
+    F = build_field(5)
     d = F.lam - _near_lambda(F)
+    assert d.sign() == 1
     call, message, bits = CAP_CASES[entry]
     set_precision_cap(64)
     try:

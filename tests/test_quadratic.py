@@ -188,7 +188,7 @@ def exact_reals(draw):
 def test_floor_and_float_agree_with_the_exact_value(x):
     k = x.floor()
     assert k <= x and x < k + 1
-    # float(x) rounds a point of x.embed(53), and rounding is monotone
+    # float(x) rounds x, which lies in x.embed(53), and rounding is monotone
     f = float(x)
     enc = x.embed(53)
     assert float(enc.lo) <= f <= float(enc.hi)

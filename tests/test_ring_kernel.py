@@ -274,7 +274,8 @@ def _clear_caches():
 def _run_recorded(case, monkeypatch, oracle):
     """Run case() from cold caches and record (start bits, last p tried)
     for each _refine run, with the oracle ring operations patched in when
-    oracle is true.  Returns the record and lambda's bracket afterwards."""
+    oracle is true.  Returns the record and the lambda brackets the field
+    keeps afterwards, one per precision asked for."""
     runs = []
     refine = field_module._refine
 
@@ -301,8 +302,8 @@ def _run_recorded(case, monkeypatch, oracle):
             field = case()
         finally:
             _clear_caches()
-    b = field._lambda_bracket
-    return runs, (b._lo, b._hi, b._den)
+    return runs, {p: (e.lo_num, e.hi_num, e.den)
+                  for p, e in field._lambda_bracket._kept.items()}
 
 
 def _expand_n13():
@@ -319,10 +320,10 @@ def _verify_n8():
 
 @pytest.mark.parametrize("case", [_expand_n13, _verify_n8], ids=["expand-n13", "verify-n8"])
 def test_kernel_makes_the_same_exact_decisions(case, monkeypatch):
-    oracle_runs, oracle_bracket = _run_recorded(case, monkeypatch, oracle=True)
-    kernel_runs, kernel_bracket = _run_recorded(case, monkeypatch, oracle=False)
+    oracle_runs, oracle_brackets = _run_recorded(case, monkeypatch, oracle=True)
+    kernel_runs, kernel_brackets = _run_recorded(case, monkeypatch, oracle=False)
     assert kernel_runs == oracle_runs
-    assert kernel_bracket == oracle_bracket
+    assert kernel_brackets == oracle_brackets
     if case is _expand_n13:
         # the case reaches the exact lane, or it would test nothing
         assert oracle_runs

@@ -1,8 +1,8 @@
 """The float lane's work split over processes (`numeric._run_jobs`).
 
 A scan's samples are cut into contiguous slices and an ergodic test's
-walks run side by side, each slice or walk but the first in a forked
-child.  The output must not depend on how many slices there are, a
+equidistribution and Birkhoff experiments run side by side, each slice or
+experiment but the first in a forked child.  The output must not depend on how many slices there are, a
 child's exception must reach the caller as if the job had run in this
 process, and no child may be left behind.
 """
@@ -101,9 +101,7 @@ ERGODIC = ("ergodic-test", "--n", "5", "--steps", "70001", "--samples", "200", "
 
 @pytest.mark.parametrize("cpus", (1, 2))
 def test_ergodic_test_prints_the_golden_bytes_side_by_side(cpus):
-    # a fresh interpreter, as in test_cli_golden: lambda's bracket is
-    # narrowed in place, so output printed later in one process could
-    # depend on the calls made before it
+    # a fresh interpreter, as in test_cli_golden
     code = ("import os, sys\n"
             f"os.sched_getaffinity = lambda pid: set(range({cpus}))\n"
             "from trianglecf import cli, numeric\n"
@@ -212,6 +210,27 @@ def test_children_are_reaped_when_this_process_job_raises(monkeypatch):
         numeric._run_jobs([fail, slow, lambda: 2], 3)
     assert time.perf_counter() - start < 20
     assert len(forks) == 2
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+def test_ergodic_test_reports_the_equidistribution_orbit_first(cpus, monkeypatch):
+    # both long orbits fail; run in turn, the equidistribution orbit (the
+    # one with v) fails first, so its report is printed whether or not
+    # Birkhoff's runs side by side in a forked child
+    def blocks(fs, seed, steps, with_v, cuts=()):
+        name = "equidistribution" if with_v else "birkhoff"
+        raise PrecisionExhausted(f"the {name} orbit", boundary=-1.5 if with_v else -2.5)
+        yield
+
+    monkeypatch.setattr(numeric, "_orbit_blocks", blocks)
+    force_slices(monkeypatch, cpus)
+    forks = count_forks(monkeypatch)
+    code, out, err = _run_cli(list(ERGODIC))
+    assert code == 3
+    assert err == "precision exhausted: the equidistribution orbit\n"
+    report = json.loads(out)
+    assert (report["detail"], report["boundary"]) == ("the equidistribution orbit", "-1.5")
+    assert len(forks) == cpus - 1
 
 
 def test_an_unpicklable_result_is_an_error_not_a_hang(monkeypatch):
