@@ -29,7 +29,7 @@ _LAYERS = {
     "field": ("NumberField", "FieldElement", "Enclosure", "build_field",
               "galois_conjugate_values", "get_precision_cap", "set_precision_cap"),
     "group": ("Mobius", "Generators", "INFINITY", "generators", "digit_matrix",
-              "y_matrix", "power_B", "b_sequence"),
+              "y_matrix", "b_sequence"),
     "quadratic": ("QuadExt", "solve_fixed_points"),
     "dynamics": ("OrbitTables", "build_orbit_tables", "cylinder_of_g",
                  "cylinder_of_f", "g_step", "f_step", "j_of", "eps0",

@@ -14,10 +14,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cmp_to_key, partial
 
 # every layer past `field`, and the csv module, is reached through the
 # package, which imports it on first use: a command loads only the layers
@@ -160,13 +161,31 @@ def cmd_expand(args):
                 {
                     "step": m,
                     "digit": res.digits[m - 1] if m >= 1 else None,
-                    "x_enclosure_lo": float(enc.lo),
-                    "x_enclosure_hi": float(enc.hi),
+                    "x_enclosure_lo": _round_outward(enc.lo_num, enc.den, -math.inf),
+                    "x_enclosure_hi": _round_outward(enc.hi_num, enc.den, math.inf),
                     "coeffs": t.to_json(),
                 }
             )
         payload["lines"] = lines
     return 0, _envelope("expand", field.n, args.seed, payload)
+
+
+def _round_outward(num: int, den: int, toward: float) -> float:
+    """num / den, den > 0, as the nearest double on the side of toward
+    (-inf or +inf), so that lo and hi printed this way bracket the value."""
+    f = num / den
+    a, b = f.as_integer_ratio()
+    # the sign of f - num/den, cross-multiplied by b, den > 0
+    gap = a * den - num * b
+    if gap and (gap > 0) == (toward < 0):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def _v_order(s, t) -> int:
+    """Sign of v_s - v_t for the states' v = q_prev/q, cross-multiplied:
+    v_s - v_t = (q_prev_s q_t - q_prev_t q_s) / (q_s q_t)."""
+    return (s.q_prev * t.q - t.q_prev * s.q).sign() * s.q.sign() * t.q.sign()
 
 
 def _expand_random(field, args):
@@ -190,7 +209,9 @@ def _expand_random(field, args):
                 "steps_done": len(res.digits),
                 "f_rational": res.f_rational,
                 "max_theta": max(thetas),
-                "max_v": max(float(v) for v in res.vs),
+                # correctly rounded conversion is monotone, so only the
+                # largest v_m is converted, and inverted
+                "max_v": float(max(res.states, key=cmp_to_key(_v_order)).v()),
             }
         )
     payload = {"x": args.x, "steps_requested": args.steps, "rows": rows}

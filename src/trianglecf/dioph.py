@@ -114,14 +114,6 @@ def _vscale(k: int, a):
     return tuple([k * c for c in a])
 
 
-def _integral(M: Mobius) -> tuple:
-    """The entries of a branch matrix as integer vectors."""
-    a, b, c, d = M.a, M.b, M.c, M.d
-    if not a.den == b.den == c.den == d.den == 1:
-        raise ConsistencyError("branch matrix has an entry outside Z[lambda]")
-    return a.num, b.num, c.num, d.num
-
-
 def _clear_denominator(x) -> tuple:
     """(X, delta) with x = X / delta, X an X-form and delta > 0 an integer."""
     if isinstance(x, QuadExt):
@@ -140,10 +132,11 @@ def expand(
 
     x is an element of K, or of K(sqrt D) for a quadratic point.  With
     P_m = [[q, -p], [-q_prev, p_prev]] the running product, t_m = P_m x =
-    A/B for A = q x - p and B = p_prev - q_prev x.  Every branch matrix,
-    and so P_m, has entries in Z[lambda], so with x = X/delta for X
-    integral and delta a positive integer the loop runs on integer
-    coefficient vectors through the field's product kernel: it carries
+    A/B for A = q x - p and B = p_prev - q_prev x.  dynamics.branch decides
+    that every branch matrix lies in SL2(Z[lambda]), so the loop reads
+    their entries' integer vectors, and with x = X/delta for X integral
+    and delta a positive integer it runs on integer coefficient vectors
+    through the field's product kernel: it carries
     P_m and the scaled forms A^ = delta q A and B^ = delta q B, which are
     integral and linear in X.  |A^|/delta is Theta_m, and the next digit
     is decided from the signs of linear combinations of A^ and B^
@@ -200,8 +193,8 @@ def expand(
             res.f_rational = True
             break
         br = branch(field, k)
-        ma, mb, mc, md = _integral(br.M)
-        na, nb, nc, nd = _integral(br.N)
+        ma, mb, mc, md = (e.num for e in br.M.entries())
+        na, nb, nc, nd = (e.num for e in br.N.entries())
         q0, q0_prev = a, _vneg(c)
         a, b, c, d = (_vadd(mul(ma, a), mul(mb, c)), _vadd(mul(ma, b), mul(mb, d)),
                       _vadd(mul(mc, a), mul(md, c)), _vadd(mul(mc, b), mul(md, d)))
@@ -229,8 +222,7 @@ def expand(
         if times(D, X) != tuple(_vscale(delta, _vadd(f, g)) for f, g in
                                 zip(times(p_prev, A_hat), times(p, B_hat))):
             raise ConsistencyError("reconstruction identity failed")
-        state = ConvergentState(Mobius(field, *(_new(field, e, 1) for e in (a, b, c, d)),
-                                       check=False))
+        state = ConvergentState(Mobius(field, *(_new(field, e, 1) for e in (a, b, c, d))))
         if gamma is not None:
             t_new, v_new = state.matrix.apply(x), state.v()
             if not gamma.contains(t_new, v_new):

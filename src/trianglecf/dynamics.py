@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField, _new
-from .group import Mobius, digit_matrix, generators, y_matrix
+from .group import Mobius, check_sl2, digit_matrix, generators, y_matrix
 
 # most (field, digit) entries the branch and cylinder-end tables keep; an
 # evicted entry is rebuilt on its next use
@@ -63,14 +63,16 @@ def branch(field: NumberField, k: int) -> Branch:
     """The branch table of the accelerated map, one entry per digit.
 
     The slow map shares every entry except digit 1, whose cylinder starts
-    at -tau instead of eps0."""
-    M = digit_matrix(field, k)
+    at -tau instead of eps0.  M and N are decided to lie in SL2(Z[lambda])."""
+    M, N = digit_matrix(field, k), y_matrix(field, k)
+    check_sl2(M, f"branch {k} matrix M")
+    check_sl2(N, f"branch {k} matrix N")
     # the cylinders tile [-tau, 0): each ends where the next one to the
     # right, digit k + 1 (or 1 after -1), starts
     lo, hi = cylinder_lo(field, k), cylinder_lo(field, k + 1 or 1)
     if M.apply(hi) != 0:
         raise ConsistencyError(f"branch {k} does not send its right end to 0")
-    return Branch(k, M, y_matrix(field, k), lo, hi, M.apply(lo))
+    return Branch(k, M, N, lo, hi, M.apply(lo))
 
 
 def _digit_at(s: int) -> int:
@@ -102,19 +104,14 @@ def _guess_position(field: NumberField, A, B) -> int:
 
 
 def _sign_of_gap(A, B, e: FieldElement) -> int:
-    """Sign of A - e B for exact reals A, B and an element e = E/eps of K.
+    """Sign of A - e B for exact reals A, B and an element e of K.
 
-    For elements A = a/alpha and B = b/beta of K the sign is read from
-    (eps beta a - alpha E b) / (alpha eps beta), built unreduced: one
-    kernel product, E b, and no content gcd.  The sign reads only the
-    rational value of each coefficient, so it is the sign of the reduced
-    difference."""
+    For elements of K, e B is built unreduced, one kernel product and no
+    content gcd, and A._sign_of_difference reads only the rational value of
+    each coefficient, so the sign is that of the reduced difference."""
     if type(A) is FieldElement and type(B) is FieldElement:
         field = e.field
-        eb = field._mul(e.num, B.num)
-        sa, sb = e.den * B.den, A.den
-        return _new(field, tuple(x * sa - y * sb for x, y in zip(A.num, eb)),
-                    A.den * sa).sign()
+        return A._sign_of_difference(_new(field, field._mul(e.num, B.num), e.den * B.den))
     return (A - e * B).sign()
 
 

@@ -508,13 +508,24 @@ class _ExactReal:
 
     def __float__(self):
         """The double nearest the value, found when both ends of
-        embed_raw(p) round to it; a rational is a point and rounds at once."""
+        embed_raw(p) round to it; a rational is a point and rounds at once.
+        An end beyond the double range rounds to an infinity, which leaves
+        p undecided; when both ends round to one infinity, the value itself
+        overflows, as float(10**400) does."""
+        def rounded(num, den):
+            # int true division rounds correctly
+            try:
+                return num / den
+            except OverflowError:
+                return math.inf if num > 0 else -math.inf
+
         def decide(p):
             enc = self.embed_raw(p)
-            # int true division rounds correctly; -0.0 == 0.0, so a zero
-            # needs both ends on one side
-            lo, hi = enc.lo_num / enc.den, enc.hi_num / enc.den
+            # -0.0 == 0.0, so a zero needs both ends on one side
+            lo, hi = rounded(enc.lo_num, enc.den), rounded(enc.hi_num, enc.den)
             same = lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi)
+            if same and math.isinf(lo):
+                raise OverflowError("exact real too large to convert to float")
             return (lo if same else None), enc
 
         return _refine(decide, 64, "embedding did not converge at {bits} bits")
@@ -650,16 +661,7 @@ class FieldElement(_ExactReal):
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = self.field.one
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, self.field.one)
 
     # -- order and embedding --------------------------------------------------
 
@@ -754,6 +756,20 @@ class FieldElement(_ExactReal):
 
     def to_json(self):
         return [str(c) for c in self.coeffs]
+
+
+def _power(x, k: int, one):
+    """x^k by square and multiply, for a FieldElement or a Moebius matrix x
+    with unit one; x^-k is (x^-1)^k."""
+    if k < 0:
+        x, k = x.inverse(), -k
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        x = x * x
+        k >>= 1
+    return out
 
 
 def _element(field: NumberField, num: tuple, den: int) -> FieldElement:

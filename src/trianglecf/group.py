@@ -12,7 +12,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .field import FieldElement, NumberField
+from .field import FieldElement, NumberField, _power
 from .quadratic import QuadExt
 
 
@@ -34,24 +34,20 @@ INFINITY = _Infinity()
 
 
 class Mobius:
-    """Determinant-one 2x2 matrix over K acting projectively on R u {oo}."""
+    """2x2 matrix over K or K(sqrt(D)) acting projectively on R u {oo}; ints
+    and Fractions become elements of K, other entries are kept as given."""
 
     __slots__ = ("field", "a", "b", "c", "d")
 
-    def __init__(self, field: NumberField, a, b, c, d, check: bool = True):
+    def __init__(self, field: NumberField, a, b, c, d):
         self.field = field
-        self.a = field.coerce(a)
-        self.b = field.coerce(b)
-        self.c = field.coerce(c)
-        self.d = field.coerce(d)
-        if check:
-            det = self.a * self.d - self.b * self.c
-            if det != 1:
-                raise ValueError(f"matrix determinant is not 1: {det!r}")
+        self.a, self.b, self.c, self.d = [
+            field.from_fraction(e) if isinstance(e, (int, Fraction)) else e
+            for e in (a, b, c, d)]
 
     @staticmethod
     def identity(field: NumberField) -> "Mobius":
-        return Mobius(field, 1, 0, 0, 1, check=False)
+        return Mobius(field, 1, 0, 0, 1)
 
     def entries(self):
         return (self.a, self.b, self.c, self.d)
@@ -71,28 +67,19 @@ class Mobius:
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            check=False,
         )
 
     def __neg__(self) -> "Mobius":
-        return Mobius(self.field, -self.a, -self.b, -self.c, -self.d, check=False)
+        return Mobius(self.field, -self.a, -self.b, -self.c, -self.d)
 
     def inverse(self) -> "Mobius":
         # adjugate; valid because det = 1
-        return Mobius(self.field, self.d, -self.b, -self.c, self.a, check=False)
+        return Mobius(self.field, self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, k: int) -> "Mobius":
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = Mobius.identity(self.field)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return _power(self, k, Mobius.identity(self.field))
 
     def trace(self) -> FieldElement:
         return self.a + self.d
@@ -128,8 +115,7 @@ class Mobius:
         """Conjugation by [[0,-1],[1,0]], used to pair x- and y-matrices:
         [[d, -c], [-b, a]], which is (M^T)^-1 when det M = 1.
         planar._check_branch_measure checks N_k against it for each digit."""
-        e = Mobius(self.field, 0, -1, 1, 0, check=False)
-        return e * self * e.inverse()
+        return Mobius(self.field, self.d, -self.c, -self.b, self.a)
 
     def to_json(self):
         return [
@@ -145,6 +131,17 @@ class Generators(NamedTuple):
     W: Mobius
 
 
+def check_sl2(M: Mobius, name: str) -> None:
+    """Decide that M lies in SL2(Z[lambda]): every entry an integral
+    vector (den == 1) and det M = 1.  Z[lambda] is the ring of integers of
+    K (Washington, GTM 83, Prop. 2.16), so this is the Hilbert modular
+    group of K.  Raises ConsistencyError naming the matrix otherwise."""
+    if any(e.den != 1 for e in M.entries()):
+        raise ConsistencyError(f"{name} has an entry outside Z[lambda]")
+    if M.det() != 1:
+        raise ConsistencyError(f"{name} has determinant other than 1")
+
+
 @lru_cache(maxsize=None)
 def generators(field: NumberField) -> Generators:
     """Standard-form generators: cusps at 0, 1 and infinity.
@@ -158,6 +155,8 @@ def generators(field: NumberField) -> Generators:
     C = Mobius(field, 1, -1, 1, 0)
     t2 = tau * tau
     W = Mobius(field, t2 + 1, t2 * tau, -tau, -t2 + 1)
+    for name, M in zip("ABCW", (A, B, C, W)):
+        check_sl2(M, name)
     return Generators(A, B, C, W)
 
 
@@ -165,15 +164,14 @@ def digit_matrix(field: NumberField, k: int) -> Mobius:
     """Branch matrix of the accelerated map: A^-k C for k >= 1, W^j for k = -j."""
     if k == 0:
         raise DomainError("digit 0 does not exist")
-    g = generators(field)
     if k >= 1:
         # A^-k C = [[1 - k tau, -1], [1, 0]]
-        return Mobius(field, 1 - field.tau * k, -1, 1, 0, check=False)
+        return Mobius(field, 1 - field.tau * k, -1, 1, 0)
     j = -k
     # W^j = [[1 + j tau^2, j tau^3], [-j tau, 1 - j tau^2]]
     tau = field.tau
     t2 = tau * tau
-    return Mobius(field, 1 + t2 * j, t2 * tau * j, -tau * j, 1 - t2 * j, check=False)
+    return Mobius(field, 1 + t2 * j, t2 * tau * j, -tau * j, 1 - t2 * j)
 
 
 def y_matrix(field: NumberField, k: int) -> Mobius:
@@ -182,17 +180,12 @@ def y_matrix(field: NumberField, k: int) -> Mobius:
     For k >= 1 this is N_k = [[0, -1], [1, 1 - k tau]].
     """
     if k >= 1:
-        return Mobius(field, 0, -1, 1, 1 - field.tau * k, check=False)
+        return Mobius(field, 0, -1, 1, 1 - field.tau * k)
     j = -k
     tau = field.tau
     t2 = tau * tau
     # conjugate of W^j by [[0,-1],[1,0]]
-    return Mobius(field, 1 - t2 * j, tau * j, -t2 * tau * j, 1 + t2 * j, check=False)
-
-
-def power_B(field: NumberField, j: int) -> Mobius:
-    """B^j by repeated multiplication (the closed form is a test oracle)."""
-    return generators(field).B ** j
+    return Mobius(field, 1 - t2 * j, tau * j, -t2 * tau * j, 1 + t2 * j)
 
 
 def b_sequence(field: NumberField, k: int) -> FieldElement:
@@ -207,12 +200,6 @@ def b_sequence(field: NumberField, k: int) -> FieldElement:
     for _ in range(k):
         b, b_next = b_next, field.lam * b_next - b
     return b
-
-
-def _mul2(x, y):
-    """Product of 2x2 matrices given as row-major tuples (a, b, c, d)."""
-    return (x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
-            x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3])
 
 
 def rotation_conjugation_check(field: NumberField) -> dict:
@@ -236,12 +223,12 @@ def rotation_conjugation_check(field: NumberField) -> dict:
 
     c = q(field.lam * Fraction(1, 2))
     s = q(0, Fraction(1, 2))
-    P = (q(1), c, q(0), s)
-    sigma = (q(1), s.inverse() * field.tau, q(0), q(1))
-    beta = (c, s, -s, c)
+    P = Mobius(field, q(1), c, q(0), s)
+    sigma = Mobius(field, q(1), s.inverse() * field.tau, q(0), q(1))
+    beta = Mobius(field, c, s, -s, c)
     g = generators(field)
-    if _mul2(P, g.A.entries()) != _mul2(sigma, P):
+    if P * g.A != sigma * P:
         raise ConsistencyError("P A != sigma P: A is not the conjugate translation")
-    if _mul2(P, g.B.entries()) != _mul2(beta, P):
+    if P * g.B != beta * P:
         raise ConsistencyError("P B != beta P: B is not the conjugate rotation")
     return {"n": field.n, "ok": True}

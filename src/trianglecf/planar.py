@@ -364,10 +364,8 @@ def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi, ends: dict):
 
 
 def _check_branch_measure(b) -> None:
-    """det M_k == 1 and N_k == (M_k^T)^-1, decided exactly: the pairing
-    that makes (M_k, N_k) preserve dx dy/(1+xy)^2 (see verify_bijectivity)."""
-    if b.M.det() != 1:
-        raise ConsistencyError(f"branch {b.digit} does not preserve the measure: det M != 1")
+    """N_k == (M_k^T)^-1, decided exactly: with det M_k = 1 (dynamics.branch)
+    the pairing that makes (M_k, N_k) preserve dx dy/(1+xy)^2."""
     if b.N != b.M.conjugate_by_rotation():
         raise ConsistencyError(f"branch {b.digit} does not preserve the measure: N != (M^T)^-1")
 

@@ -35,7 +35,7 @@ def verify_one(n: int) -> dict:
     def check_relations():
         if not (g.A * g.B) == -g.C:
             raise ConsistencyError("AB != -C")
-        if not group.power_B(field, n).proj_eq(Mobius.identity(field)):
+        if not (g.B ** n).proj_eq(Mobius.identity(field)):
             raise ConsistencyError("B^n not projectively the identity")
         A1C = g.A.inverse() * g.C
         A2C = g.A.inverse() ** 2 * g.C

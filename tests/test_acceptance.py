@@ -16,7 +16,9 @@ import pytest
 
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.verify import verify_one
+from trianglecf import dynamics, group
 from trianglecf.dynamics import cylinder_lo, eps0
+from trianglecf.errors import ConsistencyError
 from trianglecf.dioph import expand, periodic_point
 from trianglecf.planar import Rect, build_heights
 from trianglecf.measure import (
@@ -26,7 +28,7 @@ from trianglecf.measure import (
     omega_divergence_partial_sums,
     transcendence_indicator,
 )
-from trianglecf.group import digit_matrix, y_matrix
+from trianglecf.group import Mobius, check_sl2, digit_matrix, generators, y_matrix
 from trianglecf.quadratic import compare_numeric
 from trianglecf.numeric import (
     birkhoff_experiment,
@@ -41,6 +43,32 @@ def report(num, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE criterion {num}: {status} - {detail}")
     assert ok, f"criterion {num}: {detail}"
+
+
+@pytest.mark.parametrize("n", (*range(4, 21), 60))
+def test_group_lies_in_the_hilbert_modular_group(n, monkeypatch):
+    # the abstract's "subgroup of the Hilbert modular group of its trace
+    # field": A, B, C, W and every branch pair (M_k, N_k) are decided to lie
+    # in SL2(Z[lambda]) where they are built (uncached calls here)
+    decided = []
+
+    def spy(M, name):
+        check_sl2(M, name)
+        decided.append(name)
+
+    monkeypatch.setattr(group, "check_sl2", spy)
+    monkeypatch.setattr(dynamics, "check_sl2", spy)
+    F = build_field(n)
+    generators.__wrapped__(F)
+    digits = [k for k in range(-6, 11) if k != 0]
+    branches = [dynamics.branch.__wrapped__(F, k) for k in digits]
+    assert set(decided) == {*"ABCW", *(f"branch {k} matrix {X}" for k in digits for X in "MN")}
+    # the decision refuses a det-1 matrix off Z[lambda] and a det-4 one
+    with pytest.raises(ConsistencyError, match="outside Z\\[lambda\\]"):
+        check_sl2(Mobius(F, 1, Fraction(1, 2), 0, 1), "half-integral")
+    for b in branches:
+        with pytest.raises(ConsistencyError, match="determinant other than 1"):
+            check_sl2(Mobius(F, *(2 * e for e in b.M.entries())), "2 M_k")
 
 
 def test_criterion_1_exact_identity_suite():

@@ -120,6 +120,47 @@ def test_expand_random_schema():
     load_schema()(data)
 
 
+@pytest.mark.parametrize("n, x", [(5, "-0.7391"), (8, "-0.7391"), (7, "-7/13"),
+                                  (5, "coeffs:-1/3,-1/7"), (5, "-1")])
+def test_expand_jsonl_enclosure_ends_bracket_t(n, x):
+    # lo is rounded down and hi up, so each printed interval holds t_m exactly
+    from fractions import Fraction
+
+    from trianglecf.cli import _parse_x
+    from trianglecf.dioph import expand
+    from trianglecf.field import build_field
+
+    code, out, err = _run_in_process(["expand", "--n", str(n), f"--x={x}", "--steps", "40",
+                                      "--format", "jsonl"])
+    assert code == 0, err
+    F = build_field(n)
+    ts = expand(F, _parse_x(F, x), 40).ts
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == len(ts)
+    for row, t in zip(rows, ts):
+        assert Fraction(row["x_enclosure_lo"]) <= t <= Fraction(row["x_enclosure_hi"]), row
+
+
+def test_expand_random_inverts_once_per_point(monkeypatch):
+    # max_v is picked by exact cross-multiplication; only the winner
+    # v_m = q_prev/q is divided out and converted
+    from trianglecf.field import FieldElement
+
+    argv = ["expand", "--n", "5", "--x", "random:3", "--steps", "40"]
+    code, before, _ = _run_in_process(argv)  # fills the branch table
+    assert code == 0
+    inverse, calls = FieldElement.inverse, []
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(FieldElement, "inverse", counted)
+    code, out, _ = _run_in_process(argv)
+    assert code == 0 and out == before
+    assert len(calls) == 3
+
+
 def test_expand_rejects_bad_x():
     run_cli("expand", "--n", "5", "--x", "banana", expect=2)
     run_cli("expand", "--n", "5", "--x", "0.5", expect=2)

@@ -87,26 +87,25 @@ COMMANDS += [
     # an ergodic orbit that crosses two block boundaries, with a halfway
     # checkpoint (35 000) that is not a block multiple
     ("ergodic-test", "--n", "5", "--steps", "70001", "--samples", "200", "--cells", "20"),
+    # a start point whose t_1 has 1 329-bit coefficients: the 64-bit
+    # enclosures of its float conversions reach past the double range
+    ("expand", "--n", "8", "--x=-1e-400", "--steps", "10"),
 ]
-
-
-def _digest(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_digests(args) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    # raw bytes, so that csv's \r\n line ends are pinned too
     proc = subprocess.run(
         [sys.executable, "-m", "trianglecf.cli", *args],
         capture_output=True,
-        text=True,
         env=env,
     )
     return {
-        "stdout": _digest(proc.stdout),
-        "stderr": _digest(proc.stderr),
+        "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+        "stderr": hashlib.sha256(proc.stderr).hexdigest(),
         "exit": proc.returncode,
     }
 

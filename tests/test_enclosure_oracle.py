@@ -244,11 +244,21 @@ class OracleReal:
                        "embedding did not converge at {bits} bits")
 
     def __float__(self):
-        """The double both ends of an enclosure round to, with one sign."""
+        """The double both ends of an enclosure round to, with one sign; an
+        end past the double range rounds to an infinity, and a value whose
+        ends both round to one infinity overflows."""
+        def rounded(q):
+            try:
+                return float(q)
+            except OverflowError:
+                return math.inf if q > 0 else -math.inf
+
         def decide(p):
             enc = self.embed_raw(p)
-            lo, hi = float(enc.lo), float(enc.hi)
+            lo, hi = rounded(enc.lo), rounded(enc.hi)
             same = lo.hex() == hi.hex()
+            if same and math.isinf(lo):
+                raise OverflowError("exact real too large to convert to float")
             return (lo if same else None), enc
 
         return _refine(decide, 64, "embedding did not converge at {bits} bits")
@@ -453,6 +463,10 @@ def test_enclosure_matches_the_fraction_oracle(lo, den, precision, delta):
 @settings(max_examples=40, deadline=None)
 @given(n=st.sampled_from(DEGREES), spec=element_specs(), warm=warm_ups,
        precision=st.sampled_from([16, 53, 100, 200]))
+# about 2^500 with a 2^1100 coefficient: the 64-bit enclosure's ends lie
+# past the double range, and float() refines; then a value past it
+@example(n=5, spec=("near-int", (0, (600, 1100, 1))), warm=[], precision=53)
+@example(n=5, spec=("vector", ([2 ** 1100, 2 ** 1100], 1)), warm=[], precision=53)
 def test_field_element_decisions_match_the_fraction_oracle(n, spec, warm, precision):
     field, oracle = same_fields(n, warm)
     x = build(field, spec)

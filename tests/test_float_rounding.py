@@ -91,3 +91,27 @@ def test_float_does_not_depend_on_earlier_refinements(n):
     refined = NumberField(n)
     refined.lambda_enclosure(4096)
     assert [repr(float(x)) for x in _values(refined)] == fresh
+
+
+def test_an_enclosure_wider_than_the_double_range_is_refined():
+    # q lambda - p for a convergent p/q of lambda with q > 2^1100 has
+    # coefficients so large that its 64-bit enclosure reaches past the
+    # double range on both sides; the value, in [-tau, 0), still converts
+    F = NumberField(5)
+    with mpmath.workprec(3000):
+        c = next(c for c in _convergents(_mp_lambda(5), 2 ** 1200) if c.denominator > 2 ** 1100)
+    x = c.numerator - c.denominator * F.lam - Fraction(1, 3)
+    enc = x.embed_raw(64)
+    with pytest.raises(OverflowError):
+        enc.lo_num / enc.den
+    with mpmath.workprec(3000):
+        expected = _mp_value(x, 5)
+    with mpmath.workprec(53):
+        expected = float(+expected)
+    assert float(x).hex() == expected.hex()
+    # beyond the double range on one side the value itself overflows, as
+    # float(2**1100) does
+    with pytest.raises(OverflowError):
+        float(2 ** 1100 * F.lam)
+    with pytest.raises(OverflowError):
+        float(-(2 ** 1100) * F.lam)

@@ -6,6 +6,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from trianglecf import dynamics
 from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import FieldElement, build_field
 from trianglecf.group import INFINITY, Mobius, digit_matrix, y_matrix
@@ -224,16 +225,21 @@ def test_measure_identity_rejects_y_mapped_by_M(n):
 
 
 @pytest.mark.parametrize("n", (5, 16))
-def test_measure_identity_rejects_det_not_one(n):
-    # 2M and its rotation conjugate 2N are paired, but det 2M = 4
+def test_measure_identity_rejects_det_not_one(n, monkeypatch):
+    # 2M and its rotation conjugate 2N are paired, but det 2M = 4: the
+    # branch table, which decides SL2(Z[lambda]) for each entry, refuses it
     F = build_field(n)
     for k in (-2, -1, 1, 2, 6):
         b = branch(F, k)
-        M2 = Mobius(F, *(2 * e for e in b.M.entries()), check=False)
-        assert M2.conjugate_by_rotation() == Mobius(
-            F, *(2 * e for e in b.N.entries()), check=False)
-        with pytest.raises(ConsistencyError, match="measure"):
-            _check_branch_measure(b._replace(M=M2, N=M2.conjugate_by_rotation()))
+        M2 = Mobius(F, *(2 * e for e in b.M.entries()))
+        assert M2.conjugate_by_rotation() == Mobius(F, *(2 * e for e in b.N.entries()))
+        # the pairing holds; det M = 1 is decided where the entry is built
+        _check_branch_measure(b._replace(M=M2, N=M2.conjugate_by_rotation()))
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "digit_matrix", lambda field, k: M2)
+            m.setattr(dynamics, "y_matrix", lambda field, k: M2.conjugate_by_rotation())
+            with pytest.raises(ConsistencyError, match=f"branch {k} matrix M has determinant"):
+                branch.__wrapped__(F, k)
 
 
 def test_mu_rect_degenerate_and_domain():
