@@ -18,7 +18,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from functools import cmp_to_key, partial
+from functools import partial
 
 # every layer past `field`, and the csv module, is reached through the
 # package, which imports it on first use: a command loads only the layers
@@ -188,6 +188,40 @@ def _v_order(s, t) -> int:
     return (s.q_prev * t.q - t.q_prev * s.q).sign() * s.q.sign() * t.q.sign()
 
 
+def _ratio_span(num_est, den_est):
+    """(center, radius) around num/den from certified float estimates
+    (val, bound) of num and den (FieldElement._float_estimate), or None
+    when den's estimate does not exclude 0 or the span leaves the double
+    range.  With c = n/d, |N/D - c| <= (e_n + |c| e_d) / (|d| - e_d),
+    widened for its own rounding."""
+    if num_est is None or den_est is None:
+        return None
+    (n, e_n), (d, e_d) = num_est, den_est
+    if abs(d) <= e_d:
+        return None
+    c = n / d
+    radius = (e_n + abs(c) * e_d) / (abs(d) - e_d) * (1 + 2.0 ** -48)
+    return (c, radius) if math.isfinite(radius) else None
+
+
+def _argmax(spans: list, above) -> int:
+    """The index of the largest of some exact values, given a float span
+    (center, radius) with |value - center| <= radius around each, or None.
+    Only the indices whose span reaches the largest lower end can hold the
+    maximum; those are compared exactly, by above(i, j), value i > value j.
+    Each span is widened by (|center| + radius) 2^-50, more than the
+    rounding of center -+ radius."""
+    ends = [(-math.inf, math.inf) if s is None else
+            (s[0] - s[1] - (abs(s[0]) + s[1]) * 2.0 ** -50,
+             s[0] + s[1] + (abs(s[0]) + s[1]) * 2.0 ** -50) for s in spans]
+    floor = max(lo for lo, _ in ends)
+    best = None
+    for i, (_, hi) in enumerate(ends):
+        if hi >= floor and (best is None or above(i, best)):
+            best = i
+    return best
+
+
 def _expand_random(field, args):
     try:
         count = int(args.x.split(":", 1)[1])
@@ -201,17 +235,24 @@ def _expand_random(field, args):
         x = random_interval_point(field, rng, 256)
         res = trianglecf.dioph.expand(field, x, args.steps,
                                       check_natural_extension=args.check_ne)
-        thetas = [float(t) for t in res.thetas]
+        # Theta_m = |A^_m| / delta with one delta for every m; correctly
+        # rounded conversion is monotone, so only the largest Theta_m and
+        # the largest v_m are converted
+        a_hats = res.a_hats
+        theta_spans = [None if e is None else (abs(e[0]), e[1])
+                       for e in (a._float_estimate() for a in a_hats)]
+        m_theta = _argmax(theta_spans, lambda s, t: abs(a_hats[s]) > abs(a_hats[t]))
+        v_spans = [_ratio_span(*(e._float_estimate() for e in res.qs(m)))
+                   for m in range(len(a_hats))]
+        m_v = _argmax(v_spans, lambda s, t: _v_order(res.state(s), res.state(t)) > 0)
         rows.append(
             {
                 "index": i,
                 "x": float(x),
                 "steps_done": len(res.digits),
                 "f_rational": res.f_rational,
-                "max_theta": max(thetas),
-                # correctly rounded conversion is monotone, so only the
-                # largest v_m is converted, and inverted
-                "max_v": float(max(res.states, key=cmp_to_key(_v_order)).v()),
+                "max_theta": float(res.theta(m_theta)),
+                "max_v": float(res.state(m_v).v()),
             }
         )
     payload = {"x": args.x, "steps_requested": args.steps, "rows": rows}

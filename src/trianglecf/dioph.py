@@ -36,10 +36,6 @@ class ConvergentState:
     def __init__(self, matrix: Mobius):
         self.matrix = matrix
 
-    @staticmethod
-    def initial(field: NumberField) -> "ConvergentState":
-        return ConvergentState(Mobius.identity(field))
-
     @property
     def q(self):
         return self.matrix.a
@@ -76,13 +72,55 @@ def theta_fn(x, y):
 
 
 class ExpansionResult:
-    def __init__(self, x0, digits: list, thetas: list, states: list,
+    """An exact expansion of x0 by expand: its digits, f_rational, and per
+    index m = 0 .. M what the loop keeps, the running matrix P_m as four
+    integer vectors (a, b, c, d) = (q, -p, -q_prev, p_prev) and A^_m, the
+    exact real delta q_m A_m, with Theta_m = |A^_m| / delta.  The lists
+    states, thetas, ts and vs are built on their first read; state(m) and
+    theta(m) build one entry."""
+
+    def __init__(self, x0, digits: list, matrices: list, a_hats: list, delta: int,
                  f_rational: bool = False):
         self.x0 = x0
         self.digits = digits
-        self.thetas = thetas            # Theta_0 .. Theta_M  (exact absolute values)
-        self.states = states            # ConvergentState per index
+        self.matrices = matrices
+        self.a_hats = a_hats
+        self.delta = delta
         self.f_rational = f_rational
+
+    def state(self, m: int) -> ConvergentState:
+        """The ConvergentState of index m, built from P_m's vectors."""
+        field = self.x0.field
+        return ConvergentState(Mobius(field, *(_new(field, e, 1) for e in self.matrices[m])))
+
+    def qs(self, m: int) -> tuple:
+        """(q_prev, q) of index m, elements of K with v_m = q_prev/q."""
+        field = self.x0.field
+        a, _, c, _ = self.matrices[m]
+        return _new(field, _vneg(c), 1), _new(field, a, 1)
+
+    def theta(self, m: int):
+        """Theta_m, exact: |x0| at m = 0, else |A^_m| / delta divided by
+        its content gcd."""
+        if m == 0:
+            return abs(self.x0)
+        A = self.a_hats[m]
+        if A.sign() < 0:
+            A = -A
+        if isinstance(A, QuadExt):
+            return QuadExt(A.field, *(_element(A.field, e.num, self.delta) for e in (A.u, A.v)),
+                           A.disc)
+        return _element(A.field, A.num, self.delta)
+
+    @cached_property
+    def states(self) -> list:
+        """The ConvergentState of each index, P_0 = 1 first."""
+        return [self.state(m) for m in range(len(self.matrices))]
+
+    @cached_property
+    def thetas(self) -> list:
+        """Theta_0 .. Theta_M, exact absolute values."""
+        return [self.theta(m) for m in range(len(self.matrices))]
 
     @cached_property
     def ts(self) -> list:
@@ -140,13 +178,14 @@ def expand(
     P_m and the scaled forms A^ = delta q A and B^ = delta q B, which are
     integral and linear in X.  |A^|/delta is Theta_m, and the next digit
     is decided from the signs of linear combinations of A^ and B^
-    (dynamics.digit_of), so no step divides and the only content gcd is
-    the one that reduces Theta_m.  With D^ = q B^ + q_prev A^ the
-    identities are asserted cross-multiplied: det P_m = 1 as D^ = delta q,
-    the successor form of Theta_(m-1) as |A^_(m-1)| D^ = +-delta q_prev B^
-    (A^_0 = X), the reconstruction of x as X D^ = delta (p_prev A^ + p B^),
-    and the v-recurrence; any disagreement raises ConsistencyError.  t_m
-    and v_m are built only when read (ExpansionResult.ts, .vs).
+    (dynamics.digit_of), so no step divides or takes a content gcd.  With
+    D^ = q B^ + q_prev A^ the identities are asserted cross-multiplied:
+    det P_m = 1 as D^ = delta q, the successor form of Theta_(m-1) as
+    A^_(m-1) D^ = +-delta q_prev B^ (A^_0 = X), the reconstruction of x as
+    X D^ = delta (p_prev A^ + p B^), and the v-recurrence; any
+    disagreement raises ConsistencyError.  The result keeps P_m and A^_m;
+    Theta_m, reduced by one content gcd, the states, t_m and v_m are built
+    only when read (see ExpansionResult).
     DomainError unless steps >= 0 and -tau <= x < 0.
     """
     if steps < 0:
@@ -157,10 +196,9 @@ def expand(
     X, delta = _clear_denominator(x)
     disc = x.disc if isinstance(x, QuadExt) else None
 
-    def real(F, den=None):
-        """The X-form F as an exact real: F/1 built as it is, or F/den
-        divided by its content gcd."""
-        parts = [_new(field, f, 1) if den is None else _element(field, f, den) for f in F]
+    def real(F):
+        """The X-form F as an exact real, F/1 built as it is."""
+        parts = [_new(field, f, 1) for f in F]
         return parts[0] if disc is None else QuadExt(field, *parts, disc)
 
     if disc is None:
@@ -180,13 +218,12 @@ def expand(
         return (c,) + (zero,) * (len(X) - 1)
 
     one, zero = field.one.num, field.zero.num
-    state = ConvergentState.initial(field)
-    res = ExpansionResult(x0=x, digits=[], thetas=[abs(x)], states=[state])
     gamma = trianglecf.planar.build_gamma(field) if check_natural_extension else None
     a, b, c, d = one, zero, zero, one
-    abs_A = X if x.sign() >= 0 else tuple(map(_vneg, X))
     A_hat, B_hat = X, constant(_vscale(delta, one))
     A_real, B_real = real(A_hat), real(B_hat)
+    res = ExpansionResult(x0=x, digits=[], matrices=[(a, b, c, d)], a_hats=[A_real],
+                          delta=delta)
     for m in range(1, steps + 1):
         k = digit_of(field, A_real, B_real)
         if k is None:
@@ -199,6 +236,7 @@ def expand(
         a, b, c, d = (_vadd(mul(ma, a), mul(mb, c)), _vadd(mul(ma, b), mul(mb, d)),
                       _vadd(mul(mc, a), mul(md, c)), _vadd(mul(mc, b), mul(md, d)))
         q, q_prev, p, p_prev = a, _vneg(c), _vneg(b), d
+        A_prev = A_hat
         A_hat, B_hat = times(q, affine(a, b, X)), times(q, affine(c, d, X))
         # v = q_prev/q must follow the second-coordinate action N v
         if (mul(_vadd(mul(na, q0_prev), mul(nb, q0)), q)
@@ -213,25 +251,23 @@ def expand(
             raise ConsistencyError("det P_m != 1: direct and planar theta disagree")
         D = D_hat[0]
         # successor form of Theta_{m-1} where the new branch is A^-k C:
-        # |v/(1 + t v)| = |q_prev qB / D|
+        # |v/(1 + t v)| = |q_prev qB / D|, asserted up to sign
         if k >= 1:
-            lhs, rhs = times(D, abs_A), times(_vscale(delta, q_prev), B_hat)
+            lhs, rhs = times(D, A_prev), times(_vscale(delta, q_prev), B_hat)
             if lhs != rhs and lhs != tuple(map(_vneg, rhs)):
                 raise ConsistencyError("successor theta form disagrees")
         # reconstruction: x = (p_prev t + p)/(q_prev t + q) = (p_prev qA + p qB) / D
         if times(D, X) != tuple(_vscale(delta, _vadd(f, g)) for f, g in
                                 zip(times(p_prev, A_hat), times(p, B_hat))):
             raise ConsistencyError("reconstruction identity failed")
-        state = ConvergentState(Mobius(field, *(_new(field, e, 1) for e in (a, b, c, d))))
+        res.matrices.append((a, b, c, d))
         if gamma is not None:
-            t_new, v_new = state.matrix.apply(x), state.v()
-            if not gamma.contains(t_new, v_new):
+            state = res.state(m)
+            if not gamma.contains(state.matrix.apply(x), state.v()):
                 raise ConsistencyError("(t, v) left the natural-extension domain")
         A_real, B_real = real(A_hat), real(B_hat)
-        abs_A = A_hat if A_real.sign() >= 0 else tuple(map(_vneg, A_hat))
         res.digits.append(k)
-        res.thetas.append(real(abs_A, delta))
-        res.states.append(state)
+        res.a_hats.append(A_real)
     return res
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import mul
 
 from .errors import DomainError, PrecisionExhausted
@@ -207,12 +207,16 @@ class Enclosure:
 
 def _end_repr(num: int, den: int) -> str:
     """An enclosure end as its float, or as its exact reduced ratio when it
-    lies beyond the double range: in decimal, or in hexadecimal where the
-    decimal digits would pass Python's int-to-str conversion limit."""
+    lies beyond the double range, above it or so far below it that a nonzero
+    end would print as 0.0: in decimal, or in hexadecimal where the decimal
+    digits would pass Python's int-to-str conversion limit."""
     try:
-        return repr(num / den)
+        f = num / den
+        if f or not num:
+            return repr(f)
     except OverflowError:
-        q = Fraction(num, den)
+        pass
+    q = Fraction(num, den)
     try:
         return str(q)
     except ValueError:
@@ -333,12 +337,21 @@ class NumberField:
         self.degree = len(self.min_poly) - 1
         approx = 2.0 * math.cos(math.pi / n)
         self._lambda_bracket = _bracket_root_near(self.min_poly, approx)
-        self._lambda_pows_float = [approx ** i for i in range(self.degree)]
+        # (float powers of lambda, relative and absolute error terms), built
+        # from the exact bracket by the first FieldElement._float_estimate
+        self._lambda_pows_float = None
         self._conjugation_rows = None
         self.zero = self.from_fraction(0)
         self.one = self.from_fraction(1)
         self.lam = self.element([0, 1])
         self.tau = self.one + self.lam
+
+    @cached_property
+    def tau_powers(self) -> tuple:
+        """(tau, tau^2, tau^3), built on first use (dynamics.digit_of) and
+        kept on this field object."""
+        tau2 = self.tau * self.tau
+        return self.tau, tau2, tau2 * self.tau
 
     def __repr__(self):
         return f"NumberField(n={self.n}, degree={self.degree})"
@@ -552,7 +565,7 @@ class FieldElement(_ExactReal):
     FieldElement(field, coeffs) builds one from d rationals.
     """
 
-    __slots__ = ("field", "num", "den", "_sign")
+    __slots__ = ("field", "num", "den", "_sign", "_est")
 
     def __init__(self, field: NumberField, coeffs):
         qs = [Fraction(c) for c in coeffs]
@@ -560,7 +573,7 @@ class FieldElement(_ExactReal):
         self.field = field
         self.num = tuple(q.numerator * (den // q.denominator) for q in qs)
         self.den = den
-        self._sign = None
+        self._sign = self._est = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -695,28 +708,95 @@ class FieldElement(_ExactReal):
         self._sign = s
         return s
 
-    def _float_estimate(self):
-        """(value, error bound) in floats: the coefficients times the float
-        powers of lambda, or None when a term overflows.  It reads neither
-        lambda's bracket nor any enclosure."""
-        # c / den is the correctly rounded value of the coefficient
-        lam_pows = self.field._lambda_pows_float
-        den = self.den
+    def _scale_bits(self) -> int:
+        """Bit length of the largest coefficient less that of the
+        denominator: value * 2^-_scale_bits() has coefficients below 2 in
+        absolute value."""
+        return max(map(abs, self.num)).bit_length() - self.den.bit_length()
+
+    def _float_estimate(self, shift: int = 0):
+        """(val, bound) in floats with |value * 2^-shift - val| <= bound, or
+        None when a coefficient times 2^-shift passes the double range.
+        shift = _scale_bits() never overflows.  The estimate at shift 0 is
+        kept on the element.
+
+        val = fl(sum_i fl(c_i f_i)) for c_i the correctly rounded value of
+        coefficient i times 2^-shift and f_i a double with
+        |f_i - lambda^i| <= rho f_i.  The f_i are lambda's powers rounded
+        outward from its 64-bit bracket, once per field, and rho, their
+        largest relative spread, is below 2^-50 at any degree up to 80.
+        With u = 2^-53, d the degree and mag = fl(sum_i |fl(c_i f_i)|), the
+        error is at most
+
+            bound = ((d + 3) u + rho) (1 + 2^-30) mag + (d + 1) 2^(d - 1074):
+
+        u from each coefficient's rounding, rho from each power, u from
+        each product and (d - 1) u from the sum, whose recursive summation
+        error is at most (d - 1) u (1 + O(u)) times the sum of the |terms|
+        (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        section 4.2).  The factor 1 + 2^-30 covers the second-order terms
+        and the rounding of mag and bound; the last term covers the
+        roundings of subnormal results, each at most 2^-1075 times a power
+        of lambda, which is below 2^(d - 1).
+
+        A caller that forms the two-operand gap g = x y - w z from
+        estimates (x^, ex), (y^, ey), (w^, ew), (z^, ez) bounds its error by
+
+            ex (|y^| + ey) + |x^| ey + ew (|z^| + ez) + |w^| ez
+                + 2u (|x^ y^| + |w^ z^|),
+
+        the propagated errors plus the rounding of the two products and the
+        difference, and widens it by the same factor and absolute term
+        (dynamics._float_digit)."""
+        if not shift and self._est is not None:
+            return self._est
+        field = self.field
+        table = field._lambda_pows_float
+        if table is None:
+            def outward(num, den, toward):
+                # num / den, den > 0, as the nearest double on the side of toward
+                f = num / den
+                a, b = f.as_integer_ratio()
+                gap = a * den - num * b
+                return math.nextafter(f, toward) if gap and (gap > 0) == (toward < 0) else f
+
+            enc, d = field.lambda_enclosure(64), field.degree
+            pows, rho = [], 0.0
+            for i in range(d):
+                lo = outward(enc.lo_num ** i, enc.den ** i, -math.inf)
+                hi = outward(enc.hi_num ** i, enc.den ** i, math.inf)
+                pows.append(lo)
+                rho = max(rho, (hi - lo) / lo * (1 + 2.0 ** -50))
+            rel = ((d + 3) * 2.0 ** -53 + rho) * (1 + 2.0 ** -30)
+            table = field._lambda_pows_float = (pows, rel, math.ldexp(d + 1, d - 1074))
+        pows, rel, floor = table
+        num, den = self.num, self.den
+        if shift > 0:
+            den <<= shift
+        elif shift < 0:
+            num = [c << -shift for c in num]
+        val = 0.0
+        mag = 0.0
         try:
-            val = 0.0
-            mag = 0.0
-            for c, lp in zip(self.num, lam_pows):
+            for c, lp in zip(num, pows):
+                # int true division rounds correctly
                 t = (c / den) * lp
                 val += t
                 mag += abs(t)
         except OverflowError:
             return None
-        return val, mag * 2.0 ** -45 * (self.field.degree + 2) + 5e-300
+        if mag == math.inf:
+            return None
+        est = (val, mag * rel + floor)
+        if not shift:
+            self._est = est
+        return est
 
     def _sign_fast_float(self):
         est = self._float_estimate()
         if est is None:
-            return None
+            # a coefficient beyond the double range: estimate at its scale
+            est = self._float_estimate(self._scale_bits())
         val, tol = est
         if val > tol:
             return 1
@@ -789,7 +869,7 @@ def _element(field: NumberField, num: tuple, den: int) -> FieldElement:
 def _new(field: NumberField, num: tuple, den: int) -> FieldElement:
     """The element num / den, with den > 0 and content gcd 1 already."""
     e = object.__new__(FieldElement)
-    e.field, e.num, e.den, e._sign = field, num, den, None
+    e.field, e.num, e.den, e._sign, e._est = field, num, den, None, None
     return e
 
 

@@ -119,11 +119,17 @@ class QuadExt(_ExactReal):
             return hash(self.u)
         return hash((self.u, self.v, self.disc))
 
-    def _float_estimate(self):
-        """(value, error bound) of u + v sqrt(D) in floats, from the float
-        estimates of u, v and D (FieldElement._float_estimate); None when
-        one of them overflows."""
-        parts = [e._float_estimate() for e in (self.u, self.v, self.disc)]
+    def _scale_bits(self) -> int:
+        """A binary exponent near the scale of u and v sqrt(D), as
+        FieldElement._scale_bits gives for one element."""
+        return max(self.u._scale_bits(), self.v._scale_bits() + self.disc._scale_bits() // 2)
+
+    def _float_estimate(self, shift: int = 0):
+        """(value, error bound) of (u + v sqrt(D)) 2^-shift in floats, from
+        the float estimates of u and v at that shift and of D
+        (FieldElement._float_estimate); None when one of them overflows."""
+        parts = [self.u._float_estimate(shift), self.v._float_estimate(shift),
+                 self.disc._float_estimate()]
         if None in parts:
             return None
         (u, eu), (v, ev), (d, ed) = parts

@@ -342,6 +342,55 @@ def test_precision_exhausted_report_with_a_boundary_beyond_the_double_range(monk
     load_schema()(data)
 
 
+def test_precision_exhausted_report_with_a_boundary_below_the_double_range(monkeypatch):
+    # nonzero ends that a double would print as 0.0 print as exact ratios,
+    # so the report keeps the boundary's scale
+    from fractions import Fraction
+
+    from trianglecf import cli
+    from trianglecf.errors import PrecisionExhausted
+    from trianglecf.field import Enclosure
+
+    tiny = Fraction(1, 2 ** 2000)
+    boundary = Enclosure(-tiny, tiny)
+
+    def exhausted(args):
+        raise PrecisionExhausted("sign undecided at 4096 bits", boundary=boundary, bits=4096)
+
+    monkeypatch.setattr(cli, "cmd_field", exhausted)
+    code, out, err = _run_in_process(["field", "--n", "5"])
+    assert code == 3, err
+    data = json.loads(out)
+    assert data["boundary"] == f"Enclosure(-1/{2 ** 2000}, 1/{2 ** 2000})"
+    load_schema()(data)
+
+
+def test_a_far_start_point_shares_its_gap_enclosures(monkeypatch):
+    # x = -10^-400 has a first digit near 2^1328, so about 1 280 bisection
+    # probes fall to exact signs of gaps with 1 329-bit coefficients, at
+    # precisions that climb to 2048 bits.  The probes of one digit share the
+    # enclosures of the gap forms at each precision; an enclosure per probe
+    # and per doubling made 6 561 calls, against 1 665 when lambda's bracket
+    # was narrowed in place.
+    import hashlib
+
+    from trianglecf.field import FieldElement
+
+    calls = 0
+    embed_raw = FieldElement.embed_raw
+
+    def counted(self, precision):
+        nonlocal calls
+        calls += 1
+        return embed_raw(self, precision)
+
+    monkeypatch.setattr(FieldElement, "embed_raw", counted)
+    code, out, err = _run_in_process(["expand", "--n", "8", "--x=-1e-400", "--steps", "10"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest().startswith("b09eaa40")
+    assert 0 < calls <= 1665
+
+
 def test_verify_help_states_the_cost_in_the_degree():
     code, out, _ = _run_in_process(["verify", "--help"])
     assert code == 0

@@ -40,7 +40,9 @@ for _n in ("5", "8"):
 COMMANDS += [
     ("expand", "--n", "5", "--x", "random:3", "--steps", "40"),
     ("verify", "--n", "5"),
-    # stops at the cap: exit 3 with the precision-exhausted report
+    # a 64-bit cap: every printed value is decided within it, so the rows
+    # are those of the default cap (test_cli.py's
+    # test_precision_exhausted_exit_code covers exit 3)
     ("expand", "--n", "5", "--x", "random:3", "--steps", "40", "--precision", "64"),
     # high degree: d = 6 at n=13, d = 8 at n=16
     ("expand", "--n", "13", "--x", "random:1", "--steps", "10", "--seed", "0"),
@@ -63,7 +65,7 @@ COMMANDS += [
     ("scan-borel", "--n", "13", "--samples", "500", "--steps", "200"),
     ("convergence", "--n", "8", "--samples", "300", "--steps", "150"),
     # exact embeddings: printed floats at d = 8, quadratic floats at n=13,
-    # a long orbit whose signs fall to _sign_exact, and the cap at d = 6
+    # a long orbit whose signs fall to _sign_exact, and a 64-bit cap at d = 6
     ("expand", "--n", "16", "--x", "-0.7391", "--steps", "60", "--format", "jsonl"),
     ("periodic", "--n", "13", "--j", "3"),
     ("expand", "--n", "5", "--x", "random:2", "--steps", "250"),
@@ -90,6 +92,11 @@ COMMANDS += [
     # a start point whose t_1 has 1 329-bit coefficients: the 64-bit
     # enclosures of its float conversions reach past the double range
     ("expand", "--n", "8", "--x=-1e-400", "--steps", "10"),
+    # long random orbits: at n=8 the float estimates of the running forms
+    # lose their bits after about 140 steps, so digits and signs fall back
+    # to exact decisions; and random:K maxima at d = 6
+    ("expand", "--n", "8", "--x", "random:4", "--steps", "200"),
+    ("expand", "--n", "13", "--x", "random:6", "--steps", "60"),
 ]
 
 

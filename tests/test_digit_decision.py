@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trianglecf.field as field_module
+from trianglecf import dynamics
 from trianglecf.dioph import expand, periodic_point
 from trianglecf.dynamics import branch, cylinder_lo, cylinder_of_f, digit_of, eps0
 from trianglecf.errors import DomainError
@@ -66,12 +67,22 @@ def _periodic_x(n, j):
     return periodic_point(build_field(n), j).x
 
 
+def near_end(F, k, right_end, side, e):
+    """A cylinder end of digit k, moved by side * tau * 2^-e."""
+    b = branch(F, k)
+    return (b.hi if right_end else b.lo) + F.tau * Fraction(side, 1 << e)
+
+
 @st.composite
-def points(draw, n):
+def points(draw, n, near=False):
     """A point of [-tau, 0): a dyadic rational, an exact branch end of a
-    digit in -6..8, -tau itself, or a quadratic periodic point."""
+    digit in -6..8, -tau itself, or a quadratic periodic point; with near,
+    also a point tau 2^-40 .. tau 2^-200 from a branch end.  The orbit of
+    such a point next lands that close to 0 or to -tau, in a cylinder far
+    beyond the oracle's scan."""
     F = build_field(n)
-    kind = draw(st.sampled_from(("dyadic", "dyadic", "end", "cusp", "periodic")))
+    kinds = ("dyadic", "dyadic", "end", "cusp", "periodic") + (("near",) * 2 if near else ())
+    kind = draw(st.sampled_from(kinds))
     if kind == "dyadic":
         bits = draw(st.integers(8, 64))
         # tau > 2 for every n >= 4, so [-2, -2^-8] lies in the interval; the
@@ -82,6 +93,9 @@ def points(draw, n):
         k = draw(st.integers(-6, 8).filter(bool))
         b = branch(F, k)
         return b.lo if draw(st.booleans()) else b.hi
+    if kind == "near":
+        return near_end(F, draw(st.integers(-6, 8).filter(bool)), draw(st.booleans()),
+                        draw(st.sampled_from((-1, 1))), draw(st.integers(40, 200)))
     if kind == "cusp":
         return -F.tau
     return _periodic_x(n, draw(st.integers(2, 3)))
@@ -100,7 +114,7 @@ def denominators(draw, n):
 @given(data=st.data(), n=st.sampled_from(NS))
 def test_digit_of_matches_the_scan(data, n):
     F = build_field(n)
-    t = data.draw(points(n))
+    t = data.draw(points(n, near=True))
     B = data.draw(denominators(n))
     if t == -F.tau:
         assert digit_of(F, t * B, B) is None
@@ -146,16 +160,52 @@ def test_digit_of_far_cylinders():
         assert digit_of(F, b.lo, F.one) == k
 
 
-def test_gallop_probes_build_no_branch_entry():
-    # a point near 0 has a first digit near 2^256; the gallop reads only
-    # the left end of each probed cylinder, never a whole branch entry
+def test_gallop_probes_build_no_branch_entry(monkeypatch):
+    # a point near 0 has a first digit near 2^256; each probe decides the
+    # gap at a cylinder end in closed form, so it inverts nothing and
+    # builds neither a branch entry nor a cylinder end
     F = build_field(16)
     x = -F.tau * Fraction(1, 2 ** 256)
-    before = branch.cache_info().misses
-    k = digit_of(F, x, F.one)
-    assert branch.cache_info().misses == before
+    inversions = 0
+    inverse = FieldElement.inverse
+
+    def counted(self):
+        nonlocal inversions
+        inversions += 1
+        return inverse(self)
+
+    branches, ends = branch.cache_info().misses, cylinder_lo.cache_info().misses
+    with monkeypatch.context() as m:
+        m.setattr(FieldElement, "inverse", counted)
+        k = digit_of(F, x, F.one)
+    assert inversions == 0
+    assert branch.cache_info().misses == branches
+    assert cylinder_lo.cache_info().misses == ends
     assert k > 2 ** 250
     assert cylinder_lo(F, k) <= x and x < cylinder_lo(F, k + 1)
+
+
+@pytest.mark.parametrize("n", NS)
+def test_near_ends_take_both_outcomes_of_the_filter(n, monkeypatch):
+    # tau 2^-40 from a cylinder end the certified float bounds decide every
+    # probe; tau 2^-200 from it the probe at that end falls to an exact sign
+    F = build_field(n)
+    exact = 0
+    gap_forms = dynamics._gap_forms
+
+    def counted(*args):
+        nonlocal exact
+        exact += 1
+        return gap_forms(*args)
+
+    monkeypatch.setattr(dynamics, "_gap_forms", counted)
+    for e, falls_back in ((40, False), (200, True)):
+        for k in (-3, 1, 2, 5):
+            for right_end, side in ((False, 1), (True, -1)):
+                t = near_end(F, k, right_end, side, e)
+                exact = 0
+                assert digit_of(F, t, F.one) == k
+                assert (exact > 0) == falls_back, (e, k, right_end)
 
 
 @pytest.fixture
@@ -175,8 +225,11 @@ def test_expand_neither_embeds_nor_divides(n, steps, monkeypatch, fresh_branch_t
     F = NumberField(n)
     rng = random.Random(n)
     xs = [random_interval_point(F, rng, 256) for _ in range(3)]
-    # build the branch entries these orbits use, which invert small elements
+    # build the branch entries these orbits use, which invert small elements,
+    # and the thetas to compare with, which are built when first read
     warm = [expand(F, x, steps) for x in xs]
+    for before in warm:
+        before.thetas
 
     def refused(*args, **kwargs):
         raise AssertionError("expand read a float or an embedding")
@@ -193,7 +246,7 @@ def test_expand_neither_embeds_nor_divides(n, steps, monkeypatch, fresh_branch_t
 
     monkeypatch.setattr(FieldElement, "inverse", counted)
     # the content gcds the field module takes: one per step, the one that
-    # reduces Theta_m
+    # reduces Theta_m when the thetas are read
     gcds = 0
 
     def counted_gcd(*args):

@@ -13,7 +13,6 @@ from trianglecf.planar import (
     PlanarRegion, T_digit_of_y, build_gamma, build_heights, gamma_hyperbola_gap,
 )
 from trianglecf.dioph import (
-    ConvergentState,
     danger_curves_exceeded,
     danger_region_contains,
     expand,
@@ -45,7 +44,7 @@ def test_theta_zero_start():
 
 def test_initial_state_reads_identity():
     F = build_field(5)
-    st = ConvergentState.initial(F)
+    st = expand(F, F.from_fraction(Fraction(-7, 10)), 0).states[0]
     assert st.q == F.one and st.p.is_zero()
     assert st.q_prev.is_zero() and st.p_prev == F.one
 

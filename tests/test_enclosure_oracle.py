@@ -103,10 +103,13 @@ class Enclosure:
 
 
 def _end_repr(q: Fraction) -> str:
-    # the float, or past the double range the exact ratio, in hexadecimal
+    # the float, or past the double range, above it or so far below it that
+    # a nonzero end would print as 0.0, the exact ratio, in hexadecimal
     # where decimal would pass the int-to-str digit limit
     try:
-        return repr(float(q))
+        f = float(q)
+        if f or not q:
+            return repr(f)
     except OverflowError:
         pass
     try:

@@ -1,17 +1,24 @@
 """Differential test of dioph.expand's integer-vector loop.
 
 The oracle is the element-operation loop that the integer-vector loop
-replaced, with dynamics.digit_of as it was, both kept here verbatim apart
-from ConvergentState.advance(M), since deleted, written out as
-ConvergentState(M * state.matrix): every value is a reduced FieldElement
-or QuadExt, every product divides out its content gcd, and each digit is
-decided on the reduced q-scaled forms qA and qB.  Both loops run from cold caches on
-fresh fields, so the lambda brackets a field keeps afterwards, one per
-precision asked for, record every exact refinement either of them made.
+replaced, with dynamics.digit_of and its float guess as they were, kept
+here verbatim apart from ConvergentState.advance(M), since deleted,
+written out as ConvergentState(M * state.matrix), and the result, a plain
+namespace: every value is a reduced FieldElement or QuadExt, every product
+divides out its content gcd, and each digit is decided on the reduced
+q-scaled forms qA and qB, each probe inverting to its cylinder end.  Both
+loops run from cold caches on fresh fields, so the lambda brackets a field
+keeps afterwards, one per precision asked for, record every exact
+refinement either of them made.  The integer-vector loop decides a gap
+P0 + m P1 on the shared enclosures of P0 and P1, whose widths add where
+the reduced gap element's coefficients may cancel, so a sign may take
+one doubling more than the oracle's; it must take no more than that.
 """
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -19,10 +26,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import trianglecf.field as field_module
 import trianglecf.quadratic as quadratic_module
 from trianglecf import dioph, dynamics, group, planar, verify
-from trianglecf.dioph import ConvergentState, ExpansionResult, expand, periodic_point
-from trianglecf.dynamics import _digit_at, _guess_position, branch
+from trianglecf.dioph import ConvergentState, expand, periodic_point
+from trianglecf.dynamics import _digit_at, branch, eps0
 from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import NumberField, _new, build_field
+from trianglecf.group import Mobius
 from trianglecf.planar import build_gamma
 from trianglecf.quadratic import QuadExt
 
@@ -30,6 +38,22 @@ NS = (4, 5, 7, 8, 13, 16)
 
 
 # -- the oracle -----------------------------------------------------------------
+
+def _guess_position(field, A, B):
+    ea, eb = A._float_estimate(), B._float_estimate()
+    if ea is None or eb is None or abs(ea[0]) <= ea[1] or abs(eb[0]) <= eb[1]:
+        return 1
+    t = ea[0] / eb[0]
+    tau = field.tau._float_estimate()[0]
+    try:
+        if t >= eps0(field)._float_estimate()[0]:
+            # (1 - 1/t)/tau = (t - 1)/(t tau) lies in [k - 1, k)
+            return math.floor((t - 1.0) / (t * tau)) + 1
+        # j = ceil(-t/(tau^2 (tau + t))) - 1 sits at position 1 - j
+        return 2 - math.ceil(-t / (tau * tau * (tau + t)))
+    except (ArithmeticError, ValueError):
+        return 1
+
 
 def digit_of(field, A, B):
     s_b = B.sign()
@@ -74,8 +98,8 @@ def _equal_up_to_sign(a, b) -> bool:
 
 
 def oracle_expand(field, x, steps, check_natural_extension=False):
-    state = ConvergentState.initial(field)
-    res = ExpansionResult(x0=x, digits=[], thetas=[abs(x)], states=[state])
+    state = ConvergentState(Mobius.identity(field))
+    res = SimpleNamespace(digits=[], thetas=[abs(x)], states=[state], f_rational=False)
     gamma = build_gamma(field) if check_natural_extension else None
     qA, qB = x, field.one
     for m in range(1, steps + 1):
@@ -205,13 +229,21 @@ def _kept_brackets(F):
     return {p: (e.lo_num, e.hi_num, e.den) for p, e in F._lambda_bracket._kept.items()}
 
 
+def _within_one_doubling(brackets, oracle_brackets):
+    """The finest bracket the loop kept is at most twice as fine as the
+    oracle's.  Every float estimate keeps the 64-bit one."""
+    return max(brackets, default=64) <= 2 * max(oracle_brackets, default=64)
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data(), n=st.sampled_from(NS), steps=st.integers(0, 40),
        check_ne=st.booleans())
 def test_expand_matches_the_element_loop(data, n, steps, check_ne):
     x = data.draw(start_points(n))
-    want = _run(oracle_expand, n, x, steps, check_ne)
-    assert _run(expand, n, x, steps, check_ne) == want
+    want, oracle_brackets = _run(oracle_expand, n, x, steps, check_ne)
+    found, brackets = _run(expand, n, x, steps, check_ne)
+    assert found == want
+    assert _within_one_doubling(brackets, oracle_brackets)
 
 
 @pytest.mark.parametrize("n", NS)
@@ -231,7 +263,9 @@ def test_expand_matches_the_element_loop_on_long_orbits(n):
     for x in points:
         assert _in_interval(n, x)
         found, brackets = _run(expand, n, x, 300, False)
-        assert (found, brackets) == _run(oracle_expand, n, x, 300, False)
+        want, oracle_brackets = _run(oracle_expand, n, x, 300, False)
+        assert found == want
+        assert _within_one_doubling(brackets, oracle_brackets)
         narrowed |= max(brackets, default=0) > 64
     # the orbits refined lambda, or the brackets would show nothing
     assert narrowed

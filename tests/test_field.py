@@ -508,6 +508,79 @@ def test_enclosure_repr_beyond_the_double_range():
     # past the int-to-str digit limit the ratio prints in hexadecimal
     big = Fraction(3 ** 9500, 2 ** 3)
     assert repr(Enclosure(0, big)) == f"Enclosure(0.0, {3 ** 9500:#x}/0x8)"
+    # a nonzero end below the double range would print as 0.0
+    tiny = Fraction(1, 2 ** 2000)
+    assert repr(Enclosure(-tiny, 0)) == f"Enclosure(-1/{2 ** 2000}, 0.0)"
+
+
+def _convergents(x: Fraction):
+    """The continued-fraction convergents (a, b), a/b -> x, of a rational."""
+    out, (a0, a1), (b0, b1) = [], (1, x.numerator // x.denominator), (0, 1)
+    out.append((a1, b1))
+    x = x - a1
+    while x:
+        x = 1 / x
+        c = x.numerator // x.denominator
+        x -= c
+        a0, a1 = a1, c * a1 + a0
+        b0, b1 = b1, c * b1 + b0
+        out.append((a1, b1))
+    return out
+
+
+def _minus_lambda_convergents(n):
+    # convergents with b below 2^200 agree with those of -lambda itself,
+    # whose 600-bit enclosure is far narrower than 1/b^2
+    enc = build_field(n).lam.embed(600)
+    return [(a, b) for a, b in _convergents(-enc.mid()) if b < 2 ** 200]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([5, 8, 13]), data=st.data())
+def test_float_estimate_bound_holds_on_near_cancelling_elements(n, data):
+    # a + b lambda with a/b a convergent of -lambda is about 1/b, while its
+    # terms are about b: the filter decides the large ones and leaves the
+    # rest to _sign_exact, and its bound holds on both
+    F = build_field(n)
+    convergents = _minus_lambda_convergents(n)
+    a, b = data.draw(st.sampled_from(convergents))
+    scale = data.draw(st.integers(1, 2 ** 64))
+    nudge = data.draw(st.sampled_from((-1, 0, 0, 1)))
+    den = data.draw(st.sampled_from((1, 3, 10 ** 20, 2 ** 300, 7 ** 40)))
+    x = F.element([Fraction(scale * a + nudge, den), Fraction(scale * b, den)]
+                  + [0] * (F.degree - 2))
+    if x.is_zero():
+        return
+    shift = data.draw(st.sampled_from((0, 0, x._scale_bits(), -200, 300)))
+    est = x._float_estimate(shift)
+    if est is None:
+        assert shift == 0 and x._scale_bits() > 1000
+        return
+    val, bound = est
+    enc = x.embed_raw(1200)
+    scaled = Fraction(1, 2 ** shift) if shift >= 0 else Fraction(2 ** -shift)
+    assert Fraction(val) - Fraction(bound) <= enc.lo * scaled
+    assert enc.hi * scaled <= Fraction(val) + Fraction(bound)
+    fast = x._sign_fast_float()
+    assert fast is None or fast == x._sign_exact()
+    assert x.sign() == x._sign_exact()
+
+
+@pytest.mark.parametrize("offset", [0, 300, -200])
+def test_quadratic_float_estimate_bound_holds_at_its_scale(offset):
+    # u + v sqrt(D) beyond the double range, estimated at its scale and
+    # 300 bits below or 200 bits above it
+    F = build_field(8)
+    q = QuadExt(F, F.element([Fraction(-7, 3), 5]) * 2 ** 1500,
+                F.element([1, Fraction(2, 9)]) * 2 ** 1500, F.tau)
+    assert q._float_estimate() is None
+    shift = q._scale_bits() + offset
+    val, bound = q._float_estimate(shift)
+    enc = q.embed_raw(600)
+    scale = Fraction(2) ** -shift
+    assert Fraction(val) - Fraction(bound) <= enc.lo * scale
+    assert enc.hi * scale <= Fraction(val) + Fraction(bound)
+    assert bound < abs(val) * 2 ** -20
 
 
 @pytest.mark.parametrize("n", [5, 13])

@@ -99,7 +99,7 @@ FLOAT_SITES = {
     ("field", "_ExactReal.__float__"),
     ("field", "FieldElement._float_estimate"),
     ("quadratic", "QuadExt._float_estimate"),
-    ("dynamics", "_guess_position"),
+    ("dynamics", "_float_digit"),
 }
 
 
