@@ -26,7 +26,8 @@ from functools import partial
 import trianglecf
 from . import __version__
 from .errors import ConsistencyError, DomainError, PrecisionExhausted
-from .field import build_field, get_precision_cap, random_interval_point, set_precision_cap
+from .field import (_ratio_span, _round_outward, build_field, get_precision_cap,
+                    random_interval_point, set_precision_cap)
 
 
 def _envelope(command: str, n, seed, payload: dict) -> dict:
@@ -170,38 +171,10 @@ def cmd_expand(args):
     return 0, _envelope("expand", field.n, args.seed, payload)
 
 
-def _round_outward(num: int, den: int, toward: float) -> float:
-    """num / den, den > 0, as the nearest double on the side of toward
-    (-inf or +inf), so that lo and hi printed this way bracket the value."""
-    f = num / den
-    a, b = f.as_integer_ratio()
-    # the sign of f - num/den, cross-multiplied by b, den > 0
-    gap = a * den - num * b
-    if gap and (gap > 0) == (toward < 0):
-        f = math.nextafter(f, toward)
-    return f
-
-
 def _v_order(s, t) -> int:
     """Sign of v_s - v_t for the states' v = q_prev/q, cross-multiplied:
     v_s - v_t = (q_prev_s q_t - q_prev_t q_s) / (q_s q_t)."""
     return (s.q_prev * t.q - t.q_prev * s.q).sign() * s.q.sign() * t.q.sign()
-
-
-def _ratio_span(num_est, den_est):
-    """(center, radius) around num/den from certified float estimates
-    (val, bound) of num and den (FieldElement._float_estimate), or None
-    when den's estimate does not exclude 0 or the span leaves the double
-    range.  With c = n/d, |N/D - c| <= (e_n + |c| e_d) / (|d| - e_d),
-    widened for its own rounding."""
-    if num_est is None or den_est is None:
-        return None
-    (n, e_n), (d, e_d) = num_est, den_est
-    if abs(d) <= e_d:
-        return None
-    c = n / d
-    radius = (e_n + abs(c) * e_d) / (abs(d) - e_d) * (1 + 2.0 ** -48)
-    return (c, radius) if math.isfinite(radius) else None
 
 
 def _argmax(spans: list, above) -> int:

@@ -9,12 +9,11 @@ admit, and the exact cylinder of a word.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .field import FieldElement, NumberField, _enclosure, _refine
+from .field import FieldElement, NumberField
 from .group import Mobius, check_sl2, digit_matrix, generators, y_matrix
 
 # most (field, digit) entries the branch and cylinder-end tables keep; an
@@ -50,7 +49,7 @@ def cylinder_lo(field: NumberField, k: int) -> FieldElement:
     """Left end of the accelerated map's cylinder with digit k:
     1/(1 - (k - 1) tau) for k >= 2, eps0 for k = 1, and
     -tau + tau/((j + 1) tau^2 + 1) for k = -j.  branch reads it; digit_of
-    decides its side of each end without building it."""
+    decides the digit without building it."""
     if k >= 2:
         return (field.one - field.tau * (k - 1)).inverse()
     if k == 1:
@@ -76,198 +75,41 @@ def branch(field: NumberField, k: int) -> Branch:
     return Branch(k, M, N, lo, hi, M.apply(lo))
 
 
-def _digit_at(s: int) -> int:
-    """The digit at position s when the accelerated map's cylinders are
-    numbered left to right on [-tau, 0): ..., -2, -1, 1, 2, ... sit at
-    positions ..., -1, 0, 1, 2, ..."""
-    return s if s >= 1 else s - 1
-
-
-# The gap at a cylinder end.  lo <= t = A/B for a cylinder end lo = N/D
-# exactly when (A D - N B) / (B D) >= 0.  Numbered by position s (see
-# _digit_at), the ends are lo = 1/(1 - m tau) with m = s - 1 for s >= 2 and
-# lo = -m tau^3/(m tau^2 + 1) with m = 2 - s for s <= 1 (eps0 at s = 1), so
-# the gap A D - N B is P0 + m P1 for the family's two forms:
-#   _RIGHT (s >= 2, D < 0):  P0 = A - B,     P1 = -tau A
-#   _LEFT (s <= 1, D > 0):   P0 = A,         P1 = tau^2 A + tau^3 B
-#   _CUSP (lo = -tau, D = 1): P0 = A + tau B, m = 0
-_RIGHT, _LEFT, _CUSP = range(3)
-
-
-def _gap_forms(field: NumberField, A, B, family: int) -> tuple:
-    """The exact forms (P0, P1) of a gap family, from two kernel products
-    at most and no inversion."""
-    tau, tau2, tau3 = field.tau_powers
-    if family == _CUSP:
-        return A + tau * B, None
-    if family == _RIGHT:
-        return A - B, -(tau * A)
-    return A, tau2 * A + tau3 * B
-
-
-def _float_digit(field: NumberField, A, B):
-    """The float side of digit_of at t = A/B: (sign_a, sign_b, position,
-    gap).
-
-    sign_a and sign_b are the signs of A and B where their certified
-    estimates (FieldElement._float_estimate) decide them, else None.
-    position is that of the cylinder that holds the estimate of t, or 1
-    when the estimate cannot be trusted.  gap(family, m) is the sign of
-    P0 + m P1 (see _RIGHT) where its certified bound decides it, else None.
-    A and B are estimated once, at one shift between their scales when one
-    of them passes the double range; the gap forms follow from them and
-    from the estimates of tau, tau^2 and tau^3 by the two-operand rule of
-    FieldElement._float_estimate, with m rounded (relative error 2^-53)
-    and both terms scaled by 2^-t when m passes 2^1000."""
-    ea, eb = A._float_estimate(), B._float_estimate()
-    if ea is None or eb is None:
-        shift = (A._scale_bits() + B._scale_bits()) // 2
-        ea, eb = A._float_estimate(shift), B._float_estimate(shift)
-        if ea is None or eb is None:
-            return None, None, 1, lambda family, m: None
-    (a, ea), (b, eb) = ea, eb
-    (tf, et), (t2, e2), (t3, e3) = (t._float_estimate() for t in field.tau_powers)
-    u = 2.0 ** -53
-    # each product may also underflow, by at most 2^-1075
-    floor = 2.0 ** -1060
-    sign_a = 1 if a > ea else -1 if a < -ea else None
-    sign_b = 1 if b > eb else -1 if b < -eb else None
-    pos = 1
-    if sign_a is not None and sign_b is not None:
-        t = a / b
-        try:
-            if t >= -t3 / (1.0 + t2):
-                # (1 - 1/t)/tau = (t - 1)/(t tau) lies in [k - 1, k)
-                pos = math.floor((t - 1.0) / (t * tf)) + 1
-            else:
-                # j = ceil(-t/(tau^2 (tau + t))) - 1 sits at position 1 - j
-                pos = 2 - math.ceil(-t / (t2 * (tf + t)))
-        except (ArithmeticError, ValueError):
-            pos = 1
-
-    def form(family):
-        """(p0, e0, p1, e1): the family's forms and their error bounds."""
-        if family == _CUSP:
-            p0 = a + tf * b
-            return (p0, ea + eb * (tf + et) + abs(b) * et + 2 * u * (abs(a) + abs(tf * b)),
-                    0.0, 0.0)
-        if family == _RIGHT:
-            p0, p1 = a - b, -(tf * a)
-            return (p0, ea + eb + u * abs(p0),
-                    p1, ea * (tf + et) + abs(a) * et + u * abs(p1))
-        p1 = t2 * a + t3 * b
-        return (a, ea, p1, ea * (t2 + e2) + abs(a) * e2 + eb * (t3 + e3) + abs(b) * e3
-                + 2 * u * (abs(t2 * a) + abs(t3 * b)))
-
-    forms = {}
-
-    def gap(family, m):
-        f = forms.get(family)
-        if f is None:
-            f = forms[family] = form(family)
-        p0, e0, p1, e1 = f
-        shift = max(0, m.bit_length() - 1000)
-        mf = m / (1 << shift)
-        if shift:
-            p0, e0 = math.ldexp(p0, -shift), math.ldexp(e0, -shift)
-        g = p0 + mf * p1
-        bound = (e0 + mf * (e1 + 2 * u * abs(p1)) + u * abs(g)) * (1 + 2.0 ** -30) + floor
-        return 1 if g > bound else -1 if g < -bound else None
-
-    return sign_a, sign_b, pos, gap
-
-
 def digit_of(field: NumberField, A, B):
-    """Digit k of the accelerated map at t = A/B, decided by signs alone.
+    """Digit k of the accelerated map at t = A/B, decided by signs and two
+    exact floors.
 
     A and B are exact reals (FieldElement or QuadExt) with B != 0, and k
     is the digit with branch(field, k).lo <= t < branch(field, k).hi.
     Returns None at the parabolic fixed point t = -tau, which lies in no
     cylinder; raises DomainError unless -tau <= t < 0.
 
-    t is never formed.  Its float estimate names a first cylinder, and the
-    sign of the gap A D - N B = P0 + m P1 at a cylinder end lo = N/D, in
-    closed form (see _RIGHT), tells on which side of lo the point t lies.
-    Each sign is decided from certified float bounds where they suffice
-    (_float_digit) and exactly otherwise: a gap whose coefficients vanish
-    is 0, a gap in K(sqrt D) takes its own exact sign, and any other is
-    refined on enclosures of P0 and P1 at 64, 128, ... bits, which the
-    probes of one call share, so a bisection that needs ever finer
-    enclosures builds each precision's once.  No probe inverts
-    or builds a cylinder end.  The search walks to the
-    neighbouring cylinder until both ends of one hold t, doubling its
-    stride while it keeps walking one way and then bisecting, so a poor
-    guess costs a logarithmic number of tests (Gosper, HAKMEM item 101B;
-    Vuillemin, IEEE Trans. Computers 39(8), 1990).
+    t is never formed.  The digit is the closed form of the float lane
+    (numeric.step_scalar), taken as floors of exact quotients (//, no
+    inversion): k = floor((1 - 1/t)/tau) + 1 = (A - B) // (tau A) + 1,
+    which is 1 on all of (-tau, 1/(1 - tau)), and there
+    j = floor(t/(tau^2 (t + tau))) + 1 = A // (tau^2 C) + 1 for the cusp
+    form C = A + tau B, which is at most -1 exactly when t < eps0, and then
+    the digit.  At a cylinder end, lo_k = 1/(1 - (k - 1) tau) puts the
+    first quotient at k - 1 and lo_-j = -tau + tau/((j + 1) tau^2 + 1)
+    the second at -j - 1, so each end falls in its own cylinder.
     """
-    sign_a, s_b, pos, float_gap = _float_digit(field, A, B)
-    if s_b is None:
-        s_b = B.sign()
-        if s_b == 0:
-            raise DomainError("zero denominator")
-    # each family's exact forms (P0, P1), and their enclosures per precision
-    forms, encs = {}, {}
-
-    def gap_sign(family, m):
-        s = float_gap(family, m)
-        if s is not None:
-            return s
-        if family not in forms:
-            forms[family] = _gap_forms(field, A, B, family)
-        P0, P1 = forms[family]
-        if not m:
-            return P0.sign()
-        g = P0 + P1 * m
-        if type(g) is not FieldElement or g.is_zero():
-            # 0, or the sign of a quadratic gap, decided by squaring in K
-            return g.sign()
-
-        def decide(p):
-            if (family, p) not in encs:
-                encs[family, p] = P0.embed_raw(p), P1.embed_raw(p)
-            e0, e1 = encs[family, p]
-            # P0 + m P1 over the product of the denominators, m > 0
-            enc = _enclosure(e0.lo_num * e1.den + m * e1.lo_num * e0.den,
-                             e0.hi_num * e1.den + m * e1.hi_num * e0.den, e0.den * e1.den)
-            return enc.sign(), enc
-
-        return _refine(decide, 64, "sign undecided at {bits} bits")
-
-    s_left = gap_sign(_CUSP, 0) * s_b
-    if sign_a is None:
-        sign_a = A.sign()
-    if s_left < 0 or sign_a * s_b >= 0:
+    s_b = B.sign()
+    if s_b == 0:
+        raise DomainError("zero denominator")
+    tau = field.tau
+    C = A + tau * B
+    s_left = C.sign() * s_b
+    if s_left < 0 or A.sign() * s_b >= 0:
         raise DomainError(f"point {A!r} / {B!r} outside [-tau, 0)")
     if s_left == 0:
         return None
-
-    def at_or_right_of(pos):
-        # lo <= t for the cylinder at this position: sign(gap) sign(B D) >= 0
-        if pos >= 2:
-            return gap_sign(_RIGHT, pos - 1) * s_b <= 0
-        return gap_sign(_LEFT, 2 - pos) * s_b >= 0
-
-    # lo_pos holds a cylinder whose lo is <= t, hi_pos one whose lo is > t
-    stride = 1
-    if at_or_right_of(pos):
-        lo_pos = pos
-        while at_or_right_of(lo_pos + stride):
-            lo_pos += stride
-            stride *= 2
-        hi_pos = lo_pos + stride
-    else:
-        hi_pos = pos
-        while not at_or_right_of(hi_pos - stride):
-            hi_pos -= stride
-            stride *= 2
-        lo_pos = hi_pos - stride
-    while hi_pos - lo_pos > 1:
-        mid = (lo_pos + hi_pos) // 2
-        if at_or_right_of(mid):
-            lo_pos = mid
-        else:
-            hi_pos = mid
-    return _digit_at(lo_pos)
+    k = (A - B) // (tau * A) + 1
+    if k == 1:
+        j = A // (field.tau_squared * C) + 1
+        if j <= -1:
+            return j
+    return k
 
 
 def cylinder_of_g(field: NumberField, x) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import DomainError, PrecisionExhausted
 
@@ -59,6 +59,40 @@ def _refine(decide, start_bits: int, message: str):
         if p >= cap:
             raise PrecisionExhausted(message.format(bits=p), boundary=boundary, bits=p)
         p *= 2
+
+
+def _round_outward(num: int, den: int, toward: float) -> float:
+    """num / den, den > 0, as the nearest double on the side of toward
+    (-inf or +inf), so that lo and hi rounded this way bracket the value."""
+    f = num / den
+    a, b = f.as_integer_ratio()
+    # the sign of f - num/den, cross-multiplied by b, den > 0
+    gap = a * den - num * b
+    if gap and (gap > 0) == (toward < 0):
+        f = math.nextafter(f, toward)
+    return f
+
+
+def _ratio_span(num_est, den_est):
+    """(center, radius) around N/D from certified float estimates (n, e_n)
+    and (d, e_d) of N and D (_ExactReal._float_estimate at one shift), or
+    None when an estimate is missing, d's does not exclude 0 or the span
+    leaves the double range.  With c the rounded n/d and u = 2^-53,
+
+        |N/D - c| <= (e_n + |c| e_d) / (|d| - e_d) + 2u |c|:
+
+    the propagated error and the rounding of c, with |c| for |n/d|, which
+    is at most |c| (1 + 2u); the factor 1 + 2^-48 covers that and the
+    rounding of the radius.  The ends c -+ radius still need widening for
+    their own rounding."""
+    if num_est is None or den_est is None:
+        return None
+    (n, e_n), (d, e_d) = num_est, den_est
+    if abs(d) <= e_d:
+        return None
+    c = n / d
+    radius = ((e_n + abs(c) * e_d) / (abs(d) - e_d) + abs(c) * 2.0 ** -52) * (1 + 2.0 ** -48)
+    return (c, radius) if math.isfinite(radius) else None
 
 
 def _is_tight(enc, precision: int) -> bool:
@@ -347,11 +381,10 @@ class NumberField:
         self.tau = self.one + self.lam
 
     @cached_property
-    def tau_powers(self) -> tuple:
-        """(tau, tau^2, tau^3), built on first use (dynamics.digit_of) and
-        kept on this field object."""
-        tau2 = self.tau * self.tau
-        return self.tau, tau2, tau2 * self.tau
+    def tau_squared(self) -> FieldElement:
+        """tau^2, built on first use (dynamics.digit_of) and kept on this
+        field object."""
+        return self.tau * self.tau
 
     def __repr__(self):
         return f"NumberField(n={self.n}, degree={self.degree})"
@@ -460,11 +493,14 @@ class _ExactReal:
     """Order, real embedding and derived operations shared by exact reals.
 
     A subclass supplies _coerce (the operand as its own type, or None when
-    it does not handle that type), the ring operations, inverse, sign and
-    embed_raw(p), a certified enclosure whose width shrinks as p grows.
-    The order is the one pulled back from the real embedding, decided by
-    the exact sign of the difference.  embed, floor and float refine
-    embed_raw in one _refine run each, so each is a function of the value.
+    it does not handle that type), the ring operations, inverse, sign,
+    is_zero, embed_raw(p), a certified enclosure whose width shrinks as p
+    grows, and _float_estimate(shift) with _scale_bits(), a certified float
+    estimate of the value times 2^-shift and the shift that keeps it in
+    the double range.  The order is the one pulled back from the real
+    embedding, decided by the exact sign of the difference.  embed, floor,
+    float and // refine embed_raw in one _refine run each, so each is a
+    function of the value.
     """
 
     __slots__ = ()
@@ -556,6 +592,54 @@ class _ExactReal:
     def ceil(self) -> int:
         return -((-self).floor())
 
+    def __floordiv__(self, other) -> int:
+        """The exact floor of self / other, with no inversion.
+
+        First from the certified float estimates of both operands at one
+        shift: when both ends of the span around the quotient (_ratio_span)
+        floor to one integer, that is the floor.  Otherwise one _refine run
+        bounds the quotient by the corners of embed_raw of both operands,
+        as integers: one candidate is the floor; of two, i - 1 and i, the
+        sign of self - other i at the same precision decides, and 0 gives
+        i; more are refined."""
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        num, den = self._float_estimate(), o._float_estimate()
+        if num is None or den is None:
+            shift = (self._scale_bits() + o._scale_bits()) // 2
+            num, den = self._float_estimate(shift), o._float_estimate(shift)
+        span = _ratio_span(num, den)
+        if span is not None:
+            c, r = span
+            # widened for the rounding of c -+ r
+            r += (abs(c) + r) * 2.0 ** -50
+            if math.isfinite(abs(c) + r) and math.floor(c - r) == math.floor(c + r):
+                return math.floor(c)
+        if o.is_zero():
+            raise ZeroDivisionError("floor division by zero")
+
+        def decide(p):
+            en, ed = self.embed_raw(p), o.embed_raw(p)
+            s_d = ed.sign()
+            if s_d is None:
+                return None, ed
+            # the corners (a / en.den) / (b / ed.den), floored
+            floors = [a * ed.den // (b * en.den) for a in (en.lo_num, en.hi_num)
+                      for b in (ed.lo_num, ed.hi_num)]
+            lo, hi = min(floors), max(floors)
+            if hi - lo != 1:
+                return (lo if lo == hi else None), (en, ed)
+            # self / other >= hi exactly when (self - other hi) / other >= 0
+            gap = self - o * hi
+            if gap.is_zero():
+                return hi, gap
+            enc = gap.embed_raw(p)
+            s = enc.sign()
+            return (None if s is None else hi if s == s_d else lo), enc
+
+        return _refine(decide, 64, "floor undecided at {bits} bits")
+
 
 class FieldElement(_ExactReal):
     """Immutable element num / den of K: an integer coefficient vector num
@@ -617,7 +701,7 @@ class FieldElement(_ExactReal):
     def _add(self, o, sign: int):
         """self + sign * o over the common denominator."""
         if self.den == o.den:
-            return _element(self.field, tuple(a + sign * b for a, b in zip(self.num, o.num)),
+            return _element(self.field, tuple(map(add if sign > 0 else sub, self.num, o.num)),
                             self.den)
         g = math.gcd(self.den, o.den)
         sa, sb = o.den // g, self.den // g * sign
@@ -737,34 +821,17 @@ class FieldElement(_ExactReal):
         section 4.2).  The factor 1 + 2^-30 covers the second-order terms
         and the rounding of mag and bound; the last term covers the
         roundings of subnormal results, each at most 2^-1075 times a power
-        of lambda, which is below 2^(d - 1).
-
-        A caller that forms the two-operand gap g = x y - w z from
-        estimates (x^, ex), (y^, ey), (w^, ew), (z^, ez) bounds its error by
-
-            ex (|y^| + ey) + |x^| ey + ew (|z^| + ez) + |w^| ez
-                + 2u (|x^ y^| + |w^ z^|),
-
-        the propagated errors plus the rounding of the two products and the
-        difference, and widens it by the same factor and absolute term
-        (dynamics._float_digit)."""
+        of lambda, which is below 2^(d - 1)."""
         if not shift and self._est is not None:
             return self._est
         field = self.field
         table = field._lambda_pows_float
         if table is None:
-            def outward(num, den, toward):
-                # num / den, den > 0, as the nearest double on the side of toward
-                f = num / den
-                a, b = f.as_integer_ratio()
-                gap = a * den - num * b
-                return math.nextafter(f, toward) if gap and (gap > 0) == (toward < 0) else f
-
             enc, d = field.lambda_enclosure(64), field.degree
             pows, rho = [], 0.0
             for i in range(d):
-                lo = outward(enc.lo_num ** i, enc.den ** i, -math.inf)
-                hi = outward(enc.hi_num ** i, enc.den ** i, math.inf)
+                lo = _round_outward(enc.lo_num ** i, enc.den ** i, -math.inf)
+                hi = _round_outward(enc.hi_num ** i, enc.den ** i, math.inf)
                 pows.append(lo)
                 rho = max(rho, (hi - lo) / lo * (1 + 2.0 ** -50))
             rel = ((d + 3) * 2.0 ** -53 + rho) * (1 + 2.0 ** -30)

@@ -300,13 +300,14 @@ def T_digit_of_y(field: NumberField, y) -> int:
     if y < c1:
         if y.sign() <= 0:
             raise DomainError("y outside the image bands")
-        # y < 1/(2 tau - 1) makes (1 + 1/y)/tau > 2, so k >= 3
-        return ((1 + 1 / y) / tau).ceil()
+        # y < 1/(2 tau - 1) makes (1 + 1/y)/tau = (y + 1)/(tau y) > 2, so
+        # k >= 3; its ceiling is minus the floor of -(y + 1)/(tau y)
+        return -(-(y + 1) // (tau * y))
     if y < c:
         return 2
     if y < L1:
         # the ratio increases in y and is 1 at y = c, so j >= 1
-        return -(y / (tau - tau * tau * y)).floor()
+        return -(y // (tau - tau * tau * y))
     if y < L2:
         return 2
     if y <= tau:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import DomainError
 from .field import (Enclosure, FieldElement, NumberField, _enclosure, _ExactReal, _iv_mul,
-                    _refine)
+                    _ratio_span, _refine)
 
 
 def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
@@ -127,17 +127,32 @@ class QuadExt(_ExactReal):
     def _float_estimate(self, shift: int = 0):
         """(value, error bound) of (u + v sqrt(D)) 2^-shift in floats, from
         the float estimates of u and v at that shift and of D
-        (FieldElement._float_estimate); None when one of them overflows."""
+        (FieldElement._float_estimate); None when one of them overflows.
+        For |D - d| <= e, |sqrt(D) - sqrt(d)| is at most
+        e/(sqrt(d) + sqrt(d - e)) when d > e, and at most sqrt(e) otherwise.
+        Where u and v sqrt(D) cancel, the value is also estimated as the
+        norm u^2 - v^2 D over u - v sqrt(D), in which nothing cancels, and
+        the estimate with the smaller bound is returned."""
         parts = [self.u._float_estimate(shift), self.v._float_estimate(shift),
                  self.disc._float_estimate()]
         if None in parts:
             return None
         (u, eu), (v, ev), (d, ed) = parts
         r = math.sqrt(max(d, 0.0))
-        # |sqrt(d + e) - sqrt(d)| <= sqrt(e)
-        r_err = math.sqrt(ed)
+        if d > ed:
+            r_err = ed / (r + math.sqrt(d - ed)) * (1 + 2.0 ** -50)
+        else:
+            r_err = math.sqrt(ed)
         val = u + v * r
-        return val, eu + ev * (r + r_err) + abs(v) * r_err + 2.0 ** -50 * (abs(u) + abs(v * r))
+        # the error of v sqrt(D), and of the roundings of u -+ v r
+        e_vr = ev * (r + r_err) + abs(v) * r_err + 2.0 ** -50 * (abs(u) + abs(v * r))
+        bound = eu + e_vr
+        if 2 * abs(val) < abs(u):
+            norm = self.u * self.u - self.v * self.v * self.disc
+            span = _ratio_span(norm._float_estimate(2 * shift), (u - v * r, eu + e_vr))
+            if span is not None and span[1] < bound:
+                return span
+        return val, bound
 
     def embed_raw(self, precision: int) -> Enclosure:
         """u + v sqrt(D) over p-bit enclosures of u, v and D, as integers

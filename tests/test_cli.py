@@ -366,12 +366,13 @@ def test_precision_exhausted_report_with_a_boundary_below_the_double_range(monke
 
 
 def test_a_far_start_point_shares_its_gap_enclosures(monkeypatch):
-    # x = -10^-400 has a first digit near 2^1328, so about 1 280 bisection
-    # probes fall to exact signs of gaps with 1 329-bit coefficients, at
-    # precisions that climb to 2048 bits.  The probes of one digit share the
-    # enclosures of the gap forms at each precision; an enclosure per probe
-    # and per doubling made 6 561 calls, against 1 665 when lambda's bracket
-    # was narrowed in place.
+    # x = -10^-400 has a first digit near 2^1328.  It is the floor of an
+    # exact quotient whose 1 329-bit coefficients need enclosures at
+    # precisions that climb to 2048 bits, each built once per precision in
+    # the floor's one refinement run: 476 calls for the command.  A sign
+    # search over the cylinder ends with an enclosure per probe and per
+    # doubling made 6 561 calls, and 1 665 when lambda's bracket was
+    # narrowed in place.
     import hashlib
 
     from trianglecf.field import FieldElement
@@ -389,6 +390,17 @@ def test_a_far_start_point_shares_its_gap_enclosures(monkeypatch):
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest().startswith("b09eaa40")
     assert 0 < calls <= 1665
+
+
+def test_a_start_point_past_the_cap_exits_3_at_once():
+    # x = -10^-4000 has a first digit near 10^4000, whose floor needs about
+    # 13 300 bits: its one refinement run passes the 4096-bit cap, and the
+    # command reports that decision (its text is not pinned) and exits 3
+    code, out, err = _run_in_process(["expand", "--n", "8", "--x=-1e-4000", "--steps", "10"])
+    assert code == 3, err
+    data = json.loads(out)
+    assert data["error"] == "precision-exhausted"
+    load_schema()(data)
 
 
 def test_verify_help_states_the_cost_in_the_degree():
@@ -739,6 +751,8 @@ _X = [
     "coeffs:", "coeffs:-1", "coeffs:-1,0", "coeffs:a,b", "coeffs:1/0",
     "coeffs:1,2,3,4,5,6,7,8,9", "random:1", "random:0", "random:-1", "random:",
     "random:x", "random:1.5",
+    # -tau 2^-256 and -tau 2^-1024, whose first digits are past the floats
+    f"coeffs:-1/{2 ** 256},-1/{2 ** 256}", f"coeffs:-1/{2 ** 1024},-1/{2 ** 1024}",
 ]
 _COMMON = {
     "--seed": [0, 1, -1, 2 ** 64, HUGE, -HUGE, "x"],

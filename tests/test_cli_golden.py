@@ -92,6 +92,8 @@ COMMANDS += [
     # a start point whose t_1 has 1 329-bit coefficients: the 64-bit
     # enclosures of its float conversions reach past the double range
     ("expand", "--n", "8", "--x=-1e-400", "--steps", "10"),
+    # the same far start point at d = 8: its first digit is near 10^400
+    ("expand", "--n", "16", "--x=-1e-400", "--steps", "10"),
     # long random orbits: at n=8 the float estimates of the running forms
     # lose their bits after about 140 steps, so digits and signs fall back
     # to exact decisions; and random:K maxima at d = 6

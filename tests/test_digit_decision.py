@@ -1,15 +1,16 @@
-"""The sign-test digit decision and the division-free expansion against a
-reduced-t oracle.
+"""The digit decision by exact floors and the division-free expansion
+against a reduced-t oracle.
 
 The oracle steps the reduced value t = M t with Mobius.apply and finds each
 digit by scanning the branch table with exact lo <= t < hi, so it shares
-neither the float guess nor the q-scaled forms of dynamics.digit_of and
-dioph.expand.
+neither the closed-form floors of dynamics.digit_of nor the q-scaled forms
+of dioph.expand.
 """
 
 import itertools
 import math
 import random
+import sys
 import types
 from fractions import Fraction
 from functools import lru_cache
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trianglecf.field as field_module
-from trianglecf import dynamics
 from trianglecf.dioph import expand, periodic_point
 from trianglecf.dynamics import branch, cylinder_lo, cylinder_of_f, digit_of, eps0
 from trianglecf.errors import DomainError
@@ -151,7 +151,7 @@ def test_digit_of_domain():
 
 
 def test_digit_of_far_cylinders():
-    # a float guess off by many cylinders still lands: gallop, then bisect
+    # far cylinders, in the middle and at their left ends
     F = build_field(5)
     for k in (40, 333, -57):
         b = branch(F, k)
@@ -161,9 +161,9 @@ def test_digit_of_far_cylinders():
 
 
 def test_gallop_probes_build_no_branch_entry(monkeypatch):
-    # a point near 0 has a first digit near 2^256; each probe decides the
-    # gap at a cylinder end in closed form, so it inverts nothing and
-    # builds neither a branch entry nor a cylinder end
+    # a point near 0 has a first digit near 2^256; the digit is a floor of
+    # an exact quotient, so it inverts nothing and builds neither a branch
+    # entry nor a cylinder end
     F = build_field(16)
     x = -F.tau * Fraction(1, 2 ** 256)
     inversions = 0
@@ -185,27 +185,50 @@ def test_gallop_probes_build_no_branch_entry(monkeypatch):
     assert cylinder_lo(F, k) <= x and x < cylinder_lo(F, k + 1)
 
 
+def _count_refine_runs(monkeypatch):
+    """A list whose length is the number of field._refine runs made after
+    the call, in every module of the package that binds it."""
+    runs = []
+    refine = field_module._refine
+
+    def counted(*args):
+        runs.append(args[-1])
+        return refine(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("trianglecf") and getattr(module, "_refine", None) is refine:
+            monkeypatch.setattr(module, "_refine", counted)
+    return runs
+
+
 @pytest.mark.parametrize("n", NS)
 def test_near_ends_take_both_outcomes_of_the_filter(n, monkeypatch):
     # tau 2^-40 from a cylinder end the certified float bounds decide every
-    # probe; tau 2^-200 from it the probe at that end falls to an exact sign
+    # sign and floor; tau 2^-200 from it the floor at that end falls to an
+    # exact refinement
     F = build_field(n)
-    exact = 0
-    gap_forms = dynamics._gap_forms
-
-    def counted(*args):
-        nonlocal exact
-        exact += 1
-        return gap_forms(*args)
-
-    monkeypatch.setattr(dynamics, "_gap_forms", counted)
+    runs = _count_refine_runs(monkeypatch)
     for e, falls_back in ((40, False), (200, True)):
         for k in (-3, 1, 2, 5):
             for right_end, side in ((False, 1), (True, -1)):
                 t = near_end(F, k, right_end, side, e)
-                exact = 0
+                runs.clear()
                 assert digit_of(F, t, F.one) == k
-                assert (exact > 0) == falls_back, (e, k, right_end)
+                assert (len(runs) > 0) == falls_back, (e, k, right_end)
+
+
+@pytest.mark.parametrize("n", (5, 8, 16))
+@pytest.mark.parametrize("k", (64, 256, 1024))
+def test_a_far_digit_is_one_refinement_run(n, k, monkeypatch):
+    # x = -tau 2^-k has a first digit near 2^k / tau^2, past the float
+    # estimates; its floor is decided in one _refine run, whose tries climb
+    # to about k bits, and no other decision refines
+    F = build_field(n)
+    x = F.tau * Fraction(-1, 1 << k)
+    runs = _count_refine_runs(monkeypatch)
+    digit = digit_of(F, x, F.one)
+    assert len(runs) <= 1
+    assert cylinder_lo(F, digit) <= x and x < cylinder_lo(F, digit + 1)
 
 
 @pytest.fixture

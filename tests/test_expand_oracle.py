@@ -9,10 +9,8 @@ divides out its content gcd, and each digit is decided on the reduced
 q-scaled forms qA and qB, each probe inverting to its cylinder end.  Both
 loops run from cold caches on fresh fields, so the lambda brackets a field
 keeps afterwards, one per precision asked for, record every exact
-refinement either of them made.  The integer-vector loop decides a gap
-P0 + m P1 on the shared enclosures of P0 and P1, whose widths add where
-the reduced gap element's coefficients may cancel, so a sign may take
-one doubling more than the oracle's; it must take no more than that.
+refinement either of them made.  A decision of the integer-vector loop may
+take one doubling more than the oracle's; it must take no more than that.
 """
 
 import math
@@ -27,7 +25,7 @@ import trianglecf.field as field_module
 import trianglecf.quadratic as quadratic_module
 from trianglecf import dioph, dynamics, group, planar, verify
 from trianglecf.dioph import ConvergentState, expand, periodic_point
-from trianglecf.dynamics import _digit_at, branch, eps0
+from trianglecf.dynamics import branch, eps0
 from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import NumberField, _new, build_field
 from trianglecf.group import Mobius
@@ -38,6 +36,13 @@ NS = (4, 5, 7, 8, 13, 16)
 
 
 # -- the oracle -----------------------------------------------------------------
+
+def _digit_at(s: int) -> int:
+    """The digit at position s when the accelerated map's cylinders are
+    numbered left to right on [-tau, 0): ..., -2, -1, 1, 2, ... sit at
+    positions ..., -1, 0, 1, 2, ..."""
+    return s if s >= 1 else s - 1
+
 
 def _guess_position(field, A, B):
     ea, eb = A._float_estimate(), B._float_estimate()

@@ -386,6 +386,41 @@ def test_total_order():
         assert vals[a] < vals[b]
 
 
+@st.composite
+def _quotients(draw):
+    """(N, D, want): D a FieldElement or a QuadExt over K(sqrt(tau)) with
+    small coefficients and either sign, and N with N / D an integer i, or
+    i -+ tau 2^-e / D for e in 40 .. 200; want is i when N / D = i, else
+    None."""
+    F = build_field(draw(st.sampled_from((4, 5, 8, 13))))
+    small = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=7),
+                     min_size=F.degree, max_size=F.degree)
+    D = F.element(draw(small.filter(any)))
+    if draw(st.booleans()):
+        D = QuadExt(F, D, F.element(draw(small)), F.tau)
+    i = draw(st.integers(-50, 50) | st.integers(-2 ** 70, 2 ** 70))
+    e = draw(st.none() | st.integers(40, 200))
+    if e is None:
+        return D * i, D, i
+    return D * i + F.tau * Fraction(draw(st.sampled_from((-1, 1))), 2 ** e), D, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_quotients())
+def test_floor_division_against_the_enclosures(case):
+    # the floor of N / D against the corners of 2000-bit enclosures, read as
+    # Fractions; at an integer quotient, against the integer itself
+    N, D, want = case
+    if want is None:
+        en, ed = N.embed_raw(2000), D.embed_raw(2000)
+        corners = [Fraction(a, en.den) / Fraction(b, ed.den)
+                   for a in (en.lo_num, en.hi_num) for b in (ed.lo_num, ed.hi_num)]
+        want = math.floor(min(corners))
+        assert math.floor(max(corners)) == want
+    assert N // D == want
+    assert (-N) // (-D) == want
+
+
 def test_serialization_roundtrip():
     F = build_field(7)
     x = F.element([Fraction(1), Fraction(-2, 3), Fraction(5, 7)])
@@ -436,6 +471,9 @@ CAP_CASES = {
     "FieldElement.embed": (lambda F, d: (d * 2 ** 200).embed(),
                            "embedding did not converge at 64", 64),
     "FieldElement.floor": (lambda F, d: d.floor(), "floor undecided", 64),
+    "FieldElement //": (lambda F, d: (1 + d) // F.one, "floor undecided at 64", 64),
+    "QuadExt //": (lambda F, d: QuadExt(F, 1, 1, 1 + d) // QuadExt(F, 0, 1, 1 + d),
+                   "floor undecided at 64", 64),
     "galois_conjugate_values": (
         lambda F, d: galois_conjugate_values(d * 2 ** 200), "conjugate embeddings", 106),
     "QuadExt.embed": (lambda F, d: QuadExt(F, 0, 1, d).embed(),
@@ -569,7 +607,8 @@ def test_float_estimate_bound_holds_on_near_cancelling_elements(n, data):
 @pytest.mark.parametrize("offset", [0, 300, -200])
 def test_quadratic_float_estimate_bound_holds_at_its_scale(offset):
     # u + v sqrt(D) beyond the double range, estimated at its scale and
-    # 300 bits below or 200 bits above it
+    # 300 bits below or 200 bits above it; sqrt(D)'s error is first order
+    # in D's, so the bound is relative to the float precision
     F = build_field(8)
     q = QuadExt(F, F.element([Fraction(-7, 3), 5]) * 2 ** 1500,
                 F.element([1, Fraction(2, 9)]) * 2 ** 1500, F.tau)
@@ -580,7 +619,7 @@ def test_quadratic_float_estimate_bound_holds_at_its_scale(offset):
     scale = Fraction(2) ** -shift
     assert Fraction(val) - Fraction(bound) <= enc.lo * scale
     assert enc.hi * scale <= Fraction(val) + Fraction(bound)
-    assert bound < abs(val) * 2 ** -20
+    assert bound < abs(val) * 2 ** -48
 
 
 @pytest.mark.parametrize("n", [5, 13])
@@ -602,6 +641,9 @@ def test_exact_decisions_build_no_fraction(n, monkeypatch):
     x._sign_exact()
     x.floor()
     float(q)
+    # a floor past the floats, and one whose two candidates a sign decides
+    x // F.tau
+    q // x
     assert built == 0
     enc.lo, enc.hi
     assert built == 2

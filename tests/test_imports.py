@@ -92,14 +92,17 @@ def test_every_module_is_in_a_lane():
 EXACT_MATH = {"gcd", "lcm", "isqrt"}
 # the only places the exact lane makes a float: lambda's first bracket
 # (from 2cos(pi/n)), the bracket of a root, a printed value, the sign
-# filter's estimates, and the first guess of a digit
+# filter's estimates, the outward rounding of an enclosure end, the span of
+# a quotient of two estimates, and the float try of an exact floor
 FLOAT_SITES = {
     ("field", "NumberField.__init__"),
     ("field", "_bracket_root_near"),
     ("field", "_ExactReal.__float__"),
     ("field", "FieldElement._float_estimate"),
     ("quadratic", "QuadExt._float_estimate"),
-    ("dynamics", "_float_digit"),
+    ("field", "_round_outward"),
+    ("field", "_ratio_span"),
+    ("field", "_ExactReal.__floordiv__"),
 }
 
 

@@ -159,6 +159,8 @@ def test_every_exact_decision_is_one_refinement_run(monkeypatch):
         "float(QuadExt)": lambda: float(r_minus),
         "compare_numeric": lambda: compare_numeric(r_minus, F.lam),
         "FieldElement.floor": (F.tau * 3).floor,
+        "QuadExt //": lambda: (r_plus * 2 ** 80) // F.lam,
+        "FieldElement //": lambda: (F.tau * 2 ** 80) // F.lam,
     }
     for name, decide in decisions.items():
         peak = 0
