@@ -177,7 +177,7 @@ def expand(
     through the field's product kernel: it carries
     P_m and the scaled forms A^ = delta q A and B^ = delta q B, which are
     integral and linear in X.  |A^|/delta is Theta_m, and the next digit
-    is decided from the signs of linear combinations of A^ and B^
+    is decided by exact floors of quotients of linear forms in A^ and B^
     (dynamics.digit_of), so no step divides or takes a content gcd.  With
     D^ = q B^ + q_prev A^ the identities are asserted cross-multiplied:
     det P_m = 1 as D^ = delta q, the successor form of Theta_(m-1) as

@@ -131,8 +131,9 @@ class QuadExt(_ExactReal):
         For |D - d| <= e, |sqrt(D) - sqrt(d)| is at most
         e/(sqrt(d) + sqrt(d - e)) when d > e, and at most sqrt(e) otherwise.
         Where u and v sqrt(D) cancel, the value is also estimated as the
-        norm u^2 - v^2 D over u - v sqrt(D), in which nothing cancels, and
-        the estimate with the smaller bound is returned."""
+        norm u^2 - v^2 D, an element of K estimated on its own, over
+        u - v sqrt(D), whose terms add, and the estimate with the smaller
+        bound is returned."""
         parts = [self.u._float_estimate(shift), self.v._float_estimate(shift),
                  self.disc._float_estimate()]
         if None in parts:
