@@ -469,13 +469,18 @@ def pick_mode(args) -> None:
             setattr(args, _dest(flag), flags.get(flag))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given a command's name as only,
+    of that one: the others are then listed by name and help line, for
+    --help and for the message on an unknown command, and read no flag."""
     parser = argparse.ArgumentParser(
         prog="trianglecf", description="Continued fractions for the (3, n, oo) triangle groups")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_line, modes) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
+        if only is not None and command != only:
+            continue
         # unset unless given, so that pick_mode tells a given flag from a default
         for flag in _flags(modes):
             p.add_argument(flag, default=argparse.SUPPRESS, **_FLAG_KWARGS[flag])
@@ -486,15 +491,19 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[f for f in ROWS if any(f in fmts for _, fmts in modes)])
         p.add_argument("--out", default=None)
         p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
-    sub.choices["verify"].description = (
-        "Run the full exact identity suite for one n or each n of a range. "
-        "The cost grows steeply with the field degree phi(2n)/2: about 1 s "
-        "at n = 60 (degree 16) and about half a minute at n = 100 (degree 40).")
+        if command == "verify":
+            p.description = (
+                "Run the full exact identity suite for one n or each n of a range. "
+                "The cost grows steeply with the field degree phi(2n)/2: about 1 s "
+                "at n = 60 (degree 16) and about half a minute at n = 100 (degree 40).")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no option with a value, so the first word
+    # that is not an option names the command
+    args = build_parser(next((a for a in argv if not a.startswith("-")), None)).parse_args(argv)
     try:
         pick_mode(args)
         set_precision_cap(args.precision)

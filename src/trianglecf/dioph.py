@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from operator import add, neg
+from operator import add, neg, sub
 
 # the planar layer is reached through the package, which imports it on
 # first use: an expansion without the natural-extension check never loads
@@ -148,6 +148,10 @@ def _vneg(a):
     return tuple(map(neg, a))
 
 
+def _vsub(a, b):
+    return tuple(map(sub, a, b))
+
+
 def _vscale(k: int, a):
     return tuple([k * c for c in a])
 
@@ -177,8 +181,18 @@ def expand(
     through the field's product kernel: it carries
     P_m and the scaled forms A^ = delta q A and B^ = delta q B, which are
     integral and linear in X.  |A^|/delta is Theta_m, and the next digit
-    is decided by exact floors of quotients of linear forms in A^ and B^
-    (dynamics.digit_of), so no step divides or takes a content gcd.  With
+    is decided from A^ and B^ (dynamics.digit_of: the span of their
+    certified float estimates, those refreshed from one enclosure each
+    once a long orbit's coefficients have outgrown the floats, and exact
+    floors only where neither decides), so no step divides or takes a
+    content gcd.  The step reads each branch matrix's form once per
+    expansion: for M = [[s, -1], [1, 0]] = A^-k C and N = [[0, -1], [1, s]],
+    found in the entries themselves, P_m is updated as (a, b, c, d) <-
+    (s a - c, s b - d, a, b) in 2 kernel products and the v-recurrence
+    checked as -q0 q = q_prev (q0_prev + s q0) in 3, and the new second
+    row's a X + delta b is the old first row's; a W^j step takes the
+    general 8 and 6 products.  A continued-fraction step so makes 15
+    products in all, and a W^j step 23.  With
     D^ = q B^ + q_prev A^ the identities are asserted cross-multiplied:
     det P_m = 1 as D^ = delta q, the successor form of Theta_(m-1) as
     A^_(m-1) D^ = +-delta q_prev B^ (A^_0 = X), the reconstruction of x as
@@ -224,23 +238,47 @@ def expand(
     A_real, B_real = real(A_hat), real(B_hat)
     res = ExpansionResult(x0=x, digits=[], matrices=[(a, b, c, d)], a_hats=[A_real],
                           delta=delta)
+    minus_one = _vneg(one)
+    # digit -> (s, M's and N's entries) of its branch, decided once per
+    # entry: s = 1 - k tau where M = [[s, -1], [1, 0]] = A^-k C and
+    # N = [[0, -1], [1, s]], read from the entries themselves, else None
+    forms = {}
+    # a X + delta b of P_m's first row, which is P_(m+1)'s second row
+    # after an A^-k C step
+    first_row = affine(a, b, X)
     for m in range(1, steps + 1):
         k = digit_of(field, A_real, B_real)
         if k is None:
             res.f_rational = True
             break
-        br = branch(field, k)
-        ma, mb, mc, md = (e.num for e in br.M.entries())
-        na, nb, nc, nd = (e.num for e in br.N.entries())
+        form = forms.get(k)
+        if form is None:
+            br = branch(field, k)
+            M, N = [tuple(e.num for e in T.entries()) for T in (br.M, br.N)]
+            a_k_c = M[1:] == (minus_one, one, zero) and N == (zero, minus_one, one, M[0])
+            s = M[0] if a_k_c else None
+            form = forms[k] = (s, M, N)
+        s, (ma, mb, mc, md), (na, nb, nc, nd) = form
         q0, q0_prev = a, _vneg(c)
-        a, b, c, d = (_vadd(mul(ma, a), mul(mb, c)), _vadd(mul(ma, b), mul(mb, d)),
-                      _vadd(mul(mc, a), mul(md, c)), _vadd(mul(mc, b), mul(md, d)))
+        if s is not None:
+            a, b, c, d = _vadd(mul(s, a), q0_prev), _vsub(mul(s, b), d), a, b
+            second_row = first_row
+        else:
+            a, b, c, d = (_vadd(mul(ma, a), mul(mb, c)), _vadd(mul(ma, b), mul(mb, d)),
+                          _vadd(mul(mc, a), mul(md, c)), _vadd(mul(mc, b), mul(md, d)))
+            second_row = affine(c, d, X)
         q, q_prev, p, p_prev = a, _vneg(c), _vneg(b), d
         A_prev = A_hat
-        A_hat, B_hat = times(q, affine(a, b, X)), times(q, affine(c, d, X))
-        # v = q_prev/q must follow the second-coordinate action N v
-        if (mul(_vadd(mul(na, q0_prev), mul(nb, q0)), q)
-                != mul(q_prev, _vadd(mul(nc, q0_prev), mul(nd, q0)))):
+        first_row = affine(a, b, X)
+        A_hat, B_hat = times(q, first_row), times(q, second_row)
+        # v = q_prev/q must follow the second-coordinate action N v; for
+        # N = [[0, -1], [1, s]] that is -q0 q = q_prev (q0_prev + s q0)
+        if s is not None:
+            v_ok = _vneg(mul(q0, q)) == mul(q_prev, _vadd(q0_prev, mul(s, q0)))
+        else:
+            v_ok = (mul(_vadd(mul(na, q0_prev), mul(nb, q0)), q)
+                    == mul(q_prev, _vadd(mul(nc, q0_prev), mul(nd, q0))))
+        if not v_ok:
             raise ConsistencyError("v-recurrence disagrees with matrix action")
         # with t = A/B and v = q_prev/q, 1 + t v = D / (q qB) for
         # D = q qB + q_prev qA = q det P_m, so Theta_m = |t/(1 + t v)| =

@@ -9,11 +9,13 @@ admit, and the exact cylinder of a word.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .field import FieldElement, NumberField
+from .field import (FieldElement, NumberField, _bits_lost, _ratio_span, _refine,
+                    get_precision_cap)
 from .group import Mobius, check_sl2, digit_matrix, generators, y_matrix
 
 # most (field, digit) entries the branch and cylinder-end tables keep; an
@@ -23,11 +25,11 @@ BRANCH_CACHE_SIZE = 1024
 
 @lru_cache(maxsize=None)
 def eps0(field: NumberField) -> FieldElement:
-    """Left endpoint of the non-accelerated region: W^-1 . 0 = -tau^3/(1+tau^2)."""
+    """Left endpoint of the non-accelerated region: W^-1 . 0 = -tau^3/(1+tau^2),
+    the second form decided as a numerator identity (_sends)."""
     tau = field.tau
     value = -(tau ** 3) / (tau * tau + 1)
-    w_inv_zero = generators(field).W.inverse().apply(field.zero)
-    if value != w_inv_zero:
+    if not _sends(generators(field).W.inverse(), field.zero, value):
         raise ConsistencyError("two expressions for eps0 disagree")
     return value
 
@@ -70,30 +72,114 @@ def branch(field: NumberField, k: int) -> Branch:
     # the cylinders tile [-tau, 0): each ends where the next one to the
     # right, digit k + 1 (or 1 after -1), starts
     lo, hi = cylinder_lo(field, k), cylinder_lo(field, k + 1 or 1)
-    if M.apply(hi) != 0:
+    if not _sends(M, hi, field.zero):
         raise ConsistencyError(f"branch {k} does not send its right end to 0")
-    return Branch(k, M, N, lo, hi, M.apply(lo))
+    if k == 1:
+        return Branch(k, M, N, lo, hi, M.apply(lo))
+    # M_k x = 1 - k tau - 1/x for k >= 2 sends lo = 1/(1 - (k - 1) tau)
+    # to -tau; W^j sends the left end of its cylinder to eps0
+    image_lo = -field.tau if k >= 2 else eps0(field)
+    if not _sends(M, lo, image_lo):
+        raise ConsistencyError(f"branch {k} does not send its left end to "
+                               + ("-tau" if k >= 2 else "eps0"))
+    return Branch(k, M, N, lo, hi, image_lo)
 
 
-def digit_of(field: NumberField, A, B):
-    """Digit k of the accelerated map at t = A/B, decided by signs and two
-    exact floors.
+def _sends(M: Mobius, x: FieldElement, y: FieldElement) -> bool:
+    """M x = y for M with integral entries, decided with no division: for
+    x = X/D and y = Y/E, the integer vectors E (a X + b D) and
+    Y (c X + d D) agree, and c X + d D is not zero."""
+    mul = M.field._mul
+    a, b, c, d = (e.num for e in M.entries())
+    X, D = x.num, x.den
+    top = [u + D * v for u, v in zip(mul(a, X), b)]
+    bottom = tuple(u + D * v for u, v in zip(mul(c, X), d))
+    return any(bottom) and [y.den * t for t in top] == list(mul(y.num, bottom))
 
-    A and B are exact reals (FieldElement or QuadExt) with B != 0, and k
-    is the digit with branch(field, k).lo <= t < branch(field, k).hi.
-    Returns None at the parabolic fixed point t = -tau, which lies in no
-    cylinder; raises DomainError unless -tau <= t < 0.
 
-    t is never formed.  The digit is the closed form of the float lane
-    (numeric.step_scalar), taken as floors of exact quotients (//, no
-    inversion): k = floor((1 - 1/t)/tau) + 1 = (A - B) // (tau A) + 1,
-    which is 1 on all of (-tau, 1/(1 - tau)), and there
-    j = floor(t/(tau^2 (t + tau))) + 1 = A // (tau^2 C) + 1 for the cusp
-    form C = A + tau B, which is at most -1 exactly when t < eps0, and then
-    the digit.  At a cylinder end, lo_k = 1/(1 - (k - 1) tau) puts the
-    first quotient at k - 1 and lo_-j = -tau + tau/((j + 1) tau^2 + 1)
-    the second at -j - 1, so each end falls in its own cylinder.
-    """
+def _span_digit(field: NumberField, num_est, den_est):
+    """The digit at t = N/D from certified float estimates (val, bound) of
+    N and D, or None when their span cannot decide it.
+
+    The span c -+ r of t (field._ratio_span) is widened by (|c| + r) 2^-50,
+    for the rounding of its ends lo and hi, as // does.  With tau_lo <=
+    tau <= tau_hi (NumberField.tau_bounds), -tau_lo < lo and hi < 0 put t
+    strictly inside (-tau, 0), which decides the three signs of the exact
+    path.  Then both closed forms of that path, k - 1 = floor((1 - 1/t)/tau)
+    and j - 1 = floor(t/(tau^2 (t + tau))), increase in t on (-tau, 0), so
+    they map lo and hi to bounds of their value at t, taken with the end of
+    tau that makes each bound outer.  Evaluated in floats, the first has
+    three roundings and the second four, each of relative error at most
+    u = 2^-53 and none cancelling (1 - 1/t adds two positive terms, and
+    lo + tau_lo is a positive sum of two doubles, a multiple of 2^-1074);
+    so widening each bound by 2^-50 relative, whose own rounding costs one
+    more u, covers them.  When both ends give one digit, it is the digit."""
+    span = _ratio_span(num_est, den_est)
+    if span is None:
+        return None
+    c, r = span
+    r += (abs(c) + r) * 2.0 ** -50
+    lo, hi = c - r, c + r
+    tau_lo, tau_hi = field.tau_bounds
+    if not (-tau_lo < lo and hi < 0):
+        return None
+    k_lo = (1 - 1 / lo) / tau_hi * (1 - 2.0 ** -50)
+    k_hi = (1 - 1 / hi) / tau_lo * (1 + 2.0 ** -50)
+    # past 2^52 the two bounds never floor alike; an infinity stops here too
+    if not k_hi < 2.0 ** 52 or math.floor(k_lo) != math.floor(k_hi):
+        return None
+    k = math.floor(k_lo) + 1
+    if k != 1:
+        return k
+    j_lo = lo / (tau_lo * tau_lo * (lo + tau_lo)) * (1 + 2.0 ** -50)
+    j_hi = hi / (tau_hi * tau_hi * (hi + tau_hi)) * (1 - 2.0 ** -50)
+    # the digit is j where it is at most -1, else 1
+    ends = [j if j <= -1 else 1 for j in (math.floor(j_lo) + 1, math.floor(j_hi) + 1)]
+    return ends[0] if ends[0] == ends[1] else None
+
+
+def _lost(est) -> bool:
+    """The estimate's bound has lost more than 18 bits to cancellation,
+    its value is known to fewer than about 32."""
+    return _bits_lost(est) > 18
+
+
+def _refreshed_digit(field: NumberField, A, B, ests):
+    """The digit from estimates of A and B refreshed from one enclosure
+    each (_ExactReal._refreshed_estimate), where the float bound of one of
+    them has lost the digit to cancellation; None when that cannot decide.
+
+    One _refine run climbs lambda's fixed ladder from the first step that
+    can restore the bits the float bound shows lost, and each try refreshes
+    only the estimates still lost.  It stops undecided, and never raises,
+    once no estimate is lost (t is then too near a cylinder end for floats)
+    or the precision cap is reached, and does not start when an estimate
+    is missing, its coefficients past the double range."""
+    if None in ests:
+        return None
+    lost = max(map(_bits_lost, ests))
+    cap = get_precision_cap()
+
+    def decide(p):
+        nonlocal ests
+        ests = [E._refreshed_estimate(p) if _lost(e) else e for E, e in zip((A, B), ests)]
+        k = _span_digit(field, *ests)
+        if k is None and (p >= cap or not any(map(_lost, ests))):
+            k = 0
+        return k, None
+
+    start = 64
+    while start < lost + 16:
+        start *= 2
+    if start > cap:
+        return None
+    return _refine(decide, start, "digit undecided at {bits} bits") or None
+
+
+def _exact_digit(field: NumberField, A, B):
+    """The digit by exact signs and floors: the signs of B, of the cusp
+    form C = A + tau B and of A, then (A - B) // (tau A) + 1 and, where that
+    is 1, A // (tau^2 C) + 1 (see digit_of)."""
     s_b = B.sign()
     if s_b == 0:
         raise DomainError("zero denominator")
@@ -110,6 +196,46 @@ def digit_of(field: NumberField, A, B):
         if j <= -1:
             return j
     return k
+
+
+def digit_of(field: NumberField, A, B):
+    """Digit k of the accelerated map at t = A/B.
+
+    A and B are exact reals (FieldElement or QuadExt) with B != 0, and k
+    is the digit with branch(field, k).lo <= t < branch(field, k).hi.
+    Returns None at the parabolic fixed point t = -tau, which lies in no
+    cylinder; raises DomainError unless -tau <= t < 0.
+
+    t is never formed and nothing is inverted.  The digit is the closed
+    form of the float lane (numeric.step_scalar): k = floor((1 - 1/t)/tau)
+    + 1, which is 1 on all of (-tau, 1/(1 - tau)), and there
+    j = floor(t/(tau^2 (t + tau))) + 1, which is at most -1 exactly when
+    t < eps0, and then the digit.  At a cylinder end, lo_k =
+    1/(1 - (k - 1) tau) puts the first form at k - 1 and lo_-j = -tau +
+    tau/((j + 1) tau^2 + 1) the second at -j - 1, so each end falls in its
+    own cylinder.
+
+    Cost.  First from the span of t read off the certified float estimates
+    of A and B, which each element keeps (_span_digit): two estimates and
+    a few float operations, no element built.  On a long orbit the
+    coefficients of A and B grow while their values do not, and their
+    float bounds lose about a third of a bit per step to cancellation in
+    the power basis; once a bound has lost the digit, the lost estimates
+    are refreshed from one enclosure each on lambda's ladder, in one
+    _refine run (_refreshed_digit), and the span is tried again.  Only a t that
+    the spans cannot place, one too near a cylinder end or -tau, beyond
+    the double range or outside the interval, goes to the exact path
+    (_exact_digit): the signs of B, of C = A + tau B and of A, then the two
+    floors (A - B) // (tau A) + 1 and A // (tau^2 C) + 1, which build C,
+    tau A, A - B and tau^2 C, and each undecided sign or floor is one
+    _refine run; a digit past the floats, such as the first digit near
+    10^400 of x = -10^-400, is one run of its floor.
+    """
+    ests = [A._float_estimate(), B._float_estimate()]
+    k = _span_digit(field, *ests)
+    if k is None and any(map(_lost, ests)):
+        k = _refreshed_digit(field, A, B, ests)
+    return _exact_digit(field, A, B) if k is None else k
 
 
 def cylinder_of_g(field: NumberField, x) -> int:

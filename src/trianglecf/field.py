@@ -95,6 +95,37 @@ def _ratio_span(num_est, den_est):
     return (c, radius) if math.isfinite(radius) else None
 
 
+def _estimate_of(enc):
+    """A certified float estimate (val, bound), as _ExactReal._float_estimate
+    gives at shift 0, of any value in the enclosure enc, or None when an end
+    lies beyond the double range.  The ends are rounded outward to lo and
+    hi, val = fl(lo/2 + hi/2) lies between them, and the larger distance
+    from val to an end, rounded with relative error at most 2^-53, is
+    widened by 2^-50 and by the smallest subnormal, which covers the
+    halving of a subnormal end."""
+    try:
+        lo = _round_outward(enc.lo_num, enc.den, -math.inf)
+        hi = _round_outward(enc.hi_num, enc.den, math.inf)
+    except OverflowError:
+        return None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return None
+    val = lo / 2 + hi / 2
+    return val, max(hi - val, val - lo) * (1 + 2.0 ** -50) + 5e-324
+
+
+def _bits_lost(est) -> int:
+    """About how many bits of the certified estimate est = (val, bound)
+    cancellation has cost: a bound near 2^-50 of the value, as
+    _ExactReal._float_estimate gives for terms that do not cancel, reads 0,
+    and each doubling of bound/|val| one more; a bound that swallows the
+    value reads 50.  None reads 0."""
+    if est is None:
+        return 0
+    val, bound = est
+    return math.frexp(bound)[1] - math.frexp(max(abs(val), bound))[1] + 50
+
+
 def _is_tight(enc, precision: int) -> bool:
     """Width at most 2^(1-precision) * max(1, |lo|, |hi|), decided on the
     integers of enc: both sides are multiplied by den * 2^(precision-1)."""
@@ -386,6 +417,14 @@ class NumberField:
         field object."""
         return self.tau * self.tau
 
+    @cached_property
+    def tau_bounds(self) -> tuple:
+        """Doubles tau_lo <= tau <= tau_hi: 1 + lambda's 64-bit bracket,
+        each end rounded outward; built on first use (dynamics.digit_of)."""
+        enc = self.lambda_enclosure(64)
+        return (_round_outward(enc.lo_num + enc.den, enc.den, -math.inf),
+                _round_outward(enc.hi_num + enc.den, enc.den, math.inf))
+
     def __repr__(self):
         return f"NumberField(n={self.n}, degree={self.degree})"
 
@@ -591,6 +630,13 @@ class _ExactReal:
 
     def ceil(self) -> int:
         return -((-self).floor())
+
+    def _refreshed_estimate(self, p: int):
+        """The certified float estimate of the value read from one
+        enclosure, embed_raw(p) (_estimate_of), or None past the double
+        range: the estimate of an element whose float bound cancellation
+        has widened, restored from lambda's p-bit bracket."""
+        return _estimate_of(self.embed_raw(p))
 
     def __floordiv__(self, other) -> int:
         """The exact floor of self / other, with no inversion.
@@ -856,6 +902,14 @@ class FieldElement(_ExactReal):
             return None
         est = (val, mag * rel + floor)
         if not shift:
+            self._est = est
+        return est
+
+    def _refreshed_estimate(self, p: int):
+        """As _ExactReal._refreshed_estimate, and kept as the element's
+        estimate at shift 0 where it is the tighter one."""
+        est = super()._refreshed_estimate(p)
+        if est is not None and (self._est is None or est[1] < self._est[1]):
             self._est = est
         return est
 

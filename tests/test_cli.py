@@ -654,8 +654,8 @@ def test_each_mode_refuses_what_it_does_not_read_or_print_before_any_work(
 
     build = cli.build_parser
 
-    def parser_whose_commands_never_run():
-        parser = build()
+    def parser_whose_commands_never_run(*only):
+        parser = build(*only)
         for p in _subparsers(parser).values():
             p.set_defaults(func=never)
         return parser
@@ -719,6 +719,32 @@ def test_readme_lists_the_table_of_modes():
 
 def _subparsers(parser):
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_main_builds_the_parser_of_the_named_command_only(monkeypatch):
+    from trianglecf import cli
+
+    built = []
+    build = cli.build_parser
+
+    def recorded(*only):
+        built.append(only)
+        return build(*only)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    code, out, err = _run_in_process(["field", "--n", "5"])
+    assert code == 0, err
+    assert built == [("field",)]
+    # every command is still listed, and the others read no flag but --help
+    subs = _subparsers(build("field"))
+    assert list(subs) == list(cli.COMMANDS)
+    assert all(len(p._actions) == 1 for command, p in subs.items() if command != "field")
+    # the help texts are those of the full parser
+    full = build()
+    assert build("field").format_help() == full.format_help()
+    for command in cli.COMMANDS:
+        assert (_subparsers(build(command))[command].format_help()
+                == _subparsers(full)[command].format_help())
 
 
 @pytest.mark.parametrize("x", ["-0.7391", "random:1"])

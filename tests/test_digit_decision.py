@@ -19,16 +19,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trianglecf.field as field_module
+from trianglecf import dioph
 from trianglecf.dioph import expand, periodic_point
-from trianglecf.dynamics import branch, cylinder_lo, cylinder_of_f, digit_of, eps0
+from trianglecf.dynamics import (
+    _exact_digit,
+    _lost,
+    _refreshed_digit,
+    _span_digit,
+    branch,
+    cylinder_lo,
+    cylinder_of_f,
+    digit_of,
+    eps0,
+)
 from trianglecf.errors import DomainError
 from trianglecf.field import (
     FieldElement,
     NumberField,
     _ExactReal,
+    _new,
     build_field,
     random_interval_point,
 )
+from trianglecf.quadratic import QuadExt
 
 NS = (4, 5, 7, 8, 13)
 
@@ -294,3 +307,174 @@ def test_expand_neither_embeds_nor_divides(n, steps, monkeypatch, fresh_branch_t
         inversions = 0
     # every sign went through the float filter or a 64-bit enclosure
     assert max(F._lambda_bracket._kept, default=0) <= 64
+
+
+# -- the span path against the exact floors -------------------------------------
+
+SPAN_NS = (4, 5, 8, 13, 16)
+
+
+def _fresh(E):
+    """A copy of the exact real E with no estimate or sign kept."""
+    if isinstance(E, QuadExt):
+        return QuadExt(E.field, _fresh(E.u), _fresh(E.v), E.disc)
+    return _new(E.field, E.num, E.den)
+
+
+def _captured(n, x, steps):
+    """The operands (A, B) that expand hands digit_of along the orbit of x."""
+    F = build_field(n)
+    seen = []
+
+    def capture(field, A, B):
+        seen.append((A, B))
+        return digit_of(field, A, B)
+
+    orig = dioph.digit_of
+    dioph.digit_of = capture
+    try:
+        expand(F, x, steps)
+    finally:
+        dioph.digit_of = orig
+    return seen
+
+
+@lru_cache(maxsize=None)
+def _long_orbit_operands(n):
+    """Every 20th pair of operands of a 1 000-step orbit from a random
+    256-bit point, past step 100, where the float bounds lose the digit."""
+    F = build_field(n)
+    x = random_interval_point(F, random.Random(n), 256)
+    return _captured(n, x, 1000)[100::20]
+
+
+@lru_cache(maxsize=None)
+def _quadratic_operands(n):
+    """The QuadExt operands along 40 steps of a periodic point's orbit."""
+    return _captured(n, _periodic_x(n, 2), 40)
+
+
+@st.composite
+def operands(draw, n):
+    """(A, B) with A/B in [-tau, 0): a point tau 2^-40, 2^-60 or 2^-200 from
+    either side of a cylinder end, over a denominator of either sign, or
+    the operands of a periodic (QuadExt) orbit or of a 1 000-step orbit."""
+    kind = draw(st.sampled_from(("near", "near", "quadratic", "long")))
+    if kind == "near":
+        F = build_field(n)
+        k = draw(st.integers(-6, 8).filter(bool))
+        t = near_end(F, k, draw(st.booleans()), draw(st.sampled_from((-1, 1))),
+                     draw(st.sampled_from((40, 60, 200))))
+        B = draw(denominators(n))
+        return t * B, B
+    pool = _quadratic_operands(n) if kind == "quadratic" else _long_orbit_operands(n)
+    return draw(st.sampled_from(pool))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.sampled_from(SPAN_NS))
+def test_span_path_agrees_with_the_exact_floors(data, n):
+    F = build_field(n)
+    A, B = data.draw(operands(n))
+    want = _exact_digit(F, _fresh(A), _fresh(B))
+    A, B = _fresh(A), _fresh(B)
+    ests = [A._float_estimate(), B._float_estimate()]
+    k = _span_digit(F, *ests)
+    assert k is None or k == want
+    if any(map(_lost, ests)):
+        k = _refreshed_digit(F, A, B, ests)
+        assert k is None or k == want
+    assert digit_of(F, _fresh(A), _fresh(B)) == want
+
+
+@pytest.mark.parametrize("n", SPAN_NS)
+def test_each_kind_of_operand_reaches_the_span_path(n):
+    # the property above would test nothing if the span never decided
+    F = build_field(n)
+    t = near_end(F, 2, False, 1, 40)
+    assert _span_digit(F, t._float_estimate(), F.one._float_estimate()) == 2
+    quadratic = _quadratic_operands(n)
+    assert isinstance(quadratic[0][0], QuadExt)
+    assert any(_span_digit(F, A._float_estimate(), B._float_estimate()) is not None
+               for A, B in map(lambda ab: map(_fresh, ab), quadratic))
+    # late in a long orbit the float bounds have lost the digit, and the
+    # refreshed estimates decide it
+    refreshed = 0
+    for A, B in _long_orbit_operands(n)[-10:]:
+        A, B = _fresh(A), _fresh(B)
+        ests = [A._float_estimate(), B._float_estimate()]
+        assert _span_digit(F, *ests) is None and any(map(_lost, ests))
+        refreshed += _refreshed_digit(F, A, B, ests) is not None
+    assert refreshed >= 8
+
+
+# -- deterministic counts ------------------------------------------------------------
+
+def _benchmark_operands():
+    """The 980 operands of the exact-expand benchmark's two commands:
+    expand --n 5 --x random:16 --steps 60 and --n 13 --x random:1 --steps 20,
+    both with seed 0."""
+    pairs = []
+    for n, count, steps in ((5, 16, 60), (13, 1, 20)):
+        rng = random.Random(0)
+        for _ in range(count):
+            x = random_interval_point(build_field(n), rng, 256)
+            pairs += [(build_field(n), A, B) for A, B in _captured(n, x, steps)]
+    return pairs
+
+
+def test_benchmark_operands_build_nothing_and_refine_nothing(monkeypatch):
+    pairs = [(F, _fresh(A), _fresh(B)) for F, A, B in _benchmark_operands()]
+    assert len(pairs) == 980
+    runs = _count_refine_runs(monkeypatch)
+    built = 0
+    new = field_module._new
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return new(*args)
+
+    monkeypatch.setattr(field_module, "_new", counted)
+    digits = [digit_of(F, A, B) for F, A, B in pairs]
+    assert runs == [] and built == 0
+    monkeypatch.undo()
+    assert digits == [_exact_digit(F, _fresh(A), _fresh(B)) for F, A, B in pairs]
+
+
+# _refine runs per digit at 300 and 1 000 steps before the span and the
+# refreshed estimates; at n=5, whose three orbits end at a cusp after 752
+# to 807 digits, 2.56 counts the runs over 1 000 digits, a stricter bound
+# than the 3.31 per digit made
+PARENT_RUNS_PER_DIGIT = {5: (1.17, 2.56), 8: (3.23, 4.34), 13: (3.15, 4.37)}
+
+
+@pytest.mark.parametrize("n", sorted(PARENT_RUNS_PER_DIGIT))
+def test_long_orbits_refine_at_most_half_as_often(n, monkeypatch):
+    # three 256-bit random points, seed 7, 1 000 steps: the _refine runs per
+    # digit over the first 60, 300 and 1 000 digits
+    F = build_field(n)
+    rng = random.Random(7)
+    xs = [random_interval_point(F, rng, 256) for _ in range(3)]
+    expand(F, xs[0], 10)
+    runs = _count_refine_runs(monkeypatch)
+    after = []
+
+    def counted(*args):
+        k = digit_of(*args)
+        after[-1].append(len(runs))
+        return k
+
+    monkeypatch.setattr(dioph, "digit_of", counted)
+    for x in xs:
+        runs.clear()
+        after.append([])
+        expand(F, x, 1000)
+
+    def per_digit(steps):
+        return (sum(counts[min(steps, len(counts)) - 1] for counts in after)
+                / sum(min(steps, len(counts)) for counts in after))
+
+    assert per_digit(60) == 0
+    for steps, parent in zip((300, 1000), PARENT_RUNS_PER_DIGIT[n]):
+        assert per_digit(steps) <= parent / 2, steps

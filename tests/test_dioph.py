@@ -8,7 +8,7 @@ from trianglecf import dioph
 from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import build_field, random_interval_point
 from trianglecf.group import Mobius
-from trianglecf.dynamics import branch, build_orbit_tables, cylinder_lo
+from trianglecf.dynamics import branch, build_orbit_tables, cylinder_lo, digit_of
 from trianglecf.planar import (
     PlanarRegion, T_digit_of_y, build_gamma, build_heights, gamma_hyperbola_gap,
 )
@@ -343,6 +343,40 @@ def test_theta_bounded_by_gamma_sup():
         for th in res.thetas:
             assert th <= sup
             assert th.sign() > 0  # no vanishing coefficients off the cusps
+
+
+def test_expand_step_products(monkeypatch):
+    # an A^-k C step updates P_m in 2 kernel products and checks v in 3; a
+    # W^j step takes the general 8 and 6.  With a X + delta b for A^ and
+    # B^ (1, or 2 after W^j), q times each (2), D^ (2), the successor form
+    # (2, A^-k C only) and the reconstruction (3), a step makes 15 or 23
+    F = build_field(5)
+    x = random_interval_point(F, random.Random(3), 256)
+    warm = expand(F, x, 60)
+    assert {k >= 1 for k in warm.digits} == {True, False}
+    products, in_digit = 0, False
+    kernel = F._mul
+
+    def counted(a, b):
+        nonlocal products
+        products += not in_digit
+        return kernel(a, b)
+
+    def digit(*args):
+        # digit_of's own products, on its exact path, are not the step's
+        nonlocal in_digit
+        in_digit = True
+        try:
+            return digit_of(*args)
+        finally:
+            in_digit = False
+
+    monkeypatch.setattr(F, "_mul", counted)
+    monkeypatch.setattr(dioph, "digit_of", digit)
+    res = expand(F, x, 60)
+    assert res.digits == warm.digits
+    forward = sum(k >= 1 for k in res.digits)
+    assert products == 1 + 15 * forward + 23 * (len(res.digits) - forward)
 
 
 def test_expand_rejects_a_running_product_of_determinant_other_than_one(monkeypatch):

@@ -5,8 +5,9 @@ import pytest
 
 from trianglecf.errors import DomainError
 from trianglecf.field import FieldElement, build_field, random_interval_point
-from trianglecf.group import digit_matrix, generators, y_matrix
+from trianglecf.group import Mobius, digit_matrix, generators, y_matrix
 from trianglecf.dynamics import (
+    _sends,
     branch,
     build_orbit_tables,
     cylinder_of_f,
@@ -352,3 +353,45 @@ def test_branch_table(n):
         assert b.M.apply(b.hi) == 0
     with pytest.raises(DomainError):
         branch(F, 0)
+
+
+def test_branch_applies_a_matrix_only_at_digit_one(monkeypatch):
+    # the images of a cylinder's ends are decided as numerator identities
+    # (_sends), checked here against Mobius.apply; only digit 1's
+    # image_lo, M_1 eps0, is applied
+    F = build_field(7)
+    applied = []
+    apply = Mobius.apply
+
+    def counted(self, x):
+        applied.append(x)
+        return apply(self, x)
+
+    tables = (branch, cylinder_lo, eps0)
+    for table in tables:
+        table.cache_clear()
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(Mobius, "apply", counted)
+            entries = {k: branch(F, k) for k in (-3, -2, -1, 2, 3, 5)}
+            assert applied == []
+            entries[1] = branch(F, 1)
+            assert applied == [eps0(F)]
+    finally:
+        for table in tables:
+            table.cache_clear()
+    for b in entries.values():
+        assert b.M.apply(b.lo) == b.image_lo
+        assert b.M.apply(b.hi) == 0
+
+
+def test_sends_is_the_action_as_a_numerator_identity():
+    F = build_field(5)
+    b = branch(F, 3)
+    assert _sends(b.M, b.lo, -F.tau) and _sends(b.M, b.hi, F.zero)
+    assert not _sends(b.M, b.lo, -F.tau + Fraction(1, 2 ** 60))
+    assert not _sends(b.M, b.hi, F.tau * Fraction(1, 2 ** 60))
+    # M_3 0 is infinity, which no element equals
+    assert not _sends(b.M, F.zero, F.zero)
+    w = branch(F, -2)
+    assert _sends(w.M, w.lo, eps0(F)) and not _sends(w.M, w.lo, -F.tau)

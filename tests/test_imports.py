@@ -93,7 +93,9 @@ EXACT_MATH = {"gcd", "lcm", "isqrt"}
 # the only places the exact lane makes a float: lambda's first bracket
 # (from 2cos(pi/n)), the bracket of a root, a printed value, the sign
 # filter's estimates, the outward rounding of an enclosure end, the span of
-# a quotient of two estimates, and the float try of an exact floor
+# a quotient of two estimates, the float try of an exact floor, tau's
+# outward-rounded bounds, an estimate read off an enclosure, the bits an
+# estimate has lost, and the digit from the span of a quotient
 FLOAT_SITES = {
     ("field", "NumberField.__init__"),
     ("field", "_bracket_root_near"),
@@ -103,6 +105,10 @@ FLOAT_SITES = {
     ("field", "_round_outward"),
     ("field", "_ratio_span"),
     ("field", "_ExactReal.__floordiv__"),
+    ("field", "NumberField.tau_bounds"),
+    ("field", "_estimate_of"),
+    ("field", "_bits_lost"),
+    ("dynamics", "_span_digit"),
 }
 
 

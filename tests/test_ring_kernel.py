@@ -292,6 +292,7 @@ def _run_recorded(case, monkeypatch, oracle):
     with monkeypatch.context() as m:
         m.setattr(field_module, "_refine", recorded)
         m.setattr(quadratic_module, "_refine", recorded)
+        m.setattr(dynamics, "_refine", recorded)
         if oracle:
             m.setattr(NumberField, "_mul", lambda self, a, b: tuple(loop_mul(self, a, b)))
             m.setattr(NumberField, "_conjugations", loop_conjugations)
