@@ -181,11 +181,8 @@ def expand(
     through the field's product kernel: it carries
     P_m and the scaled forms A^ = delta q A and B^ = delta q B, which are
     integral and linear in X.  |A^|/delta is Theta_m, and the next digit
-    is decided from A^ and B^ (dynamics.digit_of: the span of their
-    certified float estimates, those refreshed from one enclosure each
-    once a long orbit's coefficients have outgrown the floats, and exact
-    floors only where neither decides), so no step divides or takes a
-    content gcd.  The step reads each branch matrix's form once per
+    is decided from A^ and B^ (dynamics.digit_of, from their balls), so no
+    step divides or takes a content gcd.  The step reads each branch matrix's form once per
     expansion: for M = [[s, -1], [1, 0]] = A^-k C and N = [[0, -1], [1, s]],
     found in the entries themselves, P_m is updated as (a, b, c, d) <-
     (s a - c, s b - d, a, b) in 2 kernel products and the v-recurrence

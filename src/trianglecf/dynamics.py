@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
-from .field import (FieldElement, NumberField, _bits_lost, _ratio_span, _refine,
+from .field import (FieldElement, NumberField, _first_rung, _ratio_span, _refine,
                     get_precision_cap)
 from .group import Mobius, check_sl2, digit_matrix, generators, y_matrix
 
@@ -97,37 +97,50 @@ def _sends(M: Mobius, x: FieldElement, y: FieldElement) -> bool:
     return any(bottom) and [y.den * t for t in top] == list(mul(y.num, bottom))
 
 
-def _span_digit(field: NumberField, num_est, den_est):
-    """The digit at t = N/D from certified float estimates (val, bound) of
-    N and D, or None when their span cannot decide it.
+def _span_digit(field: NumberField, A, B, p: int = 0):
+    """The digit at t = A/B from the balls of A and B (_ExactReal.ball),
+    each one known to fewer than 32 bits first made again at rung p when
+    p > 0.  None when such a loose ball leaves the digit undecided, 0 when
+    no rung can help: a ball is missing or below 2^-1000, or both are known
+    to 32 bits and t lies too near a cylinder end or -tau for doubles.
 
-    The span c -+ r of t (field._ratio_span) is widened by (|c| + r) 2^-50,
-    for the rounding of its ends lo and hi, as // does.  With tau_lo <=
-    tau <= tau_hi (NumberField.tau_bounds), -tau_lo < lo and hi < 0 put t
-    strictly inside (-tau, 0), which decides the three signs of the exact
-    path.  Then both closed forms of that path, k - 1 = floor((1 - 1/t)/tau)
-    and j - 1 = floor(t/(tau^2 (t + tau))), increase in t on (-tau, 0), so
-    they map lo and hi to bounds of their value at t, taken with the end of
-    tau that makes each bound outer.  Evaluated in floats, the first has
-    three roundings and the second four, each of relative error at most
-    u = 2^-53 and none cancelling (1 - 1/t adds two positive terms, and
-    lo + tau_lo is a positive sum of two doubles, a multiple of 2^-1074);
-    so widening each bound by 2^-50 relative, whose own rounding costs one
-    more u, covers them.  When both ends give one digit, it is the digit."""
-    span = _ratio_span(num_est, den_est)
+    The span c -+ r of t (field._ratio_span), widened by (|c| + r) 2^-50
+    for the rounding of its ends lo and hi, must lie in (-tau_lo, 0), with
+    tau_lo <= tau <= tau_hi the ends of tau's ball at rung 64 rounded once
+    more outward; that decides the three signs of the exact path.  Both of
+    its closed forms, k - 1 = floor((1 - 1/t)/tau) and j - 1 =
+    floor(t/(tau^2 (t + tau))), increase in t on (-tau, 0), so lo and hi,
+    each with the end of tau that makes it outer, bound them.  In floats
+    the first has three roundings and the second four, none cancelling
+    (1 - 1/t adds two positive terms, lo + tau_lo is a positive sum of two
+    doubles), so widening each bound by 2^-50 relative covers them and its
+    own rounding.  When both ends give one digit, it is the digit."""
+    balls, undecided = [], 0
+    for E in (A, B):
+        b = E.ball()
+        if p and b is not None and not abs(b[0]) * 2.0 ** -32 > b[1]:
+            b = E.ball(p)
+        # no rung tightens a ball that is missing or below 2^-1000
+        if b is None or not abs(b[0]) + b[1] > 2.0 ** -1000:
+            return 0
+        if not abs(b[0]) * 2.0 ** -32 > b[1]:
+            undecided = None
+        balls.append(b)
+    span = _ratio_span(*balls)
     if span is None:
-        return None
+        return undecided
     c, r = span
     r += (abs(c) + r) * 2.0 ** -50
     lo, hi = c - r, c + r
-    tau_lo, tau_hi = field.tau_bounds
+    tau, tau_r = field.tau.ball(64)
+    tau_lo, tau_hi = math.nextafter(tau - tau_r, -math.inf), math.nextafter(tau + tau_r, math.inf)
     if not (-tau_lo < lo and hi < 0):
-        return None
+        return undecided
     k_lo = (1 - 1 / lo) / tau_hi * (1 - 2.0 ** -50)
     k_hi = (1 - 1 / hi) / tau_lo * (1 + 2.0 ** -50)
     # past 2^52 the two bounds never floor alike; an infinity stops here too
     if not k_hi < 2.0 ** 52 or math.floor(k_lo) != math.floor(k_hi):
-        return None
+        return undecided
     k = math.floor(k_lo) + 1
     if k != 1:
         return k
@@ -135,45 +148,7 @@ def _span_digit(field: NumberField, num_est, den_est):
     j_hi = hi / (tau_hi * tau_hi * (hi + tau_hi)) * (1 - 2.0 ** -50)
     # the digit is j where it is at most -1, else 1
     ends = [j if j <= -1 else 1 for j in (math.floor(j_lo) + 1, math.floor(j_hi) + 1)]
-    return ends[0] if ends[0] == ends[1] else None
-
-
-def _lost(est) -> bool:
-    """The estimate's bound has lost more than 18 bits to cancellation,
-    its value is known to fewer than about 32."""
-    return _bits_lost(est) > 18
-
-
-def _refreshed_digit(field: NumberField, A, B, ests):
-    """The digit from estimates of A and B refreshed from one enclosure
-    each (_ExactReal._refreshed_estimate), where the float bound of one of
-    them has lost the digit to cancellation; None when that cannot decide.
-
-    One _refine run climbs lambda's fixed ladder from the first step that
-    can restore the bits the float bound shows lost, and each try refreshes
-    only the estimates still lost.  It stops undecided, and never raises,
-    once no estimate is lost (t is then too near a cylinder end for floats)
-    or the precision cap is reached, and does not start when an estimate
-    is missing, its coefficients past the double range."""
-    if None in ests:
-        return None
-    lost = max(map(_bits_lost, ests))
-    cap = get_precision_cap()
-
-    def decide(p):
-        nonlocal ests
-        ests = [E._refreshed_estimate(p) if _lost(e) else e for E, e in zip((A, B), ests)]
-        k = _span_digit(field, *ests)
-        if k is None and (p >= cap or not any(map(_lost, ests))):
-            k = 0
-        return k, None
-
-    start = 64
-    while start < lost + 16:
-        start *= 2
-    if start > cap:
-        return None
-    return _refine(decide, start, "digit undecided at {bits} bits") or None
+    return ends[0] if ends[0] == ends[1] else undecided
 
 
 def _exact_digit(field: NumberField, A, B):
@@ -215,27 +190,29 @@ def digit_of(field: NumberField, A, B):
     tau/((j + 1) tau^2 + 1) the second at -j - 1, so each end falls in its
     own cylinder.
 
-    Cost.  First from the span of t read off the certified float estimates
-    of A and B, which each element keeps (_span_digit): two estimates and
-    a few float operations, no element built.  On a long orbit the
-    coefficients of A and B grow while their values do not, and their
-    float bounds lose about a third of a bit per step to cancellation in
-    the power basis; once a bound has lost the digit, the lost estimates
-    are refreshed from one enclosure each on lambda's ladder, in one
-    _refine run (_refreshed_digit), and the span is tried again.  Only a t that
-    the spans cannot place, one too near a cylinder end or -tau, beyond
-    the double range or outside the interval, goes to the exact path
-    (_exact_digit): the signs of B, of C = A + tau B and of A, then the two
-    floors (A - B) // (tau A) + 1 and A // (tau^2 C) + 1, which build C,
-    tau A, A - B and tau^2 C, and each undecided sign or floor is one
-    _refine run; a digit past the floats, such as the first digit near
-    10^400 of x = -10^-400, is one run of its floor.
+    Cost.  The span of t between the balls that A and B keep decides most
+    digits with a few float operations and no element built (_span_digit).
+    A long orbit's coefficients grow while its values do not, so in the
+    power basis its 53-bit balls lose about a third of a bit per step; once
+    they have lost the digit, one _refine run makes the loose balls again
+    up lambda's ladder from _first_rung, the rung the orbit has reached.
+    Only a t that no span places, too near a cylinder end or -tau, beyond
+    the double range or outside the interval, goes to the exact signs and
+    floors of _exact_digit, each undecided one a _refine run; a digit past
+    the floats, such as the first digit near 10^400 of x = -10^-400, is
+    one run of its floor.
     """
-    ests = [A._float_estimate(), B._float_estimate()]
-    k = _span_digit(field, *ests)
-    if k is None and any(map(_lost, ests)):
-        k = _refreshed_digit(field, A, B, ests)
-    return _exact_digit(field, A, B) if k is None else k
+    k = _span_digit(field, A, B)
+    if k is None:
+        cap = get_precision_cap()
+
+        def decide(p):
+            k = _span_digit(field, A, B, p)
+            return (0 if k is None and p >= cap else k), None
+
+        bits = max(A._scale_bits(), B._scale_bits())
+        k = _refine(decide, _first_rung(field, bits), "digit undecided at {bits} bits")
+    return k or _exact_digit(field, A, B)
 
 
 def cylinder_of_g(field: NumberField, x) -> int:

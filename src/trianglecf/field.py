@@ -10,9 +10,10 @@ convolution, then the reduction of lambda^(2d-2) ... lambda^d with the
 polynomial's constants written in (the multiplication table of Cohen, A
 Course in Computational Algebraic Number Theory, section 4.2).  The
 inverse is the product of the d - 1 nontrivial Galois conjugates divided
-by the norm (section 4.3).  Every comparison against the real line goes
-through a certified rational enclosure of lambda that is refined by exact
-bisection, so branch decisions are never silently wrong.
+by the norm (section 4.3).  Every comparison against the real line is
+decided by a certified ball of doubles or by a certified rational enclosure
+of lambda on a fixed ladder of brackets, so branch decisions are never
+silently wrong.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from operator import add, mul, sub
 from .errors import DomainError, PrecisionExhausted
 
 DEFAULT_PRECISION_CAP = 4096
+# most inverses a field keeps (FieldElement.inverse); a full table is emptied
+INVERSE_TABLE_SIZE = 4096
 
 _precision_cap = None
 
@@ -61,23 +64,29 @@ def _refine(decide, start_bits: int, message: str):
         p *= 2
 
 
-def _round_outward(num: int, den: int, toward: float) -> float:
-    """num / den, den > 0, as the nearest double on the side of toward
-    (-inf or +inf), so that lo and hi rounded this way bracket the value."""
-    f = num / den
-    a, b = f.as_integer_ratio()
-    # the sign of f - num/den, cross-multiplied by b, den > 0
-    gap = a * den - num * b
-    if gap and (gap > 0) == (toward < 0):
-        f = math.nextafter(f, toward)
-    return f
+def _round(num: int, den: int, toward: int = 0):
+    """num / den, den > 0, as a double: the nearest one (toward = 0), or the
+    nearest on the side of toward (-1 or +1), so that two ends rounded
+    outward bracket what lies between them; None past the double range."""
+    try:
+        # int true division rounds correctly
+        f = num / den
+    except OverflowError:
+        return None
+    if toward:
+        a, b = f.as_integer_ratio()
+        # the sign of f - num/den, cross-multiplied by b, den > 0
+        gap = a * den - num * b
+        if gap and (gap > 0) == (toward < 0):
+            f = math.nextafter(f, toward * math.inf)
+    return f if math.isfinite(f) else None
 
 
-def _ratio_span(num_est, den_est):
-    """(center, radius) around N/D from certified float estimates (n, e_n)
-    and (d, e_d) of N and D (_ExactReal._float_estimate at one shift), or
-    None when an estimate is missing, d's does not exclude 0 or the span
-    leaves the double range.  With c the rounded n/d and u = 2^-53,
+def _ratio_span(num_ball, den_ball):
+    """A ball (center, radius) around N/D from balls (n, e_n) and (d, e_d)
+    of N and D (_ExactReal.ball), or None when a ball is missing, d's does
+    not exclude 0 or the span leaves the double range.  With c the rounded
+    n/d and u = 2^-53,
 
         |N/D - c| <= (e_n + |c| e_d) / (|d| - e_d) + 2u |c|:
 
@@ -85,45 +94,14 @@ def _ratio_span(num_est, den_est):
     is at most |c| (1 + 2u); the factor 1 + 2^-48 covers that and the
     rounding of the radius.  The ends c -+ radius still need widening for
     their own rounding."""
-    if num_est is None or den_est is None:
+    if num_ball is None or den_ball is None:
         return None
-    (n, e_n), (d, e_d) = num_est, den_est
+    (n, e_n), (d, e_d) = num_ball, den_ball
     if abs(d) <= e_d:
         return None
     c = n / d
     radius = ((e_n + abs(c) * e_d) / (abs(d) - e_d) + abs(c) * 2.0 ** -52) * (1 + 2.0 ** -48)
     return (c, radius) if math.isfinite(radius) else None
-
-
-def _estimate_of(enc):
-    """A certified float estimate (val, bound), as _ExactReal._float_estimate
-    gives at shift 0, of any value in the enclosure enc, or None when an end
-    lies beyond the double range.  The ends are rounded outward to lo and
-    hi, val = fl(lo/2 + hi/2) lies between them, and the larger distance
-    from val to an end, rounded with relative error at most 2^-53, is
-    widened by 2^-50 and by the smallest subnormal, which covers the
-    halving of a subnormal end."""
-    try:
-        lo = _round_outward(enc.lo_num, enc.den, -math.inf)
-        hi = _round_outward(enc.hi_num, enc.den, math.inf)
-    except OverflowError:
-        return None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        return None
-    val = lo / 2 + hi / 2
-    return val, max(hi - val, val - lo) * (1 + 2.0 ** -50) + 5e-324
-
-
-def _bits_lost(est) -> int:
-    """About how many bits of the certified estimate est = (val, bound)
-    cancellation has cost: a bound near 2^-50 of the value, as
-    _ExactReal._float_estimate gives for terms that do not cancel, reads 0,
-    and each doubling of bound/|val| one more; a bound that swallows the
-    value reads 50.  None reads 0."""
-    if est is None:
-        return 0
-    val, bound = est
-    return math.frexp(bound)[1] - math.frexp(max(abs(val), bound))[1] + 50
 
 
 def _is_tight(enc, precision: int) -> bool:
@@ -203,20 +181,21 @@ def trace_min_poly(n: int) -> tuple:
     return tuple(psi)
 
 
-def _int_poly_sign_at(poly, num: int, den: int) -> int:
-    """Exact sign of an integer polynomial at the rational num / den, den > 0."""
+def _int_poly_value(poly, num: int, den: int) -> int:
+    """den^d times the integer polynomial of degree d at num / den: the sum
+    of c_i num^i den^(d-i), by Horner from the top."""
     acc = 0
     powd = 1
-    # evaluate sum c_i num^i den^(d-i) by Horner from the top
     for c in reversed(poly):
         acc = acc * num + c * powd
         powd *= den
-    # powd overshoots by one factor; sign unaffected (den > 0)
-    if acc > 0:
-        return 1
-    if acc < 0:
-        return -1
-    return 0
+    return acc
+
+
+def _int_poly_sign_at(poly, num: int, den: int) -> int:
+    """Exact sign of an integer polynomial at the rational num / den, den > 0."""
+    acc = _int_poly_value(poly, num, den)
+    return (acc > 0) - (acc < 0)
 
 
 class Enclosure:
@@ -298,14 +277,17 @@ def _enclosure(lo_num: int, hi_num: int, den: int) -> Enclosure:
 
 class _RootBracket:
     """A sign-change bracket [lo, hi] / den around one real root of an
-    integer polynomial, den a power of two, and the fixed sequence of its
-    exact dyadic bisections: each bracket is the half of the one before
-    that keeps the sign change.
+    integer polynomial and the fixed sequence of its exact bisections: each
+    bracket is the half of the one before that keeps the sign change, so
+    the k-th is the cell of the first bracket's grid of width
+    (hi - lo) / (den 2^k) that holds the root, or the root itself once it
+    is a point of that grid.
 
     enclosure(p) is the first bracket of the sequence whose width is at
-    most 2^-p, so it depends on p alone.  Each one returned is kept, and a
-    later request bisects on from the kept one of the largest p below its
-    own, which is a bracket of the same sequence."""
+    most 2^-p, so it depends on p alone.  It is found by Newton's
+    iteration in integers, in O(log p) polynomial evaluations, and
+    confirmed by the exact signs at its two ends; each one returned is
+    kept."""
 
     __slots__ = ("poly", "sign_lo", "first", "_kept")
 
@@ -321,27 +303,42 @@ class _RootBracket:
 
     def enclosure(self, p: int) -> Enclosure:
         enc = self._kept.get(p)
-        if enc is not None:
-            return enc
-        below = [q for q in self._kept if q < p]
-        start = self._kept[max(below)] if below else self.first
-        lo, hi, den = start.lo_num, start.hi_num, start.den
-        sign_lo = self.sign_lo
-        # bisect while (hi - lo) / den > 2^-p
-        while (hi - lo) << p > den:
-            mid = lo + hi
-            lo, hi, den = lo << 1, hi << 1, den << 1
-            s = _int_poly_sign_at(self.poly, mid, den)
-            if s == 0:
-                # rational root: collapse to a point
-                lo = hi = mid
-                break
-            if s == sign_lo:
-                lo = mid
-            else:
-                hi = mid
-        enc = self._kept[p] = _enclosure(lo, hi, den)
+        if enc is None:
+            enc = self._kept[p] = self._cell(p)
         return enc
+
+    def _cell(self, p: int) -> Enclosure:
+        first = self.first
+        lo, width, den = first.lo_num, first.hi_num - first.lo_num, first.den
+        # the first k with width / (den 2^k) <= 2^-p
+        k = (-(-(width << p) // den) - 1).bit_length()
+        den_k = den << k
+        # the root as x / 2^m, m 16 bits past the cell width, by Newton
+        # steps x - f(x)/f'(x) from the middle of the narrowest kept bracket
+        m = k + den.bit_length() - width.bit_length() + 16
+        start = self._kept[max(self._kept)] if self._kept else first
+        x = ((start.lo_num + start.hi_num) << m) // (2 * start.den)
+        deriv = [i * c for i, c in enumerate(self.poly)][1:]
+        for _ in range(64):
+            g = _int_poly_value(deriv, x, 1 << m)
+            step = _int_poly_value(self.poly, x, 1 << m) // g if g else 0
+            x -= step
+            if abs(step) <= 1:
+                break
+        # the cell j that holds x, confirmed by the exact signs at its ends
+        # or walked to the neighbour that keeps the sign change
+        j = ((x * den - (lo << m)) << k) // (width << m)
+        while True:
+            a = (lo << k) + j * width
+            s_a = _int_poly_sign_at(self.poly, a, den_k)
+            s_b = _int_poly_sign_at(self.poly, a + width, den_k)
+            if s_a == 0 or s_b == 0:
+                # a rational root is a point of the grid: collapse to it
+                a = a if s_a == 0 else a + width
+                return _enclosure(a, a, den_k)
+            if s_a != s_b:
+                return _enclosure(a, a + width, den_k)
+            j += 1 if s_a == self.sign_lo else -1
 
 
 def _bracket_root_near(poly, approx: float) -> _RootBracket:
@@ -403,9 +400,10 @@ class NumberField:
         approx = 2.0 * math.cos(math.pi / n)
         self._lambda_bracket = _bracket_root_near(self.min_poly, approx)
         # (float powers of lambda, relative and absolute error terms), built
-        # from the exact bracket by the first FieldElement._float_estimate
+        # from their balls by the first FieldElement._float_estimate
         self._lambda_pows_float = None
         self._conjugation_rows = None
+        self._inverses = {}
         self.zero = self.from_fraction(0)
         self.one = self.from_fraction(1)
         self.lam = self.element([0, 1])
@@ -413,17 +411,9 @@ class NumberField:
 
     @cached_property
     def tau_squared(self) -> FieldElement:
-        """tau^2, built on first use (dynamics.digit_of) and kept on this
-        field object."""
+        """tau^2, built on first use (dynamics._exact_digit) and kept on
+        this field object."""
         return self.tau * self.tau
-
-    @cached_property
-    def tau_bounds(self) -> tuple:
-        """Doubles tau_lo <= tau <= tau_hi: 1 + lambda's 64-bit bracket,
-        each end rounded outward; built on first use (dynamics.digit_of)."""
-        enc = self.lambda_enclosure(64)
-        return (_round_outward(enc.lo_num + enc.den, enc.den, -math.inf),
-                _round_outward(enc.hi_num + enc.den, enc.den, math.inf))
 
     def __repr__(self):
         return f"NumberField(n={self.n}, degree={self.degree})"
@@ -462,9 +452,10 @@ class NumberField:
 
     def __getstate__(self):
         # the generated kernel cannot be pickled; the first product after
-        # unpickling generates it again
+        # unpickling generates it again.  The inverse table stays behind
         state = dict(self.__dict__)
         state.pop("_mul", None)
+        state["_inverses"] = {}
         return state
 
     def _mul(self, a, b) -> tuple:
@@ -532,14 +523,13 @@ class _ExactReal:
     """Order, real embedding and derived operations shared by exact reals.
 
     A subclass supplies _coerce (the operand as its own type, or None when
-    it does not handle that type), the ring operations, inverse, sign,
-    is_zero, embed_raw(p), a certified enclosure whose width shrinks as p
-    grows, and _float_estimate(shift) with _scale_bits(), a certified float
-    estimate of the value times 2^-shift and the shift that keeps it in
-    the double range.  The order is the one pulled back from the real
-    embedding, decided by the exact sign of the difference.  embed, floor,
-    float and // refine embed_raw in one _refine run each, so each is a
-    function of the value.
+    it does not handle that type), the ring operations, inverse,
+    is_zero, _scale_bits() (its coefficients' bit length less its
+    denominator's), embed_raw(p), a certified enclosure whose width shrinks
+    as p grows, _float_estimate(), its 53-bit ball, and a _ball slot.  The
+    order is the one pulled back from the real embedding, decided by the
+    exact sign of the difference.  sign, embed, floor, float and // refine
+    in one _refine run each, so each is a function of the value.
     """
 
     __slots__ = ()
@@ -582,6 +572,22 @@ class _ExactReal:
     def __abs__(self):
         return -self if self.sign() < 0 else self
 
+    def sign(self) -> int:
+        """The exact sign: the kept ball's where it excludes 0, else 0 for
+        zero, else one _refine run of embed_raw from _first_rung."""
+        b = self.ball()
+        if b is not None and abs(b[0]) > b[1]:
+            return 1 if b[0] > 0 else -1
+        return 0 if self.is_zero() else self._sign_exact()
+
+    def _sign_exact(self):
+        def decide(p):
+            enc = self.embed_raw(p)
+            return enc.sign(), enc
+
+        return _refine(decide, _first_rung(self.field, self._scale_bits()),
+                       "sign undecided at {bits} bits")
+
     def embed(self, precision: int = 53) -> Enclosure:
         """Enclosure of width <= 2^(1-precision) * max(1, |value|)."""
         if precision < 16:
@@ -594,26 +600,59 @@ class _ExactReal:
         return _refine(decide, max(precision + 8, 64),
                        "embedding did not converge at {bits} bits")
 
+    def ball(self, p: int = 0):
+        """A certified ball (mid, rad) of doubles, |value - mid| <= rad, at
+        rung p of lambda's ladder, or None past the double range: at p = 0
+        the float estimate, at p >= 64 embed_raw(p) with its ends rounded
+        outward to lo and hi, mid = fl(lo/2 + hi/2) and rad the larger
+        distance to an end, widened by 2^-50 for its rounding and by the
+        smallest subnormal for the halving of a subnormal end.  The tightest
+        ball made is kept and returned for every rung up to the highest
+        asked."""
+        kept = self._ball
+        if kept is not None and kept[0] >= p:
+            return kept[1]
+        if p:
+            enc = self.embed_raw(p)
+            lo, hi = _round(enc.lo_num, enc.den, -1), _round(enc.hi_num, enc.den, 1)
+            b = None
+            if lo is not None and hi is not None:
+                mid = lo / 2 + hi / 2
+                b = mid, max(hi - mid, mid - lo) * (1 + 2.0 ** -50) + 5e-324
+        else:
+            b = self._float_estimate()
+        if kept is not None and kept[1] is not None and (b is None or kept[1][1] <= b[1]):
+            b = kept[1]
+        self._ball = (max(p, kept[0]) if kept else p), b
+        return b
+
+    def _box(self, p: int):
+        """embed_raw(p), or at p = 0 the kept ball as an exact dyadic
+        enclosure; None where there is no ball."""
+        if p:
+            return self.embed_raw(p)
+        b = self.ball()
+        if b is None:
+            return None
+        (m, m_den), (r, r_den) = b[0].as_integer_ratio(), b[1].as_integer_ratio()
+        # both denominators are powers of two
+        den = max(m_den, r_den)
+        m, r = m * (den // m_den), r * (den // r_den)
+        return _enclosure(m - r, m + r, den)
+
     def __float__(self):
         """The double nearest the value, found when both ends of
         embed_raw(p) round to it; a rational is a point and rounds at once.
-        An end beyond the double range rounds to an infinity, which leaves
-        p undecided; when both ends round to one infinity, the value itself
-        overflows, as float(10**400) does."""
-        def rounded(num, den):
-            # int true division rounds correctly
-            try:
-                return num / den
-            except OverflowError:
-                return math.inf if num > 0 else -math.inf
-
+        An end past the double range leaves p undecided; when both ends lie
+        past it on one side, the value itself overflows, as float(10**400)
+        does."""
         def decide(p):
             enc = self.embed_raw(p)
-            # -0.0 == 0.0, so a zero needs both ends on one side
-            lo, hi = rounded(enc.lo_num, enc.den), rounded(enc.hi_num, enc.den)
-            same = lo == hi and math.copysign(1.0, lo) == math.copysign(1.0, hi)
-            if same and math.isinf(lo):
+            lo, hi = _round(enc.lo_num, enc.den), _round(enc.hi_num, enc.den)
+            if lo is None and hi is None and (enc.lo_num > 0) == (enc.hi_num > 0):
                 raise OverflowError("exact real too large to convert to float")
+            # -0.0 == 0.0, so a zero needs both ends on one side
+            same = lo is not None and lo == hi and (enc.lo_num < 0) == (enc.hi_num < 0)
             return (lo if same else None), enc
 
         return _refine(decide, 64, "embedding did not converge at {bits} bits")
@@ -631,45 +670,23 @@ class _ExactReal:
     def ceil(self) -> int:
         return -((-self).floor())
 
-    def _refreshed_estimate(self, p: int):
-        """The certified float estimate of the value read from one
-        enclosure, embed_raw(p) (_estimate_of), or None past the double
-        range: the estimate of an element whose float bound cancellation
-        has widened, restored from lambda's p-bit bracket."""
-        return _estimate_of(self.embed_raw(p))
-
     def __floordiv__(self, other) -> int:
-        """The exact floor of self / other, with no inversion.
-
-        First from the certified float estimates of both operands at one
-        shift: when both ends of the span around the quotient (_ratio_span)
-        floor to one integer, that is the floor.  Otherwise one _refine run
-        bounds the quotient by the corners of embed_raw of both operands,
-        as integers: one candidate is the floor; of two, i - 1 and i, the
-        sign of self - other i at the same precision decides, and 0 gives
-        i; more are refined."""
+        """The exact floor of self / other, with no inversion: the corners
+        of both operands' enclosures bound the quotient, as integers, first
+        of the balls they keep (_box(0)), then on one _refine run.  One
+        candidate is the floor; of two, i - 1 and i, the sign of self -
+        other i at the same rung decides, and 0 gives i; more are refined."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        num, den = self._float_estimate(), o._float_estimate()
-        if num is None or den is None:
-            shift = (self._scale_bits() + o._scale_bits()) // 2
-            num, den = self._float_estimate(shift), o._float_estimate(shift)
-        span = _ratio_span(num, den)
-        if span is not None:
-            c, r = span
-            # widened for the rounding of c -+ r
-            r += (abs(c) + r) * 2.0 ** -50
-            if math.isfinite(abs(c) + r) and math.floor(c - r) == math.floor(c + r):
-                return math.floor(c)
         if o.is_zero():
             raise ZeroDivisionError("floor division by zero")
 
         def decide(p):
-            en, ed = self.embed_raw(p), o.embed_raw(p)
-            s_d = ed.sign()
-            if s_d is None:
-                return None, ed
+            en, ed = self._box(p), o._box(p)
+            s_d = None if ed is None else ed.sign()
+            if s_d is None or en is None:
+                return None, (en, ed)
             # the corners (a / en.den) / (b / ed.den), floored
             floors = [a * ed.den // (b * en.den) for a in (en.lo_num, en.hi_num)
                       for b in (ed.lo_num, ed.hi_num)]
@@ -680,11 +697,24 @@ class _ExactReal:
             gap = self - o * hi
             if gap.is_zero():
                 return hi, gap
-            enc = gap.embed_raw(p)
-            s = enc.sign()
+            enc = gap._box(p)
+            s = None if enc is None else enc.sign()
             return (None if s is None else hi if s == s_d else lo), enc
 
-        return _refine(decide, 64, "floor undecided at {bits} bits")
+        q = decide(0)[0]
+        if q is not None:
+            return q
+        bits = max(self._scale_bits(), o._scale_bits())
+        return _refine(decide, _first_rung(self.field, bits), "floor undecided at {bits} bits")
+
+
+def _first_rung(field: NumberField, bits: int) -> int:
+    """The rung 64 * 2^i of lambda's ladder at which an exact decision on
+    values with coefficients near 2^bits starts once their balls fail: the
+    highest at or below the finest bracket the field has built, which the
+    decisions before it needed, bits + 64 and the precision cap."""
+    reach = min(max(field._lambda_bracket._kept, default=64), bits + 64, get_precision_cap())
+    return 64 << max(0, (reach // 64).bit_length() - 1)
 
 
 class FieldElement(_ExactReal):
@@ -695,7 +725,7 @@ class FieldElement(_ExactReal):
     FieldElement(field, coeffs) builds one from d rationals.
     """
 
-    __slots__ = ("field", "num", "den", "_sign", "_est")
+    __slots__ = ("field", "num", "den", "_sign", "_ball")
 
     def __init__(self, field: NumberField, coeffs):
         qs = [Fraction(c) for c in coeffs]
@@ -703,7 +733,7 @@ class FieldElement(_ExactReal):
         self.field = field
         self.num = tuple(q.numerator * (den // q.denominator) for q in qs)
         self.den = den
-        self._sign = self._est = None
+        self._sign = self._ball = None
 
     # -- basic structure ----------------------------------------------------
 
@@ -786,20 +816,30 @@ class FieldElement(_ExactReal):
     def inverse(self) -> FieldElement:
         """1 / self from the norm: with self = a / den and a an integer
         vector, a * prod_(sigma != id) sigma(a) = N(a), a nonzero integer, so
-        1 / self = den * prod_(sigma != id) sigma(a) / N(a)."""
+        1 / self = den * prod_(sigma != id) sigma(a) / N(a).  The field keeps
+        the inverse of each value, up to INVERSE_TABLE_SIZE of them, so a
+        value that comes back in another object is not inverted again."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero field element")
         field = self.field
         if self.is_rational():
             return _element(field, (self.den,) + (0,) * (field.degree - 1), self.num[0])
-        a = self.num
-        prod = None
-        for conj in _conjugate_vectors(field, a):
-            prod = conj if prod is None else field._mul(prod, conj)
-        norm = field._mul(a, prod)
-        if any(norm[1:]):
-            raise ArithmeticError("norm is not rational")
-        return _element(field, tuple(c * self.den for c in prod), norm[0])
+        table = field._inverses
+        inv = table.get((self.num, self.den))
+        if inv is None:
+            a = self.num
+            prod = None
+            for conj in _conjugate_vectors(field, a):
+                prod = conj if prod is None else field._mul(prod, conj)
+            norm = field._mul(a, prod)
+            if any(norm[1:]):
+                raise ArithmeticError("norm is not rational")
+            if len(table) >= INVERSE_TABLE_SIZE:
+                table.clear()
+            inv = table[self.num, self.den] = _element(field, tuple(c * self.den for c in prod),
+                                                       norm[0])
+            inv._sign = self._sign
+        return inv
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -825,38 +865,25 @@ class FieldElement(_ExactReal):
         return _new(self.field, num, den).sign()
 
     def sign(self) -> int:
-        """Exact sign under lambda -> 2cos(pi/n); 0 iff the element is zero."""
-        if self._sign is not None:
-            return self._sign
-        if self.is_rational():
+        """Exact sign under lambda -> 2cos(pi/n), kept on the element."""
+        if self._sign is None:
             c = self.num[0]
-            self._sign = (c > 0) - (c < 0)
-            return self._sign
-        s = self._sign_fast_float()
-        if s is None:
-            s = self._sign_exact()
-        self._sign = s
-        return s
+            self._sign = (c > 0) - (c < 0) if self.is_rational() else super().sign()
+        return self._sign
 
     def _scale_bits(self) -> int:
-        """Bit length of the largest coefficient less that of the
-        denominator: value * 2^-_scale_bits() has coefficients below 2 in
-        absolute value."""
         return max(map(abs, self.num)).bit_length() - self.den.bit_length()
 
-    def _float_estimate(self, shift: int = 0):
-        """(val, bound) in floats with |value * 2^-shift - val| <= bound, or
-        None when a coefficient times 2^-shift passes the double range.
-        shift = _scale_bits() never overflows.  The estimate at shift 0 is
-        kept on the element.
+    def _float_estimate(self):
+        """(val, bound) in floats with |value - val| <= bound, or None when
+        a coefficient passes the double range.
 
         val = fl(sum_i fl(c_i f_i)) for c_i the correctly rounded value of
-        coefficient i times 2^-shift and f_i a double with
-        |f_i - lambda^i| <= rho f_i.  The f_i are lambda's powers rounded
-        outward from its 64-bit bracket, once per field, and rho, their
-        largest relative spread, is below 2^-50 at any degree up to 80.
-        With u = 2^-53, d the degree and mag = fl(sum_i |fl(c_i f_i)|), the
-        error is at most
+        coefficient i and f_i a double with |f_i - lambda^i| <= rho f_i: the
+        mid of lambda^i's ball at rung 64, once per field, with rho, the
+        largest radius over mid widened by 2^-50 for its rounding, below
+        2^-50 at any degree up to 80.  With u = 2^-53, d the degree and
+        mag = fl(sum_i |fl(c_i f_i)|), the error is at most
 
             bound = ((d + 3) u + rho) (1 + 2^-30) mag + (d + 1) 2^(d - 1074):
 
@@ -868,69 +895,29 @@ class FieldElement(_ExactReal):
         and the rounding of mag and bound; the last term covers the
         roundings of subnormal results, each at most 2^-1075 times a power
         of lambda, which is below 2^(d - 1)."""
-        if not shift and self._est is not None:
-            return self._est
         field = self.field
         table = field._lambda_pows_float
         if table is None:
-            enc, d = field.lambda_enclosure(64), field.degree
-            pows, rho = [], 0.0
-            for i in range(d):
-                lo = _round_outward(enc.lo_num ** i, enc.den ** i, -math.inf)
-                hi = _round_outward(enc.hi_num ** i, enc.den ** i, math.inf)
-                pows.append(lo)
-                rho = max(rho, (hi - lo) / lo * (1 + 2.0 ** -50))
+            d = field.degree
+            balls = [_new(field, tuple(int(i == j) for j in range(d)), 1).ball(64)
+                     for i in range(d)]
+            rho = max(r / m for m, r in balls) * (1 + 2.0 ** -50)
             rel = ((d + 3) * 2.0 ** -53 + rho) * (1 + 2.0 ** -30)
-            table = field._lambda_pows_float = (pows, rel, math.ldexp(d + 1, d - 1074))
+            table = field._lambda_pows_float = ([m for m, _ in balls], rel,
+                                                math.ldexp(d + 1, d - 1074))
         pows, rel, floor = table
-        num, den = self.num, self.den
-        if shift > 0:
-            den <<= shift
-        elif shift < 0:
-            num = [c << -shift for c in num]
+        den = self.den
         val = 0.0
         mag = 0.0
         try:
-            for c, lp in zip(num, pows):
+            for c, lp in zip(self.num, pows):
                 # int true division rounds correctly
                 t = (c / den) * lp
                 val += t
                 mag += abs(t)
         except OverflowError:
             return None
-        if mag == math.inf:
-            return None
-        est = (val, mag * rel + floor)
-        if not shift:
-            self._est = est
-        return est
-
-    def _refreshed_estimate(self, p: int):
-        """As _ExactReal._refreshed_estimate, and kept as the element's
-        estimate at shift 0 where it is the tighter one."""
-        est = super()._refreshed_estimate(p)
-        if est is not None and (self._est is None or est[1] < self._est[1]):
-            self._est = est
-        return est
-
-    def _sign_fast_float(self):
-        est = self._float_estimate()
-        if est is None:
-            # a coefficient beyond the double range: estimate at its scale
-            est = self._float_estimate(self._scale_bits())
-        val, tol = est
-        if val > tol:
-            return 1
-        if val < -tol:
-            return -1
-        return None
-
-    def _sign_exact(self):
-        def decide(p):
-            enc = self.embed_raw(p)
-            return enc.sign(), enc
-
-        return _refine(decide, 64, "sign undecided at {bits} bits")
+        return None if mag == math.inf else (val, mag * rel + floor)
 
     def embed_raw(self, precision: int) -> Enclosure:
         """Evaluate at lambda_enclosure(precision), as integers over one
@@ -990,7 +977,7 @@ def _element(field: NumberField, num: tuple, den: int) -> FieldElement:
 def _new(field: NumberField, num: tuple, den: int) -> FieldElement:
     """The element num / den, with den > 0 and content gcd 1 already."""
     e = object.__new__(FieldElement)
-    e.field, e.num, e.den, e._sign, e._est = field, num, den, None, None
+    e.field, e.num, e.den, e._sign, e._ball = field, num, den, None, None
     return e
 
 

@@ -24,7 +24,6 @@ from .dynamics import (
     eps0,
     orbit_x_order,
 )
-from .group import INFINITY
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +340,10 @@ _DIGITS = (*range(-_J_FIN, 0), *range(1, _K_FIN + 1))
 
 
 def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi, ends: dict):
-    """Image of one piece under (M_k, N_k); both coordinates map increasingly.
-    ends memoises the image of each end per (digit, coordinate, end), as
-    pieces share their ends: each distinct end costs at most one apply."""
+    """Image of one piece under (M_k, N_k), whose orientation
+    _check_orientation has decided.  ends memoises the image of each end
+    per (digit, coordinate, end), as pieces share their ends: each distinct
+    end costs at most one apply."""
     b = branch(field, digit)
 
     def image(axis, matrix, end):
@@ -353,15 +353,25 @@ def _map_piece(field, digit, x_lo, x_hi, y_lo, y_hi, ends: dict):
             img = ends[key] = matrix.apply(end)
         return img
 
-    nx_lo, nx_hi = image("x", b.M, x_lo), image("x", b.M, x_hi)
-    ny_lo, ny_hi = image("y", b.N, y_lo), image("y", b.N, y_hi)
-    if nx_hi is INFINITY or nx_lo is INFINITY:
-        raise ConsistencyError("piece crosses a pole of its branch")
-    if not nx_lo < nx_hi:
-        raise ConsistencyError("x-orientation flipped; piece crosses a pole")
-    if not ny_lo < ny_hi:
-        raise ConsistencyError("y-orientation flipped; piece crosses a pole")
-    return (nx_lo, nx_hi, ny_lo, ny_hi)
+    return (image("x", b.M, x_lo), image("x", b.M, x_hi),
+            image("y", b.N, y_lo), image("y", b.N, y_hi))
+
+
+def _check_orientation(field, pieces) -> None:
+    """Both coordinates of every piece map increasingly.  A matrix of det 1
+    increases on each side of its pole, where cz + d changes sign, so it
+    suffices that (c lo + d)(c hi + d) > 0 once per branch for M_k on the
+    x-range its pieces cover, left to right, and once per fibre for N_k:
+    one sign decision each."""
+    ranges = {}
+    for digit, x_lo, x_hi, y_lo, y_hi in pieces:
+        ranges.setdefault((digit, "x"), [x_lo, x_hi])[1] = x_hi
+        ranges.setdefault((digit, "y", y_lo, y_hi), [y_lo, y_hi])
+    for (digit, axis, *_), (lo, hi) in ranges.items():
+        b = branch(field, digit)
+        T = b.M if axis == "x" else b.N
+        if ((T.c * lo + T.d) * (T.c * hi + T.d)).sign() <= 0:
+            raise ConsistencyError(f"{axis}-orientation flipped; piece crosses a pole")
 
 
 def _check_branch_measure(b) -> None:
@@ -388,6 +398,7 @@ def _region_images(field, region: PlanarRegion, accelerated: bool):
     """(pieces, images): the finite pieces of region, the image of each
     under its branch, then the closed-form image stacks of the tails."""
     pieces = _cylinder_pieces(field, region, accelerated)
+    _check_orientation(field, pieces)
     # the branch table has decided M_k(lo) = image_lo and M_k(hi) = 0
     ends = {}
     for digit in {p[0] for p in pieces}:

@@ -32,13 +32,14 @@ def _sqrt_enclosure(x: Enclosure, precision: int) -> Enclosure:
 class QuadExt(_ExactReal):
     """Element u + v*sqrt(D) with u, v, D in K and D > 0 not a square."""
 
-    __slots__ = ("field", "u", "v", "disc")
+    __slots__ = ("field", "u", "v", "disc", "_ball")
 
     def __init__(self, field: NumberField, u, v, disc):
         self.field = field
         self.u = field.coerce(u)
         self.v = field.coerce(v)
         self.disc = field.coerce(disc)
+        self._ball = None
 
     def is_zero(self) -> bool:
         # D is not a square in K, so u + v sqrt(D) = 0 iff u = v = 0
@@ -90,23 +91,6 @@ class QuadExt(_ExactReal):
         ninv = norm.inverse()
         return QuadExt(self.field, self.u * ninv, -self.v * ninv, self.disc)
 
-    def sign(self) -> int:
-        """Exact sign, with sqrt(D) the positive square root."""
-        su, sv = self.u.sign(), self.v.sign()
-        if sv == 0:
-            return su
-        if su == 0:
-            return sv
-        if su == sv:
-            return su
-        # opposite signs: compare u^2 against v^2 D
-        diff = self.u * self.u - self.v * self.v * self.disc
-        s = diff.sign()
-        # u + v sqrt(D) > 0 iff (v > 0 and v^2 D > u^2) or (u > 0 and u^2 > v^2 D)
-        if s == 0:
-            return 0  # cannot happen when D is not a square; kept for safety
-        return sv if s < 0 else su
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -120,22 +104,18 @@ class QuadExt(_ExactReal):
         return hash((self.u, self.v, self.disc))
 
     def _scale_bits(self) -> int:
-        """A binary exponent near the scale of u and v sqrt(D), as
-        FieldElement._scale_bits gives for one element."""
+        """A binary exponent near the scale of u and v sqrt(D)."""
         return max(self.u._scale_bits(), self.v._scale_bits() + self.disc._scale_bits() // 2)
 
-    def _float_estimate(self, shift: int = 0):
-        """(value, error bound) of (u + v sqrt(D)) 2^-shift in floats, from
-        the float estimates of u and v at that shift and of D
-        (FieldElement._float_estimate); None when one of them overflows.
+    def _float_estimate(self):
+        """The ball (value, error bound) of u + v sqrt(D) in floats, from the
+        balls of u, v and D (FieldElement.ball); None when one is missing.
         For |D - d| <= e, |sqrt(D) - sqrt(d)| is at most
         e/(sqrt(d) + sqrt(d - e)) when d > e, and at most sqrt(e) otherwise.
         Where u and v sqrt(D) cancel, the value is also estimated as the
-        norm u^2 - v^2 D, an element of K estimated on its own, over
-        u - v sqrt(D), whose terms add, and the estimate with the smaller
-        bound is returned."""
-        parts = [self.u._float_estimate(shift), self.v._float_estimate(shift),
-                 self.disc._float_estimate()]
+        norm u^2 - v^2 D, an element of K with a ball of its own, over
+        u - v sqrt(D), whose terms add, and the smaller ball is returned."""
+        parts = [self.u.ball(), self.v.ball(), self.disc.ball()]
         if None in parts:
             return None
         (u, eu), (v, ev), (d, ed) = parts
@@ -150,7 +130,7 @@ class QuadExt(_ExactReal):
         bound = eu + e_vr
         if 2 * abs(val) < abs(u):
             norm = self.u * self.u - self.v * self.v * self.disc
-            span = _ratio_span(norm._float_estimate(2 * shift), (u - v * r, eu + e_vr))
+            span = _ratio_span(norm.ball(), (u - v * r, eu + e_vr))
             if span is not None and span[1] < bound:
                 return span
         return val, bound

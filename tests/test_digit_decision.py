@@ -23,8 +23,6 @@ from trianglecf import dioph
 from trianglecf.dioph import expand, periodic_point
 from trianglecf.dynamics import (
     _exact_digit,
-    _lost,
-    _refreshed_digit,
     _span_digit,
     branch,
     cylinder_lo,
@@ -216,18 +214,24 @@ def _count_refine_runs(monkeypatch):
 
 @pytest.mark.parametrize("n", NS)
 def test_near_ends_take_both_outcomes_of_the_filter(n, monkeypatch):
-    # tau 2^-40 from a cylinder end the certified float bounds decide every
-    # sign and floor; tau 2^-200 from it the floor at that end falls to an
-    # exact refinement
+    # tau 2^-40 and tau 2^-200 from a cylinder end the balls decide every
+    # sign and floor, at 2^-200 the floor at that end through the ball of
+    # the exact gap A - B i, whose terms cancel in the exact coefficients;
+    # a point below 2^-1000 has no ball that tightens, and its sign and
+    # floor fall to exact refinements
     F = build_field(n)
     runs = _count_refine_runs(monkeypatch)
-    for e, falls_back in ((40, False), (200, True)):
+    for e in (40, 200):
         for k in (-3, 1, 2, 5):
             for right_end, side in ((False, 1), (True, -1)):
                 t = near_end(F, k, right_end, side, e)
                 runs.clear()
                 assert digit_of(F, t, F.one) == k
-                assert (len(runs) > 0) == falls_back, (e, k, right_end)
+                assert runs == [], (e, k, right_end)
+    x = F.tau * Fraction(-1, 1 << 1100)
+    k = digit_of(F, x, F.one)
+    assert runs
+    assert cylinder_lo(F, k) <= x and x < cylinder_lo(F, k + 1)
 
 
 @pytest.mark.parametrize("n", (5, 8, 16))
@@ -378,12 +382,13 @@ def test_span_path_agrees_with_the_exact_floors(data, n):
     A, B = data.draw(operands(n))
     want = _exact_digit(F, _fresh(A), _fresh(B))
     A, B = _fresh(A), _fresh(B)
-    ests = [A._float_estimate(), B._float_estimate()]
-    k = _span_digit(F, *ests)
-    assert k is None or k == want
-    if any(map(_lost, ests)):
-        k = _refreshed_digit(F, A, B, ests)
-        assert k is None or k == want
+    # the span of the 53-bit balls, then of balls made again up lambda's
+    # ladder, as digit_of climbs it
+    k, p = _span_digit(F, A, B), 64
+    assert not k or k == want
+    while k is None and p <= 4096:
+        k, p = _span_digit(F, A, B, p), 2 * p
+        assert not k or k == want
     assert digit_of(F, _fresh(A), _fresh(B)) == want
 
 
@@ -392,19 +397,20 @@ def test_each_kind_of_operand_reaches_the_span_path(n):
     # the property above would test nothing if the span never decided
     F = build_field(n)
     t = near_end(F, 2, False, 1, 40)
-    assert _span_digit(F, t._float_estimate(), F.one._float_estimate()) == 2
+    assert _span_digit(F, t, F.one) == 2
     quadratic = _quadratic_operands(n)
     assert isinstance(quadratic[0][0], QuadExt)
-    assert any(_span_digit(F, A._float_estimate(), B._float_estimate()) is not None
-               for A, B in map(lambda ab: map(_fresh, ab), quadratic))
-    # late in a long orbit the float bounds have lost the digit, and the
-    # refreshed estimates decide it
+    assert any(_span_digit(F, A, B) for A, B in map(lambda ab: map(_fresh, ab), quadratic))
+    # late in a long orbit the 53-bit balls have lost the digit, and balls
+    # made again up lambda's ladder decide it
     refreshed = 0
     for A, B in _long_orbit_operands(n)[-10:]:
         A, B = _fresh(A), _fresh(B)
-        ests = [A._float_estimate(), B._float_estimate()]
-        assert _span_digit(F, *ests) is None and any(map(_lost, ests))
-        refreshed += _refreshed_digit(F, A, B, ests) is not None
+        k, p = _span_digit(F, A, B), 64
+        assert k is None
+        while k is None and p <= 4096:
+            k, p = _span_digit(F, A, B, p), 2 * p
+        refreshed += bool(k)
     assert refreshed >= 8
 
 
@@ -478,3 +484,46 @@ def test_long_orbits_refine_at_most_half_as_often(n, monkeypatch):
     assert per_digit(60) == 0
     for steps, parent in zip((300, 1000), PARENT_RUNS_PER_DIGIT[n]):
         assert per_digit(steps) <= parent / 2, steps
+
+
+@pytest.mark.parametrize("n", (8, 13))
+def test_long_orbits_embed_at_most_twice_per_digit(n, monkeypatch):
+    # three 256-bit random points, seed 7, 1 000 steps: the balls made
+    # again up lambda's ladder start at the rung the orbit has reached, so
+    # a digit whose 53-bit balls are lost reads about one enclosure each of
+    # A and B; climbing each time from 128 read 4.25 (n=8) and 4.17 (n=13)
+    F = build_field(n)
+    rng = random.Random(7)
+    xs = [random_interval_point(F, rng, 256) for _ in range(3)]
+    expand(F, xs[0], 10)
+    calls = 0
+    embed_raw = FieldElement.embed_raw
+
+    def counted(self, precision):
+        nonlocal calls
+        calls += 1
+        return embed_raw(self, precision)
+
+    monkeypatch.setattr(FieldElement, "embed_raw", counted)
+    digits = sum(len(expand(F, x, 1000).digits) for x in xs)
+    assert digits == 3000
+    assert calls <= 2 * digits
+
+
+def test_a_far_point_brackets_lambda_by_newton_steps(monkeypatch, fresh_branch_tables):
+    # expand --n 16 --x=-1e-400 --steps 10 needs lambda to 2 048 bits; one
+    # evaluation of the minimal polynomial per bit made 2 023 of them
+    F = NumberField(16)
+    calls = 0
+    sign_at = field_module._int_poly_sign_at
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return sign_at(*args)
+
+    monkeypatch.setattr(field_module, "_int_poly_sign_at", counted)
+    res = expand(F, F.from_fraction(Fraction(-1, 10 ** 400)), 10)
+    rows = [(float(res.ts[m]), float(res.vs[m]), float(res.thetas[m])) for m in range(11)]
+    assert len(rows) == 11 and max(F._lambda_bracket._kept) >= 2048
+    assert calls <= 64

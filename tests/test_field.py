@@ -589,36 +589,28 @@ def test_float_estimate_bound_holds_on_near_cancelling_elements(n, data):
                   + [0] * (F.degree - 2))
     if x.is_zero():
         return
-    shift = data.draw(st.sampled_from((0, 0, x._scale_bits(), -200, 300)))
-    est = x._float_estimate(shift)
-    if est is None:
-        assert shift == 0 and x._scale_bits() > 1000
-        return
-    val, bound = est
+    # the 53-bit ball, or one read off lambda's 64- or 128-bit bracket
+    p = data.draw(st.sampled_from((0, 0, 64, 128)))
+    val, bound = x.ball(p)
     enc = x.embed_raw(1200)
-    scaled = Fraction(1, 2 ** shift) if shift >= 0 else Fraction(2 ** -shift)
-    assert Fraction(val) - Fraction(bound) <= enc.lo * scaled
-    assert enc.hi * scaled <= Fraction(val) + Fraction(bound)
-    fast = x._sign_fast_float()
-    assert fast is None or fast == x._sign_exact()
+    assert Fraction(val) - Fraction(bound) <= enc.lo
+    assert enc.hi <= Fraction(val) + Fraction(bound)
     assert x.sign() == x._sign_exact()
 
 
 @pytest.mark.parametrize("offset", [0, 300, -200])
 def test_quadratic_float_estimate_bound_holds_at_its_scale(offset):
-    # u + v sqrt(D) beyond the double range, estimated at its scale and
-    # 300 bits below or 200 bits above it; sqrt(D)'s error is first order
-    # in D's, so the bound is relative to the float precision
+    # u + v sqrt(D) with parts near 2^(500 + offset), whose norm form passes
+    # the double range at offset 300; sqrt(D)'s error is first order in
+    # D's, so the bound is relative to the float precision
     F = build_field(8)
-    q = QuadExt(F, F.element([Fraction(-7, 3), 5]) * 2 ** 1500,
-                F.element([1, Fraction(2, 9)]) * 2 ** 1500, F.tau)
-    assert q._float_estimate() is None
-    shift = q._scale_bits() + offset
-    val, bound = q._float_estimate(shift)
+    scale = Fraction(2) ** (500 + offset)
+    q = QuadExt(F, F.element([Fraction(-7, 3), 5]) * scale,
+                F.element([1, Fraction(2, 9)]) * scale, F.tau)
+    val, bound = q._float_estimate()
     enc = q.embed_raw(600)
-    scale = Fraction(2) ** -shift
-    assert Fraction(val) - Fraction(bound) <= enc.lo * scale
-    assert enc.hi * scale <= Fraction(val) + Fraction(bound)
+    assert Fraction(val) - Fraction(bound) <= enc.lo
+    assert enc.hi <= Fraction(val) + Fraction(bound)
     assert bound < abs(val) * 2 ** -48
 
 

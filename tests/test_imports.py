@@ -91,23 +91,18 @@ def test_every_module_is_in_a_lane():
 # the math functions that are exact on integers
 EXACT_MATH = {"gcd", "lcm", "isqrt"}
 # the only places the exact lane makes a float: lambda's first bracket
-# (from 2cos(pi/n)), the bracket of a root, a printed value, the sign
-# filter's estimates, the outward rounding of an enclosure end, the span of
-# a quotient of two estimates, the float try of an exact floor, tau's
-# outward-rounded bounds, an estimate read off an enclosure, the bits an
-# estimate has lost, and the digit from the span of a quotient
+# (from 2cos(pi/n)), the bracket of a root, the rounding of a rational to a
+# double, the 53-bit balls of an element of K and of K(sqrt D), a ball read
+# off an enclosure, the span of a quotient of two balls, and the digit from
+# that span
 FLOAT_SITES = {
     ("field", "NumberField.__init__"),
     ("field", "_bracket_root_near"),
-    ("field", "_ExactReal.__float__"),
+    ("field", "_round"),
     ("field", "FieldElement._float_estimate"),
     ("quadratic", "QuadExt._float_estimate"),
-    ("field", "_round_outward"),
+    ("field", "_ExactReal.ball"),
     ("field", "_ratio_span"),
-    ("field", "_ExactReal.__floordiv__"),
-    ("field", "NumberField.tau_bounds"),
-    ("field", "_estimate_of"),
-    ("field", "_bits_lost"),
     ("dynamics", "_span_digit"),
 }
 

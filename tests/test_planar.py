@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trianglecf import dynamics
+from trianglecf import planar as planar_module
 from trianglecf.errors import ConsistencyError, DomainError
 from trianglecf.field import FieldElement, build_field
 from trianglecf.group import INFINITY, Mobius, digit_matrix, y_matrix
@@ -21,6 +22,7 @@ from trianglecf.planar import (
     T_step,
     _check_band_tiling,
     _check_branch_measure,
+    _check_orientation,
     _check_gamma_in_omega,
     _cylinder_pieces,
     _distribute_bands,
@@ -693,6 +695,36 @@ def test_tiling_sign_budget(n, budget, monkeypatch):
                 assert _count_signs(monkeypatch, lambda: list(region.overlay(a, b))) == 0
     bands = _distribute_bands(gamma, _region_images(F, gamma, True)[1])
     assert _count_signs(monkeypatch, lambda: _check_band_tiling(gamma, bands)) == 0
+
+
+@pytest.mark.parametrize("n, bound", ((8, 186), (16, 247)))
+def test_orientation_is_one_sign_per_branch_and_fibre(n, bound, monkeypatch):
+    # deciding both orientations of every piece made 220 (n=8) and 329
+    # (n=16) sign calls in a warmed verify_bijectivity, 92 and 172 of them
+    # the per-piece comparisons; one sign per branch on its cylinder and
+    # one per fibre for N_k make 186 and 247
+    F = build_field(n)
+    verify_bijectivity(F)
+    assert _count_signs(monkeypatch, lambda: verify_bijectivity(F)) <= bound
+    for region, accelerated in ((build_omega(F), False), (build_gamma(F), True)):
+        pieces = _cylinder_pieces(F, region, accelerated)
+        checks = len({p[0] for p in pieces}) + len({(p[0], p[3], p[4]) for p in pieces})
+        assert _count_signs(monkeypatch, lambda: _check_orientation(F, pieces)) == checks
+
+
+@pytest.mark.parametrize("axis", ("x", "y"))
+def test_a_piece_across_a_pole_is_refused(axis, monkeypatch):
+    # digit 2's M (x) or N (y) swapped for z -> -1/(z - m), of det 1, whose
+    # pole m is the middle of digit 2's first piece in Gamma
+    F = build_field(5)
+    gamma = build_gamma(F)
+    _, x_lo, x_hi, y_lo, y_hi = next(p for p in _cylinder_pieces(F, gamma, True) if p[0] == 2)
+    m = (x_lo + x_hi) / 2 if axis == "x" else (y_lo + y_hi) / 2
+    swapped = branch(F, 2)._replace(**{"M" if axis == "x" else "N": Mobius(F, 0, -1, 1, -m)})
+    monkeypatch.setattr(planar_module, "branch",
+                        lambda field, k: swapped if k == 2 else branch(field, k))
+    with pytest.raises(ConsistencyError, match=f"{axis}-orientation flipped; piece crosses a pole"):
+        _region_images(F, gamma, True)
 
 
 def test_overlay_clips_to_each_slab_in_order():

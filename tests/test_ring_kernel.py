@@ -22,7 +22,7 @@ from trianglecf import dioph, dynamics, group, planar, verify
 from trianglecf.errors import PrecisionExhausted
 from trianglecf.field import FieldElement, NumberField, _chebyshev_v, _embedding_indices
 
-NS = (4, 5, 7, 8, 12, 13, 16, 20, 60, 100)
+NS = (4, 5, 7, 8, 12, 13, 16, 20, 60, 61, 100, 101)
 
 
 # -- the oracle -----------------------------------------------------------------
@@ -328,3 +328,34 @@ def test_kernel_makes_the_same_exact_decisions(case, monkeypatch):
     if case is _expand_n13:
         # the case reaches the exact lane, or it would test nothing
         assert oracle_runs
+
+
+@pytest.mark.parametrize("n", (8, 16, 60))
+def test_identity_suite_inverts_each_value_once(n, monkeypatch):
+    # verify_one made 152 (n=8), 280 (n=16) and 984 (n=60) norm products
+    # for 63, 111 and 375 distinct values, most of them in Mobius.apply,
+    # which divides by c x + d; the field's table of inverses makes one
+    # per value
+    products, values = 0, set()
+    conjugates = field_module._conjugate_vectors
+    inverse = FieldElement.inverse
+
+    def counted(field, a):
+        nonlocal products
+        products += 1
+        return conjugates(field, a)
+
+    def recorded(self):
+        if not self.is_rational():
+            values.add((self.num, self.den))
+        return inverse(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(field_module, "_conjugate_vectors", counted)
+        m.setattr(FieldElement, "inverse", recorded)
+        _clear_caches()
+        try:
+            assert verify.verify_one(n)["ok"]
+        finally:
+            _clear_caches()
+    assert 0 < products <= len(values)
