@@ -276,7 +276,7 @@ class OrbitTables(NamedTuple):
     phi_digits: tuple     # digit of the step phi_i -> phi_{i+1}, cyclic
     eps: tuple            # eps_0 .. eps_{2n-4}
     eps_digits: tuple
-    alpha: tuple          # alpha_1 .. alpha_{2n-3}, backwards orbit
+    alpha: tuple          # alpha_1 .. alpha_{2n-3} = eps_{2n-4} .. eps_0
 
 
 def orbit_x_order(phi) -> list:
@@ -292,6 +292,11 @@ def orbit_x_order(phi) -> list:
 
 @lru_cache(maxsize=None)
 def build_orbit_tables(field: NumberField) -> OrbitTables:
+    """The -tau and eps0 orbits with their digit words, each identity of
+    the tables decided exactly.  alpha, the walk back from 1/(1 - 2 tau)
+    through the inverse branches of the reversed eps digit word, is the eps
+    orbit reversed: f stepped each eps_i to eps_{i+1} exactly, by the branch
+    of the digit word checked here, and an inverse branch undoes its step."""
     n = field.n
     tau = field.tau
 
@@ -335,19 +340,8 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
         eps_digits.append(k)
     if eps_digits != [1] * (n - 2) + [2] + [1] * (n - 3):
         raise ConsistencyError(f"unexpected digit word {eps_digits} for the eps orbit")
-    delta2_right = (field.one - 2 * tau).inverse()
-    if eps[2 * n - 4] != delta2_right:
+    if eps[2 * n - 4] * (1 - 2 * tau) != 1:
         raise ConsistencyError("eps_{2n-4} != 1/(1-2 tau)")
-
-    # backwards orbit from 1/(1-2 tau); digit pattern reversed
-    alpha = [delta2_right]
-    back_digits = [1] * (n - 3) + [2] + [1] * (n - 2)
-    for d in back_digits:
-        alpha.append(branch(field, d).M.inverse().apply(alpha[-1]))
-    alpha = alpha[: 2 * n - 3]
-    for j in range(2 * n - 3):
-        if alpha[j] != eps[2 * n - 4 - j]:
-            raise ConsistencyError("backwards orbit disagrees with the eps orbit")
 
     # interleaving phi_l < eps_l < eps_{n-2+l} < phi_{n-1+l}
     if not (phi[0] < eps[0] and eps[0] < phi[n - 1]):
@@ -367,7 +361,7 @@ def build_orbit_tables(field: NumberField) -> OrbitTables:
         phi_digits=tuple(digits),
         eps=tuple(eps),
         eps_digits=tuple(eps_digits),
-        alpha=tuple(alpha),
+        alpha=tuple(reversed(eps)),
     )
 
 

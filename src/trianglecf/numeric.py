@@ -675,6 +675,9 @@ def uniform_distribution_experiment(
     if steps < 1:
         raise DomainError("the orbit needs at least 1 step")
     if checkpoints is None:
+        if steps < 2:
+            raise DomainError("the default half-way checkpoint needs at least 2 steps, "
+                              f"got {steps}")
         checkpoints = (steps // 2, steps)
     checkpoints = sorted({min(c, steps) for c in checkpoints})
     if not checkpoints or checkpoints[0] < 1:

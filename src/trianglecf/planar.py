@@ -17,6 +17,7 @@ from typing import NamedTuple
 from .errors import ConsistencyError, DomainError
 from .field import FieldElement, NumberField
 from .dynamics import (
+    _sends,
     branch,
     build_orbit_tables,
     cylinder_of_f,
@@ -44,45 +45,38 @@ class Heights(NamedTuple):
 
 @lru_cache(maxsize=None)
 def build_heights(field: NumberField) -> Heights:
+    """Omega's slab heights, each -1/x for the slab's left end x in the -tau
+    orbit (orbit_x_order), whose inverses g_step has left in the field's
+    table.  The identities that defined them are decided, the Moebius ones
+    with no division (dynamics._sends): L_1 = 1/tau, L_2 = 1/(tau - 1),
+    N_1 L_i = L_{i+2}, N_1 L_{2n-5} = tau, L_{2n-4} = tau - 1,
+    N_2 L_{2n-4} = L_1, R = tau, strict monotonicity and R prod(L_j) = 1."""
     n = field.n
     tau = field.tau
+    *L, R = (-x.inverse() for x in orbit_x_order(build_orbit_tables(field).phi))
+    if L[0] * tau != 1 or L[1] * (tau - 1) != 1:
+        raise ConsistencyError("L_1 != 1/tau or L_2 != 1/(tau - 1)")
     N1 = branch(field, 1).N
-    odd = [tau.inverse()]                  # L_1 = 1/tau
-    for _ in range(n - 3):                 # L_3, ..., L_{2n-5}
-        odd.append(N1.apply(odd[-1]))
-    even = [(tau - 1).inverse()]           # L_2 = 1/(tau-1)
-    for _ in range(n - 3):                 # L_4, ..., L_{2n-4}
-        even.append(N1.apply(even[-1]))
-    L = []
-    for a, b in zip(odd, even):
-        L.extend((a, b))
-    heights = Heights(field=field, L=tuple(L), R=tau)
-
-    # consistency: strict monotonicity and the closed product identity
-    chain = list(heights.L) + [heights.R]
-    for a, b in zip(chain, chain[1:]):
-        if not a < b:
-            raise ConsistencyError("heights are not strictly increasing")
-    prod = heights.R
-    for h in heights.L:
+    for i in range(2 * n - 6):
+        if not _sends(N1, L[i], L[i + 2]):
+            raise ConsistencyError(f"N_1 L_{i + 1} != L_{i + 3}")
+    if not _sends(N1, L[-2], tau):
+        raise ConsistencyError("N_1^{n-2}(1/tau) != tau")
+    if L[-1] != tau - 1:
+        raise ConsistencyError("L_{2n-4} != tau - 1")
+    if not _sends(branch(field, 2).N, L[-1], L[0]):
+        raise ConsistencyError("N_2 L_{2n-4} != L_1")
+    if R != tau:
+        raise ConsistencyError("R != tau")
+    chain = L + [R]
+    if not all(a < b for a, b in zip(chain, chain[1:])):
+        raise ConsistencyError("heights are not strictly increasing")
+    prod = R
+    for h in L:
         prod = prod * h
     if prod != 1:
         raise ConsistencyError("height product R * prod(L_j) != 1")
-    # N_1^{n-2} . (1/tau) = tau, one step past odd[-1] = N_1^{n-3} . (1/tau),
-    # and the wrap-around N_2 . L_{2n-4} = L_1
-    if N1.apply(odd[-1]) != tau:
-        raise ConsistencyError("N_1^{n-2}(1/tau) != tau")
-    if heights.L[-1] != tau - 1:
-        raise ConsistencyError("L_{2n-4} != tau - 1")
-    N2 = branch(field, 2).N
-    if N2.apply(heights.L[-1]) != heights.L[0]:
-        raise ConsistencyError("N_2 L_{2n-4} != L_1")
-    # every slab height is the reciprocal of |left endpoint| of its slab
-    starts = orbit_x_order(build_orbit_tables(field).phi)
-    for h, start in zip(chain, starts):
-        if h * (-start) != 1:
-            raise ConsistencyError("slab corner is not on the curve y = -1/x")
-    return heights
+    return Heights(field=field, L=tuple(L), R=R)
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +446,15 @@ def _check_band_tiling(region: PlanarRegion, bands_by_slab) -> None:
 
 
 def _distribute_bands(region: PlanarRegion, images) -> dict:
-    """Split image x-ranges at slab boundaries and bucket the y-bands."""
+    """Bucket each image's y-band into the slabs i .. j - 1 between its
+    x-ends, which must be the region's cuts i < j: an end inside a slab
+    would cover part of it, which no band chain could tell."""
     bands_by_slab = {}
     for (x_lo, x_hi, y_lo, y_hi) in images:
-        slabs = [slab for slab, _, _ in region.overlay(x_lo, x_hi)]
-        if not slabs:
-            raise ConsistencyError("image piece fell outside the region")
-        for slab in slabs:
+        i, j = region._cut_index.get(x_lo), region._cut_index.get(x_hi)
+        if i is None or j is None or not i < j:
+            raise ConsistencyError("image piece does not cover whole slabs")
+        for slab in region.slabs[i:j]:
             bands_by_slab.setdefault(id(slab), []).append((y_lo, y_hi))
     return bands_by_slab
 

@@ -201,6 +201,22 @@ def test_criterion_3_run_bound_as_stated():
         )
 
 
+# Start points with n - 1 consecutive Theta > tau, the lower half of the
+# sharp run bound.  Each is the first of 200 000 points that
+# numeric.sample_interval draws with seed 7 whose float orbit (numeric.step_tv)
+# has such a run, rounded by Fraction.limit_denominator(100); the run comes in
+# the first n - 1 steps, and the unrounded double gives the same run.
+RUN_WITNESSES = {4: Fraction(-41, 61), 5: Fraction(-56, 95), 6: Fraction(-40, 73),
+                 7: Fraction(-48, 89), 8: Fraction(-18, 35)}
+
+
+@pytest.mark.parametrize("n", sorted(RUN_WITNESSES))
+def test_criterion_3_run_of_n_minus_1_is_attained_exactly(n):
+    F = build_field(n)
+    res = expand(F, F.from_fraction(RUN_WITNESSES[n]), n - 1)
+    assert [(theta - F.tau).sign() for theta in res.thetas] == [-1] + [1] * (n - 1)
+
+
 def test_criterion_4_convergence():
     F = build_field(5)
     rep = convergence_scan(F, samples=1000, steps=200, seed=41)

@@ -446,6 +446,8 @@ def test_precision_flag_validation():
         ("transcendence", "--q-file", "{good}", "--d", "0"),
         ("transcendence", "--q-file", "{good}", "--d", "-1"),
         ("transcendence", "--q-file", "", "--d", "2"),
+        ("transcendence", "--q-file", "{infinite}", "--d", "2"),
+        ("transcendence", "--q-file", "{nan}", "--d", "2"),
     ],
     ids=["empty-n-range", "random-not-int", "missing-q-file", "scan-zero-samples",
          "convergence-zero-samples", "ergodic-zero-steps", "convergence-zero-steps",
@@ -454,20 +456,29 @@ def test_precision_flag_validation():
          "zero-precision-cap", "unwritable-out", "one-point-family", "negative-seed",
          "ergodic-one-step", "nan-tolerance", "nan-margin", "infinite-margin",
          "infinite-tolerance", "q-file-degree-zero", "q-file-negative-degree",
-         "empty-q-file-path"],
+         "empty-q-file-path", "q-file-infinite-log", "q-file-nan-log"],
 )
-def test_bad_input_is_a_usage_error(tmp_path, args):
+def test_bad_input_is_a_usage_error(tmp_path, args, request):
     # exit 1 is reserved for a failed identity; bad input must give 2
     bad = tmp_path / "bad.txt"
     bad.write_text("12\nnot-a-number\n")
     # enough convergents for the growth screen to take log(2d - 1)
     good = tmp_path / "good.txt"
     good.write_text("".join(f"log:{2.0 ** m}\n" for m in range(1, 13)))
-    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad, good=good,
+    # a non-finite log would print a statistic that is not JSON
+    files = {}
+    for name, log in (("infinite", "inf"), ("nan", "nan")):
+        files[name] = tmp_path / f"{name}.txt"
+        files[name].write_text(good.read_text() + f"log:{log}\n")
+    argv = [a.format(missing=tmp_path / "missing.txt", bad=bad, good=good, **files,
                      unwritable=tmp_path / "no-such-dir" / "x.json") for a in args]
     proc = run_cli(*argv, expect=2)
     assert proc.stderr.startswith("usage error: "), proc.stderr
     assert proc.stdout == ""
+    # the message names what the user gave, not a parameter they cannot set
+    named = {"ergodic-one-step": "at least 2 steps, got 1",
+             "q-file-infinite-log": "log:inf", "q-file-nan-log": "log:nan"}
+    assert named.get(request.node.callspec.id, "") in proc.stderr
 
 
 def test_removed_truncation_flag_is_a_usage_error():

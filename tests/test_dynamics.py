@@ -106,6 +106,34 @@ def test_eps_identities():
             assert a == t.eps[2 * n - 3 - j]
 
 
+@pytest.mark.parametrize("n", (4, 5, 8, 13))
+def test_alpha_is_the_inverse_branch_walk(n):
+    # the orbit of 1/(1 - 2 tau) under the inverse branches of the reversed
+    # eps digit word, walked as the tables once did
+    F = build_field(n)
+    t = build_orbit_tables(F)
+    walk = [(1 - 2 * F.tau).inverse()]
+    for d in reversed(t.eps_digits):
+        walk.append(branch(F, d).M.inverse().apply(walk[-1]))
+    assert tuple(walk) == t.alpha
+
+
+def test_orbit_tables_invert_no_matrix(monkeypatch):
+    F = build_field(16)
+    build_orbit_tables.__wrapped__(F)       # warms the branch table and eps0
+    calls = 0
+    inverse = Mobius.inverse
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return inverse(self)
+
+    monkeypatch.setattr(Mobius, "inverse", counted)
+    assert build_orbit_tables.__wrapped__(F) == build_orbit_tables(F)
+    assert calls == 0
+
+
 def test_eps0_formula():
     F = build_field(5)
     tau = F.tau

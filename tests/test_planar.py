@@ -70,8 +70,9 @@ def test_n4_heights_frozen():
 
 
 def test_heights_walk_the_n1_chain_once(monkeypatch):
-    # 2n - 6 steps build the two chains; N_1^{n-2}(1/tau) = tau is one more
-    # step past the odd chain, and N_2 L_{2n-4} = L_1 one more again
+    # the heights are -1/x for the Omega slab ends, whose inverses g_step
+    # has made; the N_1 and N_2 identities are numerator identities, so
+    # building them applies no matrix (the two N_1 chains made 2n - 4)
     F = build_field(16)
     # the tables and branches it reads are cached; build them beforehand
     build_orbit_tables(F), branch(F, 1), branch(F, 2)
@@ -85,8 +86,21 @@ def test_heights_walk_the_n1_chain_once(monkeypatch):
 
     monkeypatch.setattr(Mobius, "apply", counted)
     heights = build_heights.__wrapped__(F)
-    assert calls == 2 * F.n - 4
+    assert calls == 0
     assert heights == build_heights(F)
+
+
+@pytest.mark.parametrize("n", (4, 5, 8))
+def test_heights_refuse_another_n1(n, monkeypatch):
+    # digit 1's N swapped for another det-1 matrix: the heights, read off
+    # the orbit, no longer satisfy N_1 L_i = L_{i+2}
+    F = build_field(n)
+    build_orbit_tables(F)
+    swapped = branch(F, 1)._replace(N=Mobius(F, 1, 1, 0, 1))
+    monkeypatch.setattr(planar_module, "branch",
+                        lambda field, k: swapped if k == 1 else branch(field, k))
+    with pytest.raises(ConsistencyError, match="N_1"):
+        build_heights.__wrapped__(F)
 
 
 def test_height_monotonicity_and_product():
@@ -725,6 +739,34 @@ def test_a_piece_across_a_pole_is_refused(axis, monkeypatch):
                         lambda field, k: swapped if k == 2 else branch(field, k))
     with pytest.raises(ConsistencyError, match=f"{axis}-orientation flipped; piece crosses a pole"):
         _region_images(F, gamma, True)
+
+
+@pytest.mark.parametrize("n", (5, 8))
+def test_an_image_ending_inside_a_slab_is_refused(n, monkeypatch):
+    # one digit-1 image's right x-end moved to the middle of its range: the
+    # image covers part of a slab only, which the band chains cannot see
+    F = build_field(n)
+    map_piece, moved = planar_module._map_piece, []
+
+    def shortened(field, digit, *piece):
+        x_lo, x_hi, y_lo, y_hi = map_piece(field, digit, *piece)
+        if digit == 1 and not moved:
+            moved.append(digit)
+            x_hi = (x_lo + x_hi) / 2
+        return x_lo, x_hi, y_lo, y_hi
+
+    monkeypatch.setattr(planar_module, "_map_piece", shortened)
+    with pytest.raises(ConsistencyError, match="image piece does not cover whole slabs"):
+        verify_bijectivity(F)
+    assert moved
+
+
+def test_band_distribution_overlays_nothing(monkeypatch):
+    F = build_field(8)
+    gamma = build_gamma(F)
+    images = _region_images(F, gamma, True)[1]
+    monkeypatch.setattr(PlanarRegion, "overlay", None)
+    assert sum(map(len, _distribute_bands(gamma, images).values())) >= len(images)
 
 
 def test_overlay_clips_to_each_slab_in_order():

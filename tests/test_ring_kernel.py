@@ -335,7 +335,8 @@ def test_identity_suite_inverts_each_value_once(n, monkeypatch):
     # verify_one made 152 (n=8), 280 (n=16) and 984 (n=60) norm products
     # for 63, 111 and 375 distinct values, most of them in Mobius.apply,
     # which divides by c x + d; the field's table of inverses makes one
-    # per value
+    # per value.  Reading alpha off the eps orbit and the heights off the
+    # -tau orbit, whose points g_step has inverted, leaves 49, 81 and 257
     products, values = 0, set()
     conjugates = field_module._conjugate_vectors
     inverse = FieldElement.inverse
@@ -359,3 +360,5 @@ def test_identity_suite_inverts_each_value_once(n, monkeypatch):
         finally:
             _clear_caches()
     assert 0 < products <= len(values)
+    assert products <= {8: 49, 16: 81, 60: 257}[n]
+
